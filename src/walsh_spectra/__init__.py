@@ -58,8 +58,6 @@ from .processes import (
     make_process_spec,
     simulate,
     simulate_frozen,
-    simulate_tvdarma,
-    simulate_tvdma,
     spawn_seed,
     spec_from_dict,
 )
@@ -70,7 +68,6 @@ from .spectra import (
     covariance_from_density,
     dma_covariance,
     empirical_dyadic_covariance,
-    finite_walsh_transform,
     segmented_local_spectrum,
     smooth_periodogram,
     tv_dyadic_density,
@@ -106,7 +103,6 @@ __all__ = [
     "dyadic_add_points",
     "empirical_dyadic_covariance",
     "eval_curve",
-    "finite_walsh_transform",
     "from_grid",
     "fwht",
     "grid_points",
@@ -126,8 +122,6 @@ __all__ = [
     "sigma_matrix",
     "simulate",
     "simulate_frozen",
-    "simulate_tvdarma",
-    "simulate_tvdma",
     "smooth_periodogram",
     "spawn_seed",
     "spec_from_dict",

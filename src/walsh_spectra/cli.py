@@ -20,12 +20,12 @@ import numpy as np
 from . import __version__
 from .curves import CurveDomainError, CurveSyntaxError
 from .dyadic import grid_values
-from .poly import SingularPolynomialError, to_autoregressive, to_moving_average
+from .poly import SingularPolynomialError, grid_ratio
 from .presets import preset_names, preset_spec
 from .processes import (
     ProcessSpec,
     SingularBlockError,
-    convert_spec_frozen,
+    coefficient_rows,
     decay_experiment,
     simulate,
     spawn_seed,
@@ -170,20 +170,12 @@ def _cmd_spectrum(args) -> int:
 
 def _cmd_convert(args) -> int:
     spec = _load_spec(args)
-    if args.target == "dma":
-        convert = to_moving_average
-    else:
-        convert = to_autoregressive
     u = _u_grid(args.u_points)
-    rows = []
-    for ui in u:
-        ar, ma = convert_spec_frozen(spec, float(ui))
-        try:
-            out = convert(ar, ma)
-        except SingularPolynomialError as exc:
-            raise SingularPolynomialError(exc.grid_index, exc.value, where=float(ui)) from None
-        for j, value in enumerate(out.coefficients):
-            rows.append((float(ui), j, value))
+    b_rows, a_rows = coefficient_rows(spec, u)
+    # dma: K = A / B, the rows behind `spectrum` and `verify`; dar: the dual B / A
+    num, den = (a_rows, b_rows) if args.target == "dma" else (b_rows, a_rows)
+    k_rows = grid_ratio(num, den, where=u)
+    rows = ((float(ui), j, value) for ui, row in zip(u, k_rows) for j, value in enumerate(row))
     comment = _provenance(spec, command="convert", target=args.target)
     _write_csv(args.out, comment, ["u", "j", "K_j"], rows)
     return EXIT_OK

@@ -5,10 +5,12 @@ with coefficients on a power-of-two index block.  The product of two such
 polynomials is the XOR convolution of their coefficients, and the algebra
 is diagonalized by the Walsh-Hadamard transform: the grid values
 ``phi(x_0), ..., phi(x_{L-1})`` are the eigenvalues of the coset matrix
-``Sigma[i, j] = c_{i XOR j}``.  Inversion, determinants, and the
-autoregressive <-> moving-average conversions all run through that
-diagonalization in O(L log L); the dense linear-algebra routes survive in
-the test suite as oracles.
+``Sigma[i, j] = c_{i XOR j}``.  Division runs through that
+diagonalization in O(L log L) in one routine, `grid_ratio`: reciprocals,
+the autoregressive <-> moving-average conversions and the batched
+per-u conversions of the time-varying processes all call it, so they
+share one arithmetic and one singularity check.  The dense linear-algebra
+routes survive in the test suite as oracles.
 """
 
 from __future__ import annotations
@@ -148,24 +150,40 @@ def sigma_determinant(poly: WalshPolynomial) -> float:
     return float(np.prod(poly.grid_values()))
 
 
-def invert(poly: WalshPolynomial, rtol: float = SINGULARITY_RTOL) -> WalshPolynomial:
+def grid_ratio(num, den, where=None) -> np.ndarray:
+    """Coefficients of the ratio num / den of Walsh polynomials, row by row.
+
+    Both operands hold coefficient vectors along their last axis (any
+    leading axes are rows) and are zero-padded to the longer block.  Each
+    row is divided on the dyadic grid: transform, divide, transform back.
+
+    Raises `SingularPolynomialError` when some grid value of a ``den``
+    row is within ``SINGULARITY_RTOL`` of that row's largest; for stacked
+    rows ``where[i]`` labels row i in the error (e.g. its rescaled time).
+    """
+    num = np.asarray(num, dtype=np.float64)
+    den = np.asarray(den, dtype=np.float64)
+    size = max(num.shape[-1], den.shape[-1])
+    num, den = (np.pad(x, [(0, 0)] * (x.ndim - 1) + [(0, size - x.shape[-1])]) for x in (num, den))
+    den_grid = fwht(den)
+    scale = np.max(np.abs(den_grid), axis=-1, keepdims=True)
+    bad = np.abs(den_grid) <= SINGULARITY_RTOL * np.maximum(scale, 1e-300)
+    if np.any(bad):
+        first = np.argwhere(bad)[0]
+        at = None if where is None else float(where[first[0]])
+        raise SingularPolynomialError(int(first[-1]), float(den_grid[tuple(first)]), where=at)
+    return fwht(fwht(num) / den_grid) / size
+
+
+def invert(poly: WalshPolynomial) -> WalshPolynomial:
     """Reciprocal polynomial eta with phi(x) * eta(x) = 1 on [0, 1).
 
-    Computed on the grid (reciprocal of the grid values, transformed
-    back), which is the O(L log L) route; the dense solve
-    ``sigma_matrix(phi) @ d = e_0`` gives the same coefficients and is
-    kept as a test oracle.
-
-    Raises `SingularPolynomialError` when some grid value is within
-    ``rtol * max |grid value|`` of zero.
+    Computed on the grid by `grid_ratio`, which is the O(L log L) route;
+    the dense solve ``sigma_matrix(phi) @ d = e_0`` gives the same
+    coefficients and is kept as a test oracle.  Raises
+    `SingularPolynomialError` when the polynomial has a zero grid value.
     """
-    grid = poly.grid_values()
-    scale = np.max(np.abs(grid))
-    bad = np.abs(grid) <= rtol * scale
-    if scale == 0.0 or np.any(bad):
-        j = int(np.argmin(np.abs(grid)))
-        raise SingularPolynomialError(j, float(grid[j]))
-    return from_grid(1.0 / grid)
+    return WalshPolynomial(grid_ratio(unit(poly.length).coefficients, poly.coefficients))
 
 
 def to_moving_average(ar: WalshPolynomial, ma: WalshPolynomial) -> WalshPolynomial:
@@ -175,11 +193,9 @@ def to_moving_average(ar: WalshPolynomial, ma: WalshPolynomial) -> WalshPolynomi
     Raises `SingularPolynomialError` if the autoregressive polynomial has
     a zero grid value.
     """
-    ca, cb = _common(ar, ma)
-    return xor_convolve(invert(WalshPolynomial(ca)), WalshPolynomial(cb))
+    return WalshPolynomial(grid_ratio(ma.coefficients, ar.coefficients))
 
 
 def to_autoregressive(ar: WalshPolynomial, ma: WalshPolynomial) -> WalshPolynomial:
     """Autoregressive coefficients G with ma * G = ar; dual of `to_moving_average`."""
-    ca, cb = _common(ar, ma)
-    return xor_convolve(invert(WalshPolynomial(cb)), WalshPolynomial(ca))
+    return WalshPolynomial(grid_ratio(ar.coefficients, ma.coefficients))

@@ -28,8 +28,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .curves import CurveExpr, constant, eval_curve, is_constant_zero, parse, serialize
-from .dyadic import fwht
-from .poly import SINGULARITY_RTOL, SingularPolynomialError, WalshPolynomial
+# unused here, but kept bound: benchmark/smoke_check.py asserts processes.fwht is dyadic.fwht
+from .dyadic import fwht  # noqa: F401
+from .poly import SINGULARITY_RTOL, WalshPolynomial, grid_ratio
 
 KINDS = ("tvDMA", "tvDAR", "tvDARMA", "modulated")
 DISTRIBUTIONS = ("gaussian", "rademacher", "uniform")
@@ -258,6 +259,23 @@ def curve_matrix(curves, u) -> np.ndarray:
     return out
 
 
+def coefficient_rows(spec: ProcessSpec, u) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficient rows (b_rows, a_rows): the AR and MA curves at each u_i.
+
+    The modulated kind's core is a stationary moving average, so its MA
+    curves are read at u = 0 for every row.  Each block keeps its own
+    length; `grid_ratio` pads the two to a common one when converting.
+    """
+    u = np.atleast_1d(np.asarray(u, dtype=np.float64))
+    b_rows = curve_matrix(spec.ar, u)
+    if spec.kind == "modulated":
+        a0 = curve_matrix(spec.ma, np.array([0.0]))[0]
+        a_rows = np.broadcast_to(a0, (u.size, a0.size)).copy()
+    else:
+        a_rows = curve_matrix(spec.ma, u)
+    return b_rows, a_rows
+
+
 # --------------------------------------------------------------------------
 # sample paths
 
@@ -343,46 +361,27 @@ def _core_values(spec: ProcessSpec, b_rows, a_rows, eps) -> np.ndarray:
     return _block_solve(np.atleast_2d(b_rows), rhs)
 
 
-def _tv_rows(spec: ProcessSpec, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Time-varying coefficient rows (b_rows, a_rows) on the given u grid."""
-    b_rows = curve_matrix(spec.ar, u)
-    if spec.kind == "modulated":
-        a0 = curve_matrix(spec.ma, np.array([0.0]))[0]
-        a_rows = np.broadcast_to(a0, (u.size, a0.size)).copy()
-    else:
-        a_rows = curve_matrix(spec.ma, u)
-    return b_rows, a_rows
-
-
-def _assemble(spec: ProcessSpec, u, core, eps) -> SamplePath:
+def _simulate_on(spec: ProcessSpec, T: int, innovations, u0) -> SamplePath:
+    """Body of `simulate` (u0 None: u = t/T) and `simulate_frozen` (u = u0 for every t)."""
+    T = _check_horizon(T, max(len(spec.ar), len(spec.ma)))
+    eps = make_innovations(spec.innovations, T) if innovations is None else np.asarray(innovations, dtype=np.float64)
+    if eps.size != T:
+        raise ValueError("innovations length must equal T")
+    u = np.arange(T) / T if u0 is None else np.full(T, float(u0))
+    # the coefficient rows are released before trend and amplitude are
+    # evaluated, which keeps them out of the peak memory at large T
+    core = _core_values(spec, *coefficient_rows(spec, u), eps)
     values = eval_curve(spec.trend, u) + eval_curve(spec.amplitude, u) * core
     return SamplePath(values=values, innovations=eps, spec_fingerprint=spec.fingerprint())
 
 
 def simulate(spec: ProcessSpec, T: int, innovations=None) -> SamplePath:
-    """Simulate the time-varying process on t = 0..T-1 (T a power of two)."""
-    T = _check_horizon(T, max(len(spec.ar), len(spec.ma)))
-    eps = make_innovations(spec.innovations, T) if innovations is None else np.asarray(innovations, dtype=np.float64)
-    if eps.size != T:
-        raise ValueError("innovations length must equal T")
-    u = np.arange(T) / T
-    b_rows, a_rows = _tv_rows(spec, u)
-    core = _core_values(spec, b_rows, a_rows, eps)
-    return _assemble(spec, u, core, eps)
+    """Simulate the time-varying process on t = 0..T-1 (T a power of two).
 
-
-def simulate_tvdma(spec: ProcessSpec, T: int, innovations=None) -> SamplePath:
-    """Simulate a moving-average-kind spec (exact finite XOR-lag sum)."""
-    if spec.kind not in ("tvDMA", "modulated"):
-        raise ValueError(f"simulate_tvdma needs a moving-average kind, got {spec.kind}")
-    return simulate(spec, T, innovations)
-
-
-def simulate_tvdarma(spec: ProcessSpec, T: int, innovations=None) -> SamplePath:
-    """Simulate an autoregressive or mixed spec by exact block solves."""
-    if spec.kind not in ("tvDAR", "tvDARMA"):
-        raise ValueError(f"simulate_tvdarma needs an AR-type kind, got {spec.kind}")
-    return simulate(spec, T, innovations)
+    Moving-average kinds are an exact finite XOR-lag sum; autoregressive
+    and mixed kinds are solved exactly block by block.
+    """
+    return _simulate_on(spec, T, innovations, None)
 
 
 def simulate_frozen(spec: ProcessSpec, u0: float, T: int, innovations=None) -> SamplePath:
@@ -391,25 +390,22 @@ def simulate_frozen(spec: ProcessSpec, u0: float, T: int, innovations=None) -> S
     Uses the same innovation stream as `simulate` for the same seed, so
     the two paths are directly comparable point by point.
     """
-    T = _check_horizon(T, max(len(spec.ar), len(spec.ma)))
-    eps = make_innovations(spec.innovations, T) if innovations is None else np.asarray(innovations, dtype=np.float64)
-    if eps.size != T:
-        raise ValueError("innovations length must equal T")
-    u_frozen = np.full(T, float(u0))
-    b_rows, a_rows = _tv_rows(spec, u_frozen)
-    core = _core_values(spec, b_rows, a_rows, eps)
-    return _assemble(spec, u_frozen, core, eps)
+    return _simulate_on(spec, T, innovations, u0)
 
 
 def defining_equation_residual(spec: ProcessSpec, path: SamplePath) -> float:
     """Max over t of |sum_k b_k(t/T) core_{t XOR k} - sum_n a_n(t/T) eps_{t XOR n}|.
 
-    ``core`` is the path with trend removed and amplitude divided out.
+    ``core`` is the path with trend removed and amplitude divided out, so
+    a ValueError naming the first such u is raised where the amplitude is 0.
     """
     T = path.length
     u = np.arange(T) / T
-    b_rows, a_rows = _tv_rows(spec, u)
     amp = eval_curve(spec.amplitude, u)
+    zeros = np.flatnonzero(amp == 0.0)
+    if zeros.size:
+        raise ValueError(f"amplitude vanishes at u={u[zeros[0]]}: the core process is undefined there")
+    b_rows, a_rows = coefficient_rows(spec, u)
     core = (path.values - eval_curve(spec.trend, u)) / amp
     lhs = _dma_combine(b_rows, core)
     rhs = _dma_combine(a_rows, path.innovations)
@@ -418,45 +414,37 @@ def defining_equation_residual(spec: ProcessSpec, path: SamplePath) -> float:
 
 def convert_spec_frozen(spec: ProcessSpec, u: float) -> tuple[WalshPolynomial, WalshPolynomial]:
     """Freeze all curves at u and return (ar_polynomial, ma_polynomial)."""
-    b = curve_matrix(spec.ar, np.array([float(u)]))[0]
-    if spec.kind == "modulated":
-        a = curve_matrix(spec.ma, np.array([0.0]))[0]
-    else:
-        a = curve_matrix(spec.ma, np.array([float(u)]))[0]
-    return WalshPolynomial(b), WalshPolynomial(a)
+    b_rows, a_rows = coefficient_rows(spec, float(u))
+    return WalshPolynomial(b_rows[0]), WalshPolynomial(a_rows[0])
 
 
 def dma_coefficient_rows(spec: ProcessSpec, u) -> np.ndarray:
     """Frozen moving-average coefficients K_j(u_i) for each u, as a matrix.
 
     For autoregressive kinds this applies the frozen AR -> MA conversion
-    at every u (transform, divide, transform back, all batched).  The
-    amplitude curve is folded in.  Raises `SingularPolynomialError`
-    naming the first offending u when the AR polynomial vanishes on the
-    grid there.
+    `grid_ratio` to all rows at once.  The amplitude curve is folded in.
+    Raises `SingularPolynomialError` naming the first offending u when
+    the AR polynomial vanishes on the grid there.
     """
     u = np.atleast_1d(np.asarray(u, dtype=np.float64))
-    if spec.kind in ("tvDMA", "modulated"):
-        _, a_rows = _tv_rows(spec, u)
-        rows = a_rows
-    else:
-        size = max(len(spec.ar), len(spec.ma))
-        b_rows = np.zeros((u.size, size))
-        b_rows[:, : len(spec.ar)] = curve_matrix(spec.ar, u)
-        a_rows = np.zeros((u.size, size))
-        a_rows[:, : len(spec.ma)] = curve_matrix(spec.ma, u)
-        b_grid = fwht(b_rows)
-        scale = np.max(np.abs(b_grid), axis=1)
-        bad = np.abs(b_grid) <= SINGULARITY_RTOL * np.maximum(scale, 1e-300)[:, None]
-        if np.any(bad):
-            i, j = map(int, np.argwhere(bad)[0])
-            raise SingularPolynomialError(j, float(b_grid[i, j]), where=float(u[i]))
-        rows = fwht(fwht(a_rows) / b_grid) / size
-    return rows * eval_curve(spec.amplitude, u)[:, None]
+    b_rows, a_rows = coefficient_rows(spec, u)
+    if spec.kind not in ("tvDMA", "modulated"):
+        a_rows = grid_ratio(a_rows, b_rows, where=u)
+    return a_rows * eval_curve(spec.amplitude, u)[:, None]
 
 
 # --------------------------------------------------------------------------
 # approximation experiments
+
+
+def _window(center: int, radius: int, length: int) -> slice:
+    """Index window |t - center| <= radius, checked to lie inside a path of the given length."""
+    if radius < 0:
+        raise ValueError("radius must be >= 0")
+    lo, hi = center - radius, center + radius
+    if lo < 0 or hi >= length:
+        raise ValueError(f"window [{lo}, {hi}] leaves the path of length {length}")
+    return slice(lo, hi + 1)
 
 
 def approx_error(tv: SamplePath, frozen: SamplePath, center: int, radius: int) -> float:
@@ -465,12 +453,8 @@ def approx_error(tv: SamplePath, frozen: SamplePath, center: int, radius: int) -
         raise ValueError("paths have different lengths")
     if not np.array_equal(tv.innovations, frozen.innovations):
         raise ValueError("paths were built from different innovations")
-    if radius < 0:
-        raise ValueError("radius must be >= 0")
-    lo, hi = center - radius, center + radius
-    if lo < 0 or hi >= tv.length:
-        raise ValueError(f"window [{lo}, {hi}] leaves the path of length {tv.length}")
-    return float(np.max(np.abs(tv.values[lo : hi + 1] - frozen.values[lo : hi + 1])))
+    window = _window(center, radius, tv.length)
+    return float(np.max(np.abs(tv.values[window] - frozen.values[window])))
 
 
 @dataclass(frozen=True)
@@ -539,19 +523,19 @@ def decay_experiment(
     if base_seed is None:
         base_seed = spec.innovations.seed
     T_values = tuple(int(T) for T in T_values)
+    needed = max(len(spec.ar), len(spec.ma))
+    # every horizon and window is checked before anything is simulated
+    windows = [_window(int(round(u0 * T)), radius, _check_horizon(T, needed)) for T in T_values]
     mean_errors = []
-    for T in T_values:
-        T = _check_horizon(T, max(len(spec.ar), len(spec.ma)))
-        center = int(round(u0 * T))
+    for T, window in zip(T_values, windows):
         u = np.arange(T) / T
-        b_rows, a_rows = _tv_rows(spec, u)
+        b_rows, a_rows = coefficient_rows(spec, u)
         if slack:
             a_rows = a_rows + _slack_pattern(T, a_rows.shape[1], slack)
             if spec.kind not in ("tvDMA", "modulated"):
                 b_rows = b_rows + _slack_pattern(T, b_rows.shape[1], slack)
         if mode == "frozen":
-            uf = np.full(T, float(u0))
-            fb_rows, fa_rows = _tv_rows(spec, uf)
+            fb_rows, fa_rows = coefficient_rows(spec, np.full(T, float(u0)))
         else:
             k_rows = dma_coefficient_rows(spec, u)  # amplitude folded in
         trend_vals = eval_curve(spec.trend, u)
@@ -568,8 +552,7 @@ def decay_experiment(
                 x_cmp = eval_curve(spec.trend, u0) + eval_curve(spec.amplitude, u0) * core_fr
             else:
                 x_cmp = trend_vals + _dma_combine(k_rows, eps)
-            lo, hi = center - radius, center + radius
-            errs.append(float(np.max(np.abs(x_tv[lo : hi + 1] - x_cmp[lo : hi + 1]))))
+            errs.append(float(np.max(np.abs(x_tv[window] - x_cmp[window]))))
         mean_errors.append(float(np.mean(errs)))
     exact = max(mean_errors) < 1e-13
     slope = None

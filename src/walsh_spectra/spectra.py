@@ -170,11 +170,6 @@ def empirical_dyadic_covariance(path, tau: int, segment: tuple[int, int] | None 
 # estimation from data
 
 
-def finite_walsh_transform(data) -> np.ndarray:
-    """d(x_j) = sum_n X_n W(n, x_j) on grid_points(log2 N); batched over leading axes."""
-    return fwht(data)
-
-
 def walsh_periodogram(data, segment_start: int = 0, total_length: int | None = None) -> Periodogram:
     """Periodogram I(x_j) = d(x_j)**2 / N of one segment.
 

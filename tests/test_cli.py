@@ -212,6 +212,21 @@ def test_verify_conversion_mode(tmp_path):
     assert code == 0
 
 
+@pytest.mark.parametrize("u0, T_list", [("0.0", "128,256"), ("0.99", "128")])
+def test_verify_window_outside_path_exit_code(tmp_path, capsys, u0, T_list):
+    # the window of radius 16 around u0*T must fit in [0, T) for every T
+    out = tmp_path / "report.json"
+    code = main([
+        "verify", "--preset", "figure1", "--mode", "frozen", "--T", T_list,
+        "--replicates", "2", "--u0", u0, "--out", str(out),
+    ])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "config"
+    assert "window [" in err["message"] and "leaves the path of length 128" in err["message"]
+    assert not out.exists()
+
+
 def test_periodogram_constant_data_impulse(tmp_path):
     spec = write_spec(tmp_path, {"kind": "tvDMA", "ma": ["0"], "trend": "5", "seed": 0})
     out = tmp_path / "pgram.csv"

@@ -1,0 +1,193 @@
+"""Golden outputs of every CLI command.
+
+Each case runs one command in-process on a small input and records the
+SHA-256 of everything it leaves behind: stdout, stderr and every file it
+wrote, plus its exit code.  The table in ``golden_cli.json`` pins those
+outputs byte for byte, so a refactor that changes any of them fails here.
+
+`convert` on autoregressive kinds, and ``convert --target dar`` on any
+kind, are checked against the shared conversion route instead: their
+``K_j`` column must equal `dma_coefficient_rows` (AR kinds with amplitude
+1) or `grid_ratio` on the spec's coefficient rows, bit for bit.
+
+To print the table for the current code, run from the repository root::
+
+    PYTHONPATH=src python3 tests/test_golden.py > tests/golden_cli.json
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from walsh_spectra import __version__
+from walsh_spectra.cli import main
+from walsh_spectra.poly import grid_ratio
+from walsh_spectra.presets import preset_spec
+from walsh_spectra.processes import coefficient_rows, dma_coefficient_rows, spec_from_dict
+
+GOLDEN = Path(__file__).with_name("golden_cli.json")
+
+SPECS = {
+    "darma": {"kind": "tvDARMA", "ar": ["1", "-0.2+0.5*u"], "ma": ["1", "0.25+0.3*u"], "seed": 7},
+    # non-constant trend and amplitude, and AR/MA blocks of different lengths
+    "trend_amp": {
+        "kind": "tvDARMA",
+        "ar": ["1", "0.4*cos(2*pi*u)"],
+        "ma": ["1", "0.3+0.2*u", "0.1", "-0.2*u"],
+        "trend": "1+0.5*u",
+        "amplitude": "1.5+0.5*sin(2*pi*u)",
+        "distribution": "uniform",
+        "sigma": 0.8,
+        "seed": 4,
+    },
+    "modulated": {
+        "kind": "modulated",
+        "ma": ["1", "0.5+0.25*u"],
+        "trend": "u",
+        "amplitude": "2+cos(2*pi*u)",
+        "distribution": "rademacher",
+        "seed": 6,
+    },
+}
+SPEC_NAMES = ("figure1", "figure2", *SPECS)
+CONVERT_U_POINTS = 17
+
+
+def _cases() -> dict:
+    cases = {}
+    for s in SPEC_NAMES:
+        cases[f"simulate/{s}"] = (s, ["simulate", "--T", "256", "--out", "{out}/path.csv"])
+        cases[f"spectrum/{s}"] = (s, [
+            "spectrum", "--u-points", "9", "--m", "3", "--lambda-points", "9",
+            "--out", "{out}/g.csv", "--fourier-out", "{out}/f.csv",
+        ])
+        for target in ("dma", "dar"):
+            cases[f"convert-{target}/{s}"] = (s, [
+                "convert", "--target", target, "--u-points", str(CONVERT_U_POINTS), "--out", "{out}/K.csv",
+            ])
+        for mode in ("frozen", "conversion"):
+            cases[f"verify-{mode}/{s}"] = (s, [
+                "verify", "--mode", mode, "--u0", "0.3", "--T", "128,256,512",
+                "--replicates", "3", "--out", "{out}/report.json",
+            ])
+        cases[f"verify-slack/{s}"] = (s, [
+            "verify", "--mode", "frozen", "--slack", "1.0", "--T", "128,256,512",
+            "--replicates", "2", "--out", "{out}/report.json",
+        ])
+        cases[f"periodogram/{s}"] = (s, [
+            "periodogram", "--T", "512", "--segments", "64", "--replicates", "3",
+            "--smooth", "1", "--out", "{out}/pgram.csv",
+        ])
+    cases["simulate-seed/darma"] = ("darma", ["simulate", "--T", "64", "--seed", "11", "--out", "{out}/path.csv"])
+    cases["periodogram-step/figure2"] = ("figure2", [
+        "periodogram", "--T", "256", "--segments", "32", "--step", "16", "--out", "{out}/pgram.csv",
+    ])
+    cases["figures"] = (None, [
+        "figures", "--u-points", "9", "--m", "3", "--lambda-points", "9", "--out", "{out}/figs",
+    ])
+    return cases
+
+
+CASES = _cases()
+
+
+def _spec(name):
+    return spec_from_dict(SPECS[name]) if name in SPECS else preset_spec(name)
+
+
+def _is_route_case(case_id: str) -> bool:
+    command, _, name = case_id.partition("/")
+    return command == "convert-dar" or (command == "convert-dma" and _spec(name).kind in ("tvDAR", "tvDARMA"))
+
+
+ROUTE_CASES = sorted(c for c in CASES if _is_route_case(c))
+HASH_CASES = sorted(c for c in CASES if not _is_route_case(c))
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def run_case(case_id: str, workdir: Path) -> dict:
+    """Run one case in ``workdir`` and return its exit code and output digests."""
+    spec_name, argv = CASES[case_id]
+    out = workdir / "out"
+    out.mkdir()
+    args = [a.replace("{out}", str(out)) for a in argv]
+    if spec_name in SPECS:
+        spec_path = workdir / "spec.json"
+        spec_path.write_text(json.dumps(SPECS[spec_name]))
+        args += ["--spec", str(spec_path)]
+    elif spec_name is not None:
+        args += ["--preset", spec_name]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(args)
+    files = {
+        str(p.relative_to(out)): _sha(p.read_bytes())
+        for p in sorted(out.rglob("*"))
+        if p.is_file()
+    }
+    return {
+        "exit": code,
+        "stdout": _sha(stdout.getvalue().encode()),
+        "stderr": _sha(stderr.getvalue().encode()),
+        "files": files,
+    }
+
+
+def _golden() -> dict:
+    with open(GOLDEN) as fh:
+        return json.load(fh)
+
+
+@pytest.mark.parametrize("case_id", HASH_CASES)
+def test_cli_output_matches_golden(case_id, tmp_path):
+    assert run_case(case_id, tmp_path) == _golden()[case_id]
+
+
+def test_golden_table_covers_every_hashed_case():
+    assert sorted(_golden()) == HASH_CASES
+
+
+@pytest.mark.parametrize("case_id", ROUTE_CASES)
+def test_convert_equals_shared_route(case_id, tmp_path):
+    command, _, name = case_id.partition("/")
+    target = command.removeprefix("convert-")
+    spec = _spec(name)
+    u = np.arange(CONVERT_U_POINTS) / (CONVERT_U_POINTS - 1)
+    b_rows, a_rows = coefficient_rows(spec, u)
+    if target == "dar":
+        k_rows = grid_ratio(b_rows, a_rows)
+    elif SPECS.get(name, {}).get("amplitude", "1") == "1":
+        k_rows = dma_coefficient_rows(spec, u)
+    else:
+        k_rows = grid_ratio(a_rows, b_rows)
+    record = run_case(case_id, tmp_path)
+    assert record["exit"] == 0
+    lines = (tmp_path / "out" / "K.csv").read_text().splitlines()
+    assert lines[0] == (
+        f"# tool=walsh-spectra version={__version__} fingerprint={spec.fingerprint()} "
+        f"command=convert target={target}"
+    )
+    assert lines[1] == "u,j,K_j"
+    # repr round-trips a float exactly, so equal text is equal bits
+    assert lines[2:] == [
+        f"{float(ui)!r},{j},{float(k)!r}" for ui, row in zip(u, k_rows) for j, k in enumerate(row)
+    ]
+
+
+if __name__ == "__main__":
+    table = {}
+    for case_id in HASH_CASES:
+        with tempfile.TemporaryDirectory() as tmp:
+            table[case_id] = run_case(case_id, Path(tmp))
+    json.dump(table, sys.stdout, indent=1, sort_keys=True)
+    sys.stdout.write("\n")

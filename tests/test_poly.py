@@ -6,6 +6,7 @@ from walsh_spectra.poly import (
     SingularPolynomialError,
     WalshPolynomial,
     from_grid,
+    grid_ratio,
     invert,
     sigma_determinant,
     sigma_matrix,
@@ -228,3 +229,20 @@ def test_mixed_length_operands_are_padded():
     eta = invert(WalshPolynomial([2.0, 1.0])).padded_to(4)
     expect = xor_convolve(eta, WalshPolynomial([1.0, 0.5, 0.25, 0.0]))
     assert np.allclose(k.coefficients, expect.coefficients, atol=1e-12)
+
+
+def test_grid_ratio_rows_match_single_conversions():
+    # stacked rows of different block lengths convert exactly as one row at a time
+    rng = np.random.default_rng(22)
+    b = np.array([random_nonsingular_coefficients(rng, 2) for _ in range(5)])
+    a = rng.standard_normal((5, 4))
+    rows = grid_ratio(a, b)
+    assert rows.shape == (5, 4)
+    for i in range(5):
+        single = to_moving_average(WalshPolynomial(b[i]), WalshPolynomial(a[i])).coefficients
+        assert np.array_equal(rows[i], single)
+    b[3] = [1.0, 1.0]
+    with pytest.raises(SingularPolynomialError) as excinfo:
+        grid_ratio(a, b, where=np.linspace(0.0, 1.0, 5))
+    assert excinfo.value.where == 0.75
+    assert excinfo.value.grid_index == 2  # [1, 1] padded to length 4 vanishes on [1/2, 1)

@@ -15,8 +15,6 @@ from walsh_spectra.processes import (
     make_process_spec,
     simulate,
     simulate_frozen,
-    simulate_tvdarma,
-    simulate_tvdma,
     spawn_seed,
     spec_from_dict,
 )
@@ -148,8 +146,6 @@ def test_simulate_rejects_bad_horizons():
         simulate(spec, 48)
     with pytest.raises(ValueError):
         simulate(spec, 1)  # block length 2 does not fit
-    with pytest.raises(ValueError):
-        simulate_tvdarma(spec, 64)  # wrong kind for this entry point
 
 
 def test_simulate_deterministic_given_seed():
@@ -189,6 +185,13 @@ def test_time_varying_darma_residual():
     )
     path = simulate(spec, 1024)
     assert defining_equation_residual(spec, path) < 1e-9
+
+
+def test_residual_refuses_zero_amplitude():
+    spec = make_process_spec("modulated", ma=["1", "0.5"], amplitude="u-0.5", seed=8)
+    path = simulate(spec, 64)
+    with pytest.raises(ValueError, match=r"amplitude vanishes at u=0\.5"):
+        defining_equation_residual(spec, path)
 
 
 def test_singular_block_reported():

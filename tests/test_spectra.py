@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from walsh_spectra.dyadic import fwht
 from walsh_spectra.poly import SingularPolynomialError, WalshPolynomial
 from walsh_spectra.processes import (
     InnovationSpec,
@@ -15,7 +16,6 @@ from walsh_spectra.spectra import (
     covariance_from_density,
     dma_covariance,
     empirical_dyadic_covariance,
-    finite_walsh_transform,
     segmented_local_spectrum,
     smooth_periodogram,
     tv_dyadic_density,
@@ -205,12 +205,12 @@ def test_empirical_covariance_validation():
 def test_finite_walsh_transform_examples():
     e0 = np.zeros(8)
     e0[0] = 1.0
-    assert np.array_equal(finite_walsh_transform(e0), np.ones(8))
-    assert np.array_equal(finite_walsh_transform([1.0, 1.0]), [2.0, 0.0])
+    assert np.array_equal(fwht(e0), np.ones(8))
+    assert np.array_equal(fwht([1.0, 1.0]), [2.0, 0.0])
     rng = np.random.default_rng(32)
     a, b = rng.standard_normal((2, 16))
-    lhs = finite_walsh_transform(2.0 * a - 3.0 * b)
-    rhs = 2.0 * finite_walsh_transform(a) - 3.0 * finite_walsh_transform(b)
+    lhs = fwht(2.0 * a - 3.0 * b)
+    rhs = 2.0 * fwht(a) - 3.0 * fwht(b)
     assert np.allclose(lhs, rhs, atol=1e-10)
 
 
