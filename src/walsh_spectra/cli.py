@@ -39,17 +39,12 @@ EXIT_SINGULAR = 3
 EXIT_VERIFY = 4
 
 SLOPE_RANGE = (-1.4, -0.6)
+#: rows formatted and written per step; bounds the text held in memory
+CSV_CHUNK_ROWS = 1 << 12
 
 
 class ConfigError(ValueError):
     pass
-
-
-def _fmt(x) -> str:
-    """Shortest round-trip decimal for floats; plain decimal for ints."""
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return repr(float(x))
 
 
 def _provenance(spec: ProcessSpec | None, **extra) -> str:
@@ -60,12 +55,19 @@ def _provenance(spec: ProcessSpec | None, **extra) -> str:
     return "# " + " ".join(f"{k}={v}" for k, v in fields.items())
 
 
-def _write_csv(path: str, comment: str, header: list[str], rows) -> None:
+def _write_csv(path: str, comment: str, header: list[str], columns) -> None:
+    """Write equal-length 1-D arrays as CSV columns, `CSV_CHUNK_ROWS` rows at a time.
+
+    ``tolist`` gives Python ints and floats, whose ``repr`` is the plain or
+    the shortest round-trip decimal, so the text reads back to the same number.
+    """
     with open(path, "w", newline="\n") as fh:
         fh.write(comment + "\n")
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        for lo in range(0, len(columns[0]), CSV_CHUNK_ROWS):
+            cells = (map(repr, c[lo : lo + CSV_CHUNK_ROWS].tolist()) for c in columns)
+            fh.write("\n".join(map(",".join, zip(*cells, strict=True))))
+            fh.write("\n")
 
 
 def _load_spec(args) -> ProcessSpec:
@@ -124,12 +126,7 @@ def _cmd_simulate(args) -> int:
     path = simulate(spec, args.T)
     u = np.arange(path.length) / path.length
     comment = _provenance(spec, seed=spec.innovations.seed, T=path.length, command="simulate")
-    _write_csv(
-        args.out,
-        comment,
-        ["t", "u", "x_value"],
-        ((t, u[t], path.values[t]) for t in range(path.length)),
-    )
+    _write_csv(args.out, comment, ["t", "u", "x_value"], [np.arange(path.length), u, path.values])
     sidecar = {
         "T": path.length,
         "command": "simulate",
@@ -144,27 +141,23 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _spectrum_rows(grid):
-    for i, u in enumerate(grid.u_values):
-        for j, x in enumerate(grid.x_values):
-            yield (u, x, grid.values[i, j])
+def _grid_columns(grid) -> list[np.ndarray]:
+    """(u, x, value) columns of a density grid, u-major like its rows."""
+    nu, nx = grid.values.shape
+    return [np.repeat(grid.u_values, nx), np.tile(grid.x_values, nu), grid.values.reshape(-1)]
 
 
 def _cmd_spectrum(args) -> int:
     spec = _load_spec(args)
     u = _u_grid(args.u_points)
     grid = tv_dyadic_density(spec, u, args.m)
+    if args.fourier_out:  # computed before either file is written, so a failure leaves no partial output
+        fgrid = tv_fourier_density(spec, u, np.linspace(0.0, np.pi, args.lambda_points))
     comment = _provenance(spec, command="spectrum", m=args.m, u_points=args.u_points)
-    _write_csv(args.out, comment, ["u", "x", "g"], _spectrum_rows(grid))
+    _write_csv(args.out, comment, ["u", "x", "g"], _grid_columns(grid))
     if args.fourier_out:
-        lam = np.linspace(0.0, np.pi, args.lambda_points)
-        fgrid = tv_fourier_density(spec, u, lam)
-        _write_csv(
-            args.fourier_out,
-            _provenance(spec, command="spectrum", lambda_points=args.lambda_points),
-            ["u", "lambda", "f"],
-            _spectrum_rows(fgrid),
-        )
+        comment = _provenance(spec, command="spectrum", lambda_points=args.lambda_points)
+        _write_csv(args.fourier_out, comment, ["u", "lambda", "f"], _grid_columns(fgrid))
     return EXIT_OK
 
 
@@ -175,9 +168,10 @@ def _cmd_convert(args) -> int:
     # dma: K = A / B, the rows behind `spectrum` and `verify`; dar: the dual B / A
     num, den = (a_rows, b_rows) if args.target == "dma" else (b_rows, a_rows)
     k_rows = grid_ratio(num, den, where=u)
-    rows = ((float(ui), j, value) for ui, row in zip(u, k_rows) for j, value in enumerate(row))
+    nu, nk = k_rows.shape
+    columns = [np.repeat(u, nk), np.tile(np.arange(nk), nu), k_rows.reshape(-1)]
     comment = _provenance(spec, command="convert", target=args.target)
-    _write_csv(args.out, comment, ["u", "j", "K_j"], rows)
+    _write_csv(args.out, comment, ["u", "j", "K_j"], columns)
     return EXIT_OK
 
 
@@ -235,15 +229,11 @@ def _cmd_periodogram(args) -> int:
         for acc, p in zip(per_segment, periodograms):
             acc += p.values
     x = grid_values(N.bit_length() - 1)
-    rows = []
-    for u0, acc in zip(u0s, per_segment):
-        mean_values = acc / reps
-        for j, xj in enumerate(x):
-            rows.append((u0, xj, mean_values[j]))
     comment = _provenance(
         spec, command="periodogram", T=T, N=N, replicates=reps, smooth=args.smooth
     )
-    _write_csv(args.out, comment, ["segment_u0", "x", "I"], rows)
+    columns = [np.repeat(u0s, N), np.tile(x, len(u0s)), np.concatenate(per_segment) / reps]
+    _write_csv(args.out, comment, ["segment_u0", "x", "I"], columns)
     return EXIT_OK
 
 
@@ -261,14 +251,14 @@ def _cmd_figures(args) -> int:
             os.path.join(args.out, f"{name}_dyadic.csv"),
             _provenance(spec, command="figures", preset=name, m=args.m),
             ["u", "x", "g"],
-            _spectrum_rows(grid),
+            _grid_columns(grid),
         )
         fgrid = tv_fourier_density(spec, u, lam)
         _write_csv(
             os.path.join(args.out, f"{name}_fourier.csv"),
             _provenance(spec, command="figures", preset=name),
             ["u", "lambda", "f"],
-            _spectrum_rows(fgrid),
+            _grid_columns(fgrid),
         )
     return EXIT_OK
 

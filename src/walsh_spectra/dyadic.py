@@ -181,12 +181,23 @@ def bit_reverse(j: int, m: int) -> int:
     return out
 
 
+_BIT_REVERSAL: dict[int, np.ndarray] = {}
+
+
 def bit_reversal_permutation(m: int) -> np.ndarray:
-    """Vector r with r[j] = bit_reverse(j, m)."""
-    idx = np.arange(1 << m, dtype=np.int64)
-    rev = np.zeros_like(idx)
-    for k in range(m):
-        rev |= ((idx >> k) & 1) << (m - 1 - k)
+    """Vector r with r[j] = bit_reverse(j, m), read-only.
+
+    Built once per m and then kept for the life of the process, because
+    every `fwht` of length 2**m gathers its output through it.
+    """
+    rev = _BIT_REVERSAL.get(m)
+    if rev is None:
+        idx = np.arange(1 << m, dtype=np.int64)
+        rev = np.zeros_like(idx)
+        for k in range(m):
+            rev |= ((idx >> k) & 1) << (m - 1 - k)
+        rev.flags.writeable = False
+        _BIT_REVERSAL[m] = rev
     return rev
 
 

@@ -520,6 +520,11 @@ def decay_experiment(
         raise ValueError(f"mode must be 'frozen' or 'conversion', got {mode!r}")
     if mode == "conversion" and spec.kind in ("tvDMA", "modulated"):
         raise ValueError("conversion mode needs an autoregressive-kind spec")
+    if replicates < 1:
+        raise ValueError(f"replicates must be >= 1, got {replicates}")
+    u0 = float(u0)
+    if not (np.isfinite(u0) and 0.0 <= u0 < 1.0):
+        raise ValueError(f"u0 must be a finite number in [0, 1), got {u0}")
     if base_seed is None:
         base_seed = spec.innovations.seed
     T_values = tuple(int(T) for T in T_values)
@@ -562,7 +567,7 @@ def decay_experiment(
         )
     return ApproxReport(
         mode=mode,
-        u0=float(u0),
+        u0=u0,
         radius=int(radius),
         T_values=T_values,
         errors=tuple(mean_errors),

@@ -1,10 +1,11 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from walsh_spectra.cli import main
+from walsh_spectra.cli import CSV_CHUNK_ROWS, _write_csv, main
 
 WHITE_NOISE = {"kind": "tvDMA", "ma": ["1"], "sigma": 1.0, "seed": 3}
 CONSTANT_DAR = {"kind": "tvDAR", "ar": ["2", "1"], "seed": 5}
@@ -126,6 +127,17 @@ def test_spectrum_fourier_sidecar(tmp_path):
     assert len(rows) == 3 * 5
 
 
+def test_spectrum_fourier_failure_leaves_no_output(tmp_path, capsys):
+    # the Fourier grid needs a moving-average kind; the dyadic grid must not be written first
+    spec = write_spec(tmp_path, CONSTANT_DAR)
+    out = tmp_path / "grid.csv"
+    four = tmp_path / "fourier.csv"
+    code = main(["spectrum", "--spec", spec, "--m", "1", "--out", str(out), "--fourier-out", str(four)])
+    assert code == 2
+    assert json.loads(capsys.readouterr().err.strip())["error"] == "config"
+    assert not out.exists() and not four.exists()
+
+
 def test_convert_constant_dar(tmp_path):
     spec = write_spec(tmp_path, CONSTANT_DAR)
     out = tmp_path / "coef.csv"
@@ -227,6 +239,28 @@ def test_verify_window_outside_path_exit_code(tmp_path, capsys, u0, T_list):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--replicates", "0", "replicates must be >= 1"),
+    ("--replicates", "-1", "replicates must be >= 1"),
+    ("--u0", "nan", "u0 must be a finite number in [0, 1)"),
+    ("--u0", "inf", "u0 must be a finite number in [0, 1)"),
+])
+def test_verify_bad_argument_exit_code(tmp_path, capsys, flag, value, message):
+    out = tmp_path / "report.json"
+    args = {"--replicates": "2", "--u0": "0.3", flag: value}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([
+            "verify", "--preset", "figure1", "--mode", "frozen", "--T", "128,256",
+            "--replicates", args["--replicates"], "--u0", args["--u0"], "--out", str(out),
+        ])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "config"
+    assert message in err["message"]
+    assert not out.exists()
+
+
 def test_periodogram_constant_data_impulse(tmp_path):
     spec = write_spec(tmp_path, {"kind": "tvDMA", "ma": ["0"], "trend": "5", "seed": 0})
     out = tmp_path / "pgram.csv"
@@ -291,3 +325,37 @@ def test_figures_exports_all_grids(tmp_path):
 
 def test_version_flag():
     assert main(["--version"]) == 0
+
+
+# ----------------------------------------------------------------- CSV writer
+
+
+def _reference_csv(comment, header, columns):
+    """Row by row: plain decimal for ints, shortest round-trip repr for floats."""
+    lines = [comment, ",".join(header)]
+    for row in zip(*columns):
+        lines.append(",".join(str(int(v)) if isinstance(v, np.integer) else repr(float(v)) for v in row))
+    return "".join(line + "\n" for line in lines)
+
+
+SPECIAL_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e22, 1e16, 0.1, -2.5e-300, 1.7976931348623157e308, math.nan, -math.inf]
+
+
+@pytest.mark.parametrize("rows", [
+    1, CSV_CHUNK_ROWS - 1, CSV_CHUNK_ROWS, CSV_CHUNK_ROWS + 1, 2 * CSV_CHUNK_ROWS + 3,
+])
+def test_write_csv_matches_row_reference(tmp_path, rows):
+    rng = np.random.default_rng(rows)
+    ints = np.arange(rows, dtype=np.int64) - rows // 2
+    floats = rng.standard_normal(rows) * 10.0 ** rng.integers(-20, 20, rows)
+    floats[: len(SPECIAL_FLOATS)] = SPECIAL_FLOATS[:rows]
+    grid = np.arange(rows) / rows
+    columns = [ints, floats, grid]
+    out = tmp_path / "out.csv"
+    _write_csv(str(out), "# comment", ["i", "x", "u"], columns)
+    assert out.read_bytes() == _reference_csv("# comment", ["i", "x", "u"], columns).encode()
+
+
+def test_write_csv_rejects_ragged_columns(tmp_path):
+    with pytest.raises(ValueError):
+        _write_csv(str(tmp_path / "out.csv"), "#", ["a", "b"], [np.arange(3), np.arange(4.0)])

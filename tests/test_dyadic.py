@@ -198,3 +198,6 @@ def test_bit_reversal_permutation():
     assert bit_reversal_permutation(3).tolist() == [0, 4, 2, 6, 1, 5, 3, 7]
     perm = bit_reversal_permutation(6)
     assert np.array_equal(perm[perm], np.arange(64))  # involution
+    # built once per m and shared, so no caller may write into it
+    assert bit_reversal_permutation(6) is perm
+    assert not perm.flags.writeable

@@ -85,6 +85,8 @@ def _cases() -> dict:
             "periodogram", "--T", "512", "--segments", "64", "--replicates", "3",
             "--smooth", "1", "--out", "{out}/pgram.csv",
         ])
+    # spans several chunks of the CSV writer
+    cases["simulate/figure1-long"] = ("figure1", ["simulate", "--T", "32768", "--out", "{out}/path.csv"])
     cases["simulate-seed/darma"] = ("darma", ["simulate", "--T", "64", "--seed", "11", "--out", "{out}/path.csv"])
     cases["periodogram-step/figure2"] = ("figure2", [
         "periodogram", "--T", "256", "--segments", "32", "--step", "16", "--out", "{out}/pgram.csv",
