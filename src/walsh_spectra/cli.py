@@ -31,7 +31,7 @@ from .processes import (
     spawn_seed,
     spec_from_dict,
 )
-from .spectra import segmented_local_spectrum, smooth_periodogram, tv_dyadic_density, tv_fourier_density
+from .spectra import _segment_periodograms, _smooth_rows, tv_dyadic_density, tv_fourier_density
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -210,29 +210,39 @@ def _cmd_periodogram(args) -> int:
     spec = _load_spec(args)
     T = args.T
     N = args.segments
+    # every flag is checked before anything is simulated
     if N is None:
         raise ConfigError("--segments (segment length N) is required")
+    if T < 1 or T & (T - 1):
+        raise ConfigError(f"--T must be a power of two, got {T}")
+    step = N if args.step is None else args.step
+    if N < 1 or N & (N - 1):
+        raise ConfigError(f"--segments must be a power of two, got {N}")
+    if N > T:
+        raise ConfigError(f"--segments {N} exceeds --T {T}")
+    if step < 1:
+        raise ConfigError(f"--step must be >= 1, got {step}")
+    if args.smooth < 0:
+        raise ConfigError(f"--smooth must be >= 0, got {args.smooth}")
     reps = args.replicates
     if reps < 1:
         raise ConfigError("--replicates must be >= 1")
-    per_segment = None
-    u0s: list[float] = []
+    total = None
     for rep in range(reps):
         seed = spec.innovations.seed if reps == 1 else spawn_seed(spec.innovations.seed, rep)
         path = simulate(spec.with_seed(seed), T)
-        periodograms = segmented_local_spectrum(path, N, step=args.step)
+        starts, rows = _segment_periodograms(path.values, N, step)
         if args.smooth:
-            periodograms = [smooth_periodogram(p, args.smooth) for p in periodograms]
-        if per_segment is None:
-            per_segment = [np.zeros_like(p.values) for p in periodograms]
-            u0s = [p.u0 for p in periodograms]
-        for acc, p in zip(per_segment, periodograms):
-            acc += p.values
+            rows = _smooth_rows(rows, args.smooth)
+        if total is None:
+            total = np.zeros_like(rows)
+        total += rows
+    u0s = (starts + N / 2) / T
     x = grid_values(N.bit_length() - 1)
     comment = _provenance(
         spec, command="periodogram", T=T, N=N, replicates=reps, smooth=args.smooth
     )
-    columns = [np.repeat(u0s, N), np.tile(x, len(u0s)), np.concatenate(per_segment) / reps]
+    columns = [np.repeat(u0s, N), np.tile(x, len(u0s)), total.reshape(-1) / reps]
     _write_csv(args.out, comment, ["segment_u0", "x", "I"], columns)
     return EXIT_OK
 

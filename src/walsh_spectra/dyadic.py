@@ -156,19 +156,22 @@ def walsh(n: int, x) -> int:
     return sign
 
 
+def _check_grid_exponent(m) -> int:
+    """m as an int in [0, GRID_EXPONENT_CAP]; a non-integer raises TypeError."""
+    if isinstance(m, (int, np.integer)) and not isinstance(m, bool) and not 0 <= m <= GRID_EXPONENT_CAP:
+        raise ValueError(f"grid exponent m must lie in [0, {GRID_EXPONENT_CAP}], got {m}")
+    return _check_index(m, "m")
+
+
 def grid_points(m: int) -> list[DyadicPoint]:
     """The 2**m dyadic grid points j / 2**m in increasing order."""
-    m = _check_index(m, "m")
-    if m > GRID_EXPONENT_CAP:
-        raise ValueError(f"grid exponent {m} exceeds the cap {GRID_EXPONENT_CAP}")
+    m = _check_grid_exponent(m)
     return [DyadicPoint(j, m) for j in range(1 << m)]
 
 
 def grid_values(m: int) -> np.ndarray:
     """Same grid as `grid_points`, as a float vector (plot/estimator axes)."""
-    m = _check_index(m, "m")
-    if m > GRID_EXPONENT_CAP:
-        raise ValueError(f"grid exponent {m} exceeds the cap {GRID_EXPONENT_CAP}")
+    m = _check_grid_exponent(m)
     return np.arange(1 << m, dtype=np.float64) / (1 << m)
 
 

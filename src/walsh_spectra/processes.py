@@ -531,6 +531,8 @@ def decay_experiment(
     needed = max(len(spec.ar), len(spec.ma))
     # every horizon and window is checked before anything is simulated
     windows = [_window(int(round(u0 * T)), radius, _check_horizon(T, needed)) for T in T_values]
+    if len(set(T_values)) < 2:
+        raise ValueError(f"a decay slope needs at least two distinct horizons, got {list(T_values)}")
     mean_errors = []
     for T, window in zip(T_values, windows):
         u = np.arange(T) / T
@@ -561,7 +563,7 @@ def decay_experiment(
         mean_errors.append(float(np.mean(errs)))
     exact = max(mean_errors) < 1e-13
     slope = None
-    if not exact and all(e > 0 for e in mean_errors) and len(T_values) >= 2:
+    if not exact and all(e > 0 for e in mean_errors):
         slope = float(
             np.polyfit(np.log2(T_values), np.log2(mean_errors), 1)[0]
         )

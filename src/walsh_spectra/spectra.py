@@ -79,17 +79,18 @@ def tv_dyadic_density(spec: ProcessSpec, u_values, m: int) -> SpectralGrid:
     grid coarser than the coefficient block are exact point evaluations,
     computed at the block resolution and subsampled.
     """
+    m = int(m)
+    x = grid_values(m)  # checks m against GRID_EXPONENT_CAP before the grid is allocated
     u = np.atleast_1d(np.asarray(u_values, dtype=np.float64))
     rows = dma_coefficient_rows(spec, u)
     size = rows.shape[1]
-    m = int(m)
     m_eval = max(m, size.bit_length() - 1)
     padded = np.zeros((u.size, 1 << m_eval))
     padded[:, :size] = rows
     amps = fwht(padded)
     stride = (1 << m_eval) >> m
     g = spec.innovations.sigma**2 * amps[:, ::stride] ** 2
-    return SpectralGrid(u_values=u, x_values=grid_values(m), values=g, kind="dyadic")
+    return SpectralGrid(u_values=u, x_values=x, values=g, kind="dyadic")
 
 
 def tv_fourier_density(spec: ProcessSpec, u_values, lambda_values) -> SpectralGrid:
@@ -170,6 +171,35 @@ def empirical_dyadic_covariance(path, tau: int, segment: tuple[int, int] | None 
 # estimation from data
 
 
+def _segment_periodograms(values: np.ndarray, N: int, step: int) -> tuple[np.ndarray, np.ndarray]:
+    """Starts and the (segments, N) periodogram rows d*d/N of every N-point segment.
+
+    The segments start at 0, step, 2*step, ... and end inside ``values``;
+    one `fwht` call transforms all of them.
+    """
+    d = fwht(np.lib.stride_tricks.sliding_window_view(values, N)[::step])
+    d *= d
+    d /= N
+    return np.arange(0, values.size - N + 1, step), d
+
+
+def _smooth_rows(values: np.ndarray, w: int) -> np.ndarray:
+    """Moving average over 2*w+1 adjacent bins of each row, reflecting at the row ends.
+
+    Each row is padded as ``np.pad(row, w, mode="symmetric")`` does (the
+    reflection repeats with period 2n when w > n), the padded rows are
+    laid end to end and convolved once, and the outputs that overlap a
+    row boundary are dropped.  Each kept output is the same dot product
+    over the same 2*w+1 values as a per-row ``mode="valid"`` convolution.
+    """
+    rows, n = values.shape
+    idx = np.arange(-w, n + w) % (2 * n)
+    padded = values[:, np.minimum(idx, 2 * n - 1 - idx)]
+    kernel = np.full(2 * w + 1, 1.0 / (2 * w + 1))
+    full = np.convolve(padded.reshape(-1), kernel)  # "full": 2*w partial outputs lead
+    return full[2 * w :].reshape(rows, n + 2 * w)[:, :n]
+
+
 def walsh_periodogram(data, segment_start: int = 0, total_length: int | None = None) -> Periodogram:
     """Periodogram I(x_j) = d(x_j)**2 / N of one segment.
 
@@ -181,13 +211,12 @@ def walsh_periodogram(data, segment_start: int = 0, total_length: int | None = N
         raise ValueError("periodogram needs a one-dimensional power-of-two segment")
     n = x.size
     total = n if total_length is None else int(total_length)
-    d = fwht(x)
     return Periodogram(
         segment_start=int(segment_start),
         size=n,
         u0=(segment_start + n / 2) / total,
         x_values=grid_values(n.bit_length() - 1),
-        values=d * d / n,
+        values=_segment_periodograms(x, n, n)[1][0],
     )
 
 
@@ -201,9 +230,7 @@ def smooth_periodogram(p: Periodogram, half_width: int) -> Periodogram:
         raise ValueError("half_width must be >= 0")
     if w == 0:
         return p
-    padded = np.pad(p.values, w, mode="symmetric")
-    kernel = np.full(2 * w + 1, 1.0 / (2 * w + 1))
-    return replace(p, values=np.convolve(padded, kernel, mode="valid"))
+    return replace(p, values=_smooth_rows(p.values[None, :], w)[0])
 
 
 def segmented_local_spectrum(path, N: int, step: int | None = None) -> list[Periodogram]:
@@ -225,10 +252,12 @@ def segmented_local_spectrum(path, N: int, step: int | None = None) -> list[Peri
     step = int(step)
     if step < 1:
         raise ValueError("step must be >= 1")
-    out = []
-    for start in range(0, T - N + 1, step):
-        out.append(walsh_periodogram(values[start : start + N], segment_start=start, total_length=T))
-    return out
+    starts, rows = _segment_periodograms(values, N, step)
+    x = grid_values(N.bit_length() - 1)
+    return [
+        Periodogram(segment_start=s, size=N, u0=(s + N / 2) / T, x_values=x, values=row)
+        for s, row in zip(starts.tolist(), rows)
+    ]
 
 
 def walsh_spectrum_from_cov(cov: CovarianceSequence, m: int) -> np.ndarray:

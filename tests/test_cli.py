@@ -138,6 +138,22 @@ def test_spectrum_fourier_failure_leaves_no_output(tmp_path, capsys):
     assert not out.exists() and not four.exists()
 
 
+@pytest.mark.parametrize("m", ["-1", "25"])
+def test_spectrum_bad_grid_exponent_exit_code(tmp_path, capsys, monkeypatch, m):
+    # the exponent is checked before any coefficient row or (u, 2**m) grid exists
+    def fail(*args, **kwargs):
+        raise AssertionError("computed rows before checking m")
+
+    monkeypatch.setattr("walsh_spectra.spectra.dma_coefficient_rows", fail)
+    out = tmp_path / "grid.csv"
+    code = main(["spectrum", "--preset", "figure1", "--u-points", "1", "--m", m, "--out", str(out)])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "config"
+    assert f"grid exponent m must lie in [0, 24], got {m}" in err["message"]
+    assert not out.exists()
+
+
 def test_convert_constant_dar(tmp_path):
     spec = write_spec(tmp_path, CONSTANT_DAR)
     out = tmp_path / "coef.csv"
@@ -261,6 +277,24 @@ def test_verify_bad_argument_exit_code(tmp_path, capsys, flag, value, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("T_list", ["128", "128,128"])
+def test_verify_needs_two_horizons(tmp_path, capsys, monkeypatch, T_list):
+    def fail(*args, **kwargs):
+        raise AssertionError("simulated before checking the horizons")
+
+    monkeypatch.setattr("walsh_spectra.processes.make_innovations", fail)
+    out = tmp_path / "report.json"
+    code = main([
+        "verify", "--preset", "figure1", "--mode", "frozen", "--T", T_list,
+        "--replicates", "2", "--u0", "0.3", "--out", str(out),
+    ])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "config"
+    assert "needs at least two distinct horizons" in err["message"]
+    assert not out.exists()
+
+
 def test_periodogram_constant_data_impulse(tmp_path):
     spec = write_spec(tmp_path, {"kind": "tvDMA", "ma": ["0"], "trend": "5", "seed": 0})
     out = tmp_path / "pgram.csv"
@@ -304,6 +338,33 @@ def test_periodogram_segment_too_long(tmp_path, capsys):
         "periodogram", "--spec", spec, "--T", "64", "--segments", "128",
         "--out", str(tmp_path / "x.csv"),
     ]) == 2
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--T", "-64", "--T must be a power of two, got -64"),
+    ("--T", "100", "--T must be a power of two, got 100"),
+    ("--segments", "12", "--segments must be a power of two, got 12"),
+    ("--segments", "0", "--segments must be a power of two, got 0"),
+    ("--segments", "128", "--segments 128 exceeds --T 64"),
+    ("--step", "0", "--step must be >= 1, got 0"),
+    ("--smooth", "-1", "--smooth must be >= 0, got -1"),
+])
+def test_periodogram_bad_argument_exit_code(tmp_path, capsys, monkeypatch, flag, value, message):
+    def fail(*args, **kwargs):
+        raise AssertionError("simulated before checking the flags")
+
+    monkeypatch.setattr("walsh_spectra.cli.simulate", fail)
+    spec = write_spec(tmp_path, WHITE_NOISE)
+    out = tmp_path / "x.csv"
+    # the flag under test comes last, so it overrides the default --segments 16
+    code = main([
+        "periodogram", "--spec", spec, "--T", "64", "--segments", "16", "--out", str(out), flag, value,
+    ])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "config"
+    assert err["message"] == message
+    assert not out.exists()
 
 
 def test_figures_exports_all_grids(tmp_path):

@@ -91,6 +91,25 @@ def _cases() -> dict:
     cases["periodogram-step/figure2"] = ("figure2", [
         "periodogram", "--T", "256", "--segments", "32", "--step", "16", "--out", "{out}/pgram.csv",
     ])
+    # a 17-bin window, where the BLAS dot product behind np.convolve vectorizes
+    cases["periodogram-smooth8/figure1"] = ("figure1", [
+        "periodogram", "--T", "1024", "--segments", "64", "--replicates", "3", "--smooth", "8",
+        "--out", "{out}/pgram.csv",
+    ])
+    # a window wider than the segment, so the reflection wraps more than once
+    cases["periodogram-smooth40/darma"] = ("darma", [
+        "periodogram", "--T", "256", "--segments", "16", "--replicates", "2", "--smooth", "40",
+        "--out", "{out}/pgram.csv",
+    ])
+    # overlapping segments whose step does not divide T - N
+    cases["periodogram-overlap/darma"] = ("darma", [
+        "periodogram", "--T", "256", "--segments", "32", "--step", "24", "--replicates", "1",
+        "--smooth", "2", "--out", "{out}/pgram.csv",
+    ])
+    cases["periodogram-single/figure2"] = ("figure2", [
+        "periodogram", "--T", "256", "--segments", "256", "--replicates", "2", "--smooth", "1",
+        "--out", "{out}/pgram.csv",
+    ])
     cases["figures"] = (None, [
         "figures", "--u-points", "9", "--m", "3", "--lambda-points", "9", "--out", "{out}/figs",
     ])

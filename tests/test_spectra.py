@@ -1,9 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from walsh_spectra.dyadic import fwht
+from walsh_spectra.dyadic import fwht, grid_values
 from walsh_spectra.poly import SingularPolynomialError, WalshPolynomial
 from walsh_spectra.processes import (
     InnovationSpec,
@@ -13,6 +14,8 @@ from walsh_spectra.processes import (
 )
 from walsh_spectra.spectra import (
     CovarianceSequence,
+    _segment_periodograms,
+    _smooth_rows,
     covariance_from_density,
     dma_covariance,
     empirical_dyadic_covariance,
@@ -285,6 +288,53 @@ def test_segment_periodogram_matches_manual():
     segs = segmented_local_spectrum(path, 256)
     manual = walsh_periodogram(path.values[256:512])
     assert np.allclose(segs[1].values, manual.values, atol=1e-12)
+
+
+@pytest.mark.parametrize("T, N, step", [
+    (256, 32, 32),  # aligned
+    (256, 32, 8),  # overlapping
+    (256, 32, 24),  # overlapping, step does not divide T - N
+    (64, 1, 1),
+    (64, 64, 64),  # one segment spanning the path
+    (100, 16, 12),  # path length not a multiple of the step
+])
+def test_segment_periodograms_match_single_segments(T, N, step):
+    values = np.random.default_rng(T + N + step).standard_normal(T)
+    starts, rows = _segment_periodograms(values, N, step)
+    assert starts.tolist() == list(range(0, T - N + 1, step))
+    assert rows.shape == (len(starts), N)
+    for s, row in zip(starts, rows):
+        seg = values[s : s + N]
+        d = fwht(seg)
+        assert np.array_equal(row, d * d / N)
+        assert np.array_equal(row, walsh_periodogram(seg).values)
+
+
+@pytest.mark.parametrize("w", [1, 2, 5, 8, 13, 40])
+@pytest.mark.parametrize("N", [1, 16, 32])
+def test_smooth_rows_match_per_row_convolution(N, w):
+    # w = 8 sums 17 values, where the BLAS dot product vectorizes; w = 40 exceeds N
+    rows = np.random.default_rng(N * w).exponential(size=(5, N)) * 1e3
+    kernel = np.full(2 * w + 1, 1.0 / (2 * w + 1))
+    expected = [np.convolve(np.pad(r, w, mode="symmetric"), kernel, mode="valid") for r in rows]
+    out = _smooth_rows(rows, w)
+    assert out.shape == rows.shape
+    assert all(np.array_equal(o, e) for o, e in zip(out, expected))
+    p = walsh_periodogram(np.zeros(N))
+    assert np.array_equal(smooth_periodogram(replace(p, values=rows[2]), w).values, expected[2])
+
+
+def test_segmented_local_spectrum_fields():
+    values = np.random.default_rng(42).standard_normal(256)
+    segs = segmented_local_spectrum(values, 32, step=24)
+    assert [p.segment_start for p in segs] == list(range(0, 225, 24))
+    for p in segs:
+        s = p.segment_start
+        assert type(s) is int
+        assert p.size == 32
+        assert p.u0 == (s + 16) / 256
+        assert np.array_equal(p.x_values, grid_values(5))
+        assert np.array_equal(p.values, walsh_periodogram(values[s : s + 32]).values)
 
 
 def test_spectrum_from_covariances():
