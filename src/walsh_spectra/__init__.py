@@ -17,6 +17,8 @@ The package is organized in layers:
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
 from .curves import CurveDomainError, CurveSyntaxError, UnknownIdentifierError, eval_curve, parse, serialize
 from .dyadic import (
     DyadicPoint,
@@ -26,14 +28,12 @@ from .dyadic import (
     grid_points,
     grid_values,
     hadamard_matrix,
-    inverse_fwht,
     rademacher,
     walsh,
 )
 from .poly import (
     SingularPolynomialError,
     WalshPolynomial,
-    from_grid,
     invert,
     sigma_determinant,
     sigma_matrix,
@@ -50,7 +50,6 @@ from .processes import (
     SamplePath,
     SingularBlockError,
     approx_error,
-    convert_spec_frozen,
     decay_experiment,
     defining_equation_residual,
     dma_coefficient_rows,
@@ -62,7 +61,6 @@ from .processes import (
     spec_from_dict,
 )
 from .spectra import (
-    CovarianceSequence,
     Periodogram,
     SpectralGrid,
     covariance_from_density,
@@ -73,65 +71,9 @@ from .spectra import (
     tv_dyadic_density,
     tv_fourier_density,
     walsh_periodogram,
-    walsh_spectrum_from_cov,
 )
 
-__all__ = [
-    "__version__",
-    "ApproxReport",
-    "CovarianceSequence",
-    "CurveDomainError",
-    "CurveSyntaxError",
-    "DyadicPoint",
-    "InnovationSpec",
-    "Periodogram",
-    "ProcessSpec",
-    "SamplePath",
-    "SingularBlockError",
-    "SingularPolynomialError",
-    "SpectralGrid",
-    "UnknownIdentifierError",
-    "WalshPolynomial",
-    "approx_error",
-    "convert_spec_frozen",
-    "covariance_from_density",
-    "decay_experiment",
-    "defining_equation_residual",
-    "dma_coefficient_rows",
-    "dma_covariance",
-    "dyadic_add",
-    "dyadic_add_points",
-    "empirical_dyadic_covariance",
-    "eval_curve",
-    "from_grid",
-    "fwht",
-    "grid_points",
-    "grid_values",
-    "hadamard_matrix",
-    "inverse_fwht",
-    "invert",
-    "make_innovations",
-    "make_process_spec",
-    "parse",
-    "preset_names",
-    "preset_spec",
-    "rademacher",
-    "segmented_local_spectrum",
-    "serialize",
-    "sigma_determinant",
-    "sigma_matrix",
-    "simulate",
-    "simulate_frozen",
-    "smooth_periodogram",
-    "spawn_seed",
-    "spec_from_dict",
-    "to_autoregressive",
-    "to_moving_average",
-    "tv_dyadic_density",
-    "tv_fourier_density",
-    "unit",
-    "walsh",
-    "walsh_periodogram",
-    "walsh_spectrum_from_cov",
-    "xor_convolve",
-]
+# every public name imported above, so the import list is the one list to keep
+__all__ = ["__version__"] + sorted(
+    name for name, value in globals().items() if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

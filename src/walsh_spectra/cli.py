@@ -107,6 +107,12 @@ def _u_grid(count: int) -> np.ndarray:
     return np.arange(count) / (count - 1)
 
 
+def _lambda_grid(count: int) -> np.ndarray:
+    if count < 1:
+        raise ConfigError(f"--lambda-points must be >= 1, got {count}")
+    return np.linspace(0.0, np.pi, count)
+
+
 def _parse_T_list(text: str) -> list[int]:
     try:
         values = [int(part) for part in text.split(",") if part.strip()]
@@ -150,9 +156,10 @@ def _grid_columns(grid) -> list[np.ndarray]:
 def _cmd_spectrum(args) -> int:
     spec = _load_spec(args)
     u = _u_grid(args.u_points)
+    lam = _lambda_grid(args.lambda_points)
     grid = tv_dyadic_density(spec, u, args.m)
     if args.fourier_out:  # computed before either file is written, so a failure leaves no partial output
-        fgrid = tv_fourier_density(spec, u, np.linspace(0.0, np.pi, args.lambda_points))
+        fgrid = tv_fourier_density(spec, u, lam)
     comment = _provenance(spec, command="spectrum", m=args.m, u_points=args.u_points)
     _write_csv(args.out, comment, ["u", "x", "g"], _grid_columns(grid))
     if args.fourier_out:
@@ -251,9 +258,9 @@ def _cmd_figures(args) -> int:
     import os
 
     names = preset_names() if args.preset is None else (args.preset,)
-    os.makedirs(args.out, exist_ok=True)
     u = _u_grid(args.u_points)
-    lam = np.linspace(0.0, np.pi, args.lambda_points)
+    lam = _lambda_grid(args.lambda_points)
+    os.makedirs(args.out, exist_ok=True)
     for name in names:
         spec = preset_spec(name)
         grid = tv_dyadic_density(spec, u, args.m)

@@ -45,7 +45,7 @@ class UnknownIdentifierError(CurveSyntaxError):
 
 
 class CurveDomainError(ArithmeticError):
-    """Division by zero (or zero to a negative power) while evaluating."""
+    """Division by zero, zero to a negative power, or a non-finite value."""
 
 
 class CurveExpr:
@@ -269,13 +269,20 @@ def eval_curve(expr: CurveExpr, u):
     """Evaluate a curve at rescaled time u (scalar or array).
 
     u is clamped to [0, 1]; outside that interval the curve takes its
-    boundary value.  Scalar input yields a float.
+    boundary value.  Scalar input yields a float.  A value that is not
+    finite (overflow, or a NaN u) raises `CurveDomainError` naming the
+    first such u.
     """
     clamped = np.clip(u, 0.0, 1.0)
     out = _eval(expr, clamped)
     if np.isscalar(u) or np.ndim(u) == 0:
-        return float(out)
-    return np.asarray(out, dtype=np.float64) + np.zeros_like(clamped, dtype=np.float64)
+        out = float(out)
+    else:
+        out = np.asarray(out, dtype=np.float64) + np.zeros_like(clamped, dtype=np.float64)
+    if not np.isfinite(out).all():
+        bad_u = np.ravel(u)[np.argmin(np.isfinite(out))]
+        raise CurveDomainError(f"curve {serialize(expr)} is not finite at u={float(bad_u)!r}")
+    return out
 
 
 def serialize(expr: CurveExpr) -> str:

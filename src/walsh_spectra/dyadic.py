@@ -84,10 +84,6 @@ class DyadicPoint:
         object.__setattr__(self, "resolution", m)
 
     @classmethod
-    def zero(cls) -> "DyadicPoint":
-        return cls(0, 0)
-
-    @classmethod
     def from_float(cls, x: float) -> "DyadicPoint":
         """Exact conversion of a binary float in [0, 1)."""
         if not 0.0 <= x < 1.0:
@@ -175,20 +171,11 @@ def grid_values(m: int) -> np.ndarray:
     return np.arange(1 << m, dtype=np.float64) / (1 << m)
 
 
-def bit_reverse(j: int, m: int) -> int:
-    """Reverse the low m bits of j."""
-    out = 0
-    for _ in range(m):
-        out = (out << 1) | (j & 1)
-        j >>= 1
-    return out
-
-
 _BIT_REVERSAL: dict[int, np.ndarray] = {}
 
 
 def bit_reversal_permutation(m: int) -> np.ndarray:
-    """Vector r with r[j] = bit_reverse(j, m), read-only.
+    """Vector r with r[j] = j with its low m bits reversed, read-only.
 
     Built once per m and then kept for the life of the process, because
     every `fwht` of length 2**m gathers its output through it.
@@ -250,9 +237,3 @@ def fwht(values) -> np.ndarray:
     if m > 1:
         a = a[:, bit_reversal_permutation(m)]
     return a.reshape(shape)
-
-
-def inverse_fwht(values) -> np.ndarray:
-    """Inverse of `fwht`: divides the forward transform by the length."""
-    out = fwht(values)
-    return out / out.shape[-1]

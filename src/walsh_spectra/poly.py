@@ -70,10 +70,6 @@ class WalshPolynomial:
     def length(self) -> int:
         return self.coefficients.size
 
-    @property
-    def order_exponent(self) -> int:
-        return self.length.bit_length() - 1
-
     def padded_to(self, length: int) -> "WalshPolynomial":
         if length < self.length:
             raise ValueError("cannot shrink a polynomial")
@@ -109,14 +105,6 @@ def unit(length: int = 1) -> WalshPolynomial:
     c = np.zeros(length)
     c[0] = 1.0
     return WalshPolynomial(c)
-
-
-def from_grid(values) -> WalshPolynomial:
-    """Polynomial taking the given values on the dyadic grid (inverse of grid_values)."""
-    v = np.asarray(values, dtype=np.float64)
-    if v.ndim != 1 or v.size == 0 or v.size & (v.size - 1):
-        raise ValueError("grid values must be a vector of power-of-two length")
-    return WalshPolynomial(fwht(v) / v.size)
 
 
 def _common(a: WalshPolynomial, b: WalshPolynomial) -> tuple[np.ndarray, np.ndarray]:

@@ -28,9 +28,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .curves import CurveExpr, constant, eval_curve, is_constant_zero, parse, serialize
+from .dyadic import INDEX_CAP
 # unused here, but kept bound: benchmark/smoke_check.py asserts processes.fwht is dyadic.fwht
 from .dyadic import fwht  # noqa: F401
-from .poly import SINGULARITY_RTOL, WalshPolynomial, grid_ratio
+from .poly import SINGULARITY_RTOL, grid_ratio
 
 KINDS = ("tvDMA", "tvDAR", "tvDARMA", "modulated")
 DISTRIBUTIONS = ("gaussian", "rademacher", "uniform")
@@ -96,6 +97,8 @@ class InnovationSpec:
             )
         if not self.sigma > 0:
             raise ValueError(f"sigma must be positive, got {self.sigma}")
+        if not 0 <= self.seed <= _M64:
+            raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
 
 
 def make_innovations(spec: InnovationSpec, count: int, start: int = 0) -> np.ndarray:
@@ -108,6 +111,8 @@ def make_innovations(spec: InnovationSpec, count: int, start: int = 0) -> np.nda
     """
     if count < 1:
         raise ValueError("count must be >= 1")
+    if start < 0 or start + count > INDEX_CAP:
+        raise ValueError(f"innovation indices [{start}, {start + count}) leave [0, 2**62)")
     idx = np.arange(start, start + count, dtype=np.uint64)
     if spec.distribution == "gaussian":
         w1 = _words(spec.seed, idx * np.uint64(2))
@@ -302,13 +307,12 @@ def _check_horizon(T: int, needed: int) -> int:
     return T
 
 
-def _dma_combine(coef, eps: np.ndarray) -> np.ndarray:
-    """out[t] = sum_k coef[t, k] * eps[t XOR k] (coef may be a single row)."""
-    coef = np.asarray(coef, dtype=np.float64)
+def _dma_combine(coef: np.ndarray, eps: np.ndarray) -> np.ndarray:
+    """out[t] = sum_k coef[t, k] * eps[t XOR k] for (T, L) coefficient rows."""
     t = np.arange(eps.size)
     out = np.zeros(eps.size)
-    for k in range(coef.shape[-1]):
-        out += coef[..., k] * eps[t ^ k]
+    for k in range(coef.shape[1]):
+        out += coef[:, k] * eps[t ^ k]
     return out
 
 
@@ -358,7 +362,7 @@ def _core_values(spec: ProcessSpec, b_rows, a_rows, eps) -> np.ndarray:
     if spec.kind in ("tvDMA", "modulated"):
         return _dma_combine(a_rows, eps)
     rhs = _dma_combine(a_rows, eps)
-    return _block_solve(np.atleast_2d(b_rows), rhs)
+    return _block_solve(b_rows, rhs)
 
 
 def _simulate_on(spec: ProcessSpec, T: int, innovations, u0) -> SamplePath:
@@ -410,12 +414,6 @@ def defining_equation_residual(spec: ProcessSpec, path: SamplePath) -> float:
     lhs = _dma_combine(b_rows, core)
     rhs = _dma_combine(a_rows, path.innovations)
     return float(np.max(np.abs(lhs - rhs)))
-
-
-def convert_spec_frozen(spec: ProcessSpec, u: float) -> tuple[WalshPolynomial, WalshPolynomial]:
-    """Freeze all curves at u and return (ar_polynomial, ma_polynomial)."""
-    b_rows, a_rows = coefficient_rows(spec, float(u))
-    return WalshPolynomial(b_rows[0]), WalshPolynomial(a_rows[0])
 
 
 def dma_coefficient_rows(spec: ProcessSpec, u) -> np.ndarray:

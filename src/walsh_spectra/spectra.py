@@ -32,9 +32,8 @@ class SpectralGrid:
     """Density values on a (rescaled time) x (frequency) grid."""
 
     u_values: np.ndarray
-    x_values: np.ndarray  # dyadic grid points, or angular frequencies for "fourier"
+    x_values: np.ndarray  # dyadic grid points, or angular frequencies (Fourier density)
     values: np.ndarray  # shape (len(u_values), len(x_values))
-    kind: str  # "dyadic" | "fourier"
 
 
 @dataclass(frozen=True)
@@ -46,18 +45,6 @@ class Periodogram:
     u0: float  # rescaled midpoint of the segment
     x_values: np.ndarray
     values: np.ndarray
-
-    def mean_level(self) -> float:
-        return float(np.mean(self.values))
-
-
-@dataclass(frozen=True)
-class CovarianceSequence:
-    """Covariances R(tau), tau = 0..len-1, of a (frozen) dyadic stationary process."""
-
-    values: np.ndarray
-    sigma: float = 1.0
-    u0: float | None = None
 
 
 def _coeffs(obj) -> np.ndarray:
@@ -90,7 +77,7 @@ def tv_dyadic_density(spec: ProcessSpec, u_values, m: int) -> SpectralGrid:
     amps = fwht(padded)
     stride = (1 << m_eval) >> m
     g = spec.innovations.sigma**2 * amps[:, ::stride] ** 2
-    return SpectralGrid(u_values=u, x_values=x, values=g, kind="dyadic")
+    return SpectralGrid(u_values=u, x_values=x, values=g)
 
 
 def tv_fourier_density(spec: ProcessSpec, u_values, lambda_values) -> SpectralGrid:
@@ -109,7 +96,7 @@ def tv_fourier_density(spec: ProcessSpec, u_values, lambda_values) -> SpectralGr
     phases = np.exp(-1j * lam[:, None] * k[None, :])  # (len(lam), L)
     transfer = rows @ phases.T  # (len(u), len(lam)) complex
     f = spec.innovations.sigma**2 / (2.0 * np.pi) * np.abs(transfer) ** 2
-    return SpectralGrid(u_values=u, x_values=lam, values=f, kind="fourier")
+    return SpectralGrid(u_values=u, x_values=lam, values=f)
 
 
 def dma_covariance(coeffs, sigma: float, tau: int) -> float:
@@ -258,16 +245,3 @@ def segmented_local_spectrum(path, N: int, step: int | None = None) -> list[Peri
         Periodogram(segment_start=s, size=N, u0=(s + N / 2) / T, x_values=x, values=row)
         for s, row in zip(starts.tolist(), rows)
     ]
-
-
-def walsh_spectrum_from_cov(cov: CovarianceSequence, m: int) -> np.ndarray:
-    """Spectrum f(x_j) = sum_{tau < 2**m} R(tau) W(tau, x_j) from covariances.
-
-    Inverse of `covariance_from_density` when R is supported below 2**m.
-    """
-    m = int(m)
-    size = 1 << m
-    r = np.asarray(cov.values, dtype=np.float64)
-    if r.size < size:
-        raise ValueError(f"need at least {size} covariances, got {r.size}")
-    return fwht(r[:size])

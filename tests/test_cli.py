@@ -367,6 +367,40 @@ def test_periodogram_bad_argument_exit_code(tmp_path, capsys, monkeypatch, flag,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("count", ["0", "-1"])
+@pytest.mark.parametrize("command", ["spectrum", "figures"])
+def test_bad_lambda_points_exit_code(tmp_path, capsys, command, count):
+    out = tmp_path / "out"
+    argv = [command, "--preset", "figure1", "--m", "2", "--out", str(out), "--lambda-points", count]
+    if command == "spectrum":
+        argv += ["--fourier-out", str(tmp_path / "f.csv")]
+    assert main(argv) == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err == {"error": "config", "message": f"--lambda-points must be >= 1, got {count}"}
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_seed_outside_64_bits_exit_code(tmp_path, capsys, seed):
+    out = tmp_path / "x.csv"
+    assert main(["simulate", "--preset", "figure1", "--T", "8", "--seed", seed, "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "config"
+    assert f"seed must lie in [0, 2**64), got {seed}" in err["message"]
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_non_finite_curve_exit_code(tmp_path, capsys):
+    spec = write_spec(tmp_path, {"kind": "tvDMA", "ma": ["exp(1000*u)"], "seed": 0})
+    out = tmp_path / "x.csv"
+    assert main(["simulate", "--spec", spec, "--T", "8", "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "config"
+    assert "is not finite at u=" in err["message"]
+    assert not out.exists()
+
+
 def test_figures_exports_all_grids(tmp_path):
     outdir = tmp_path / "figs"
     assert main([

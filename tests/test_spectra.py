@@ -8,12 +8,12 @@ from walsh_spectra.dyadic import fwht, grid_values
 from walsh_spectra.poly import SingularPolynomialError, WalshPolynomial
 from walsh_spectra.processes import (
     InnovationSpec,
+    coefficient_rows,
     make_innovations,
     make_process_spec,
     simulate,
 )
 from walsh_spectra.spectra import (
-    CovarianceSequence,
     _segment_periodograms,
     _smooth_rows,
     covariance_from_density,
@@ -24,7 +24,6 @@ from walsh_spectra.spectra import (
     tv_dyadic_density,
     tv_fourier_density,
     walsh_periodogram,
-    walsh_spectrum_from_cov,
 )
 
 from oracles import oracle_transform
@@ -88,19 +87,23 @@ def test_density_coarse_grid_is_exact_subsample():
     spec = make_process_spec("tvDMA", ma=["1", "0.5*u", "0.25", "u"], sigma=1.1)
     grid = tv_dyadic_density(spec, [0.6], 1)
     from walsh_spectra.dyadic import DyadicPoint
-    from walsh_spectra.processes import convert_spec_frozen
 
-    _, ma = convert_spec_frozen(spec, 0.6)
+    ma = WalshPolynomial(coefficient_rows(spec, 0.6)[1][0])
     for j, x in enumerate((DyadicPoint(0, 0), DyadicPoint(1, 1))):
         assert grid.values[0, j] == pytest.approx(1.1**2 * ma.evaluate(x) ** 2, abs=1e-12)
 
 
 def test_spectrum_from_cov_matches_density():
-    spec = make_process_spec("tvDMA", ma=["1", "0.5"], sigma=1.4)
-    density = tv_dyadic_density(spec, [0.0], 2).values[0]
-    r = np.array([dma_covariance([1.0, 0.5], 1.4, tau) for tau in range(4)])
-    f = walsh_spectrum_from_cov(CovarianceSequence(values=r, sigma=1.4), 2)
+    # g(x_j) = sum_{tau < 2**m} R(tau) W(tau, x_j): the dyadic spectrum is the
+    # Walsh transform of the covariance sequence
+    spec = make_process_spec("tvDMA", ma=["1", "0.5*u", "0.25", "u"], sigma=1.4)
+    m = 3
+    density = tv_dyadic_density(spec, [0.6], m).values[0]
+    a = coefficient_rows(spec, 0.6)[1][0]
+    r = np.array([dma_covariance(a, 1.4, tau) for tau in range(12)])
+    f = fwht(r[: 1 << m])
     assert np.allclose(f, density, atol=1e-12)
+    assert np.allclose(f, oracle_transform(r[: 1 << m]), atol=1e-12)
 
 
 def test_density_singular_ar_reports_u():
@@ -338,20 +341,17 @@ def test_segmented_local_spectrum_fields():
 
 
 def test_spectrum_from_covariances():
-    flat = walsh_spectrum_from_cov(CovarianceSequence(values=np.array([2.0, 0, 0, 0])), 2)
+    flat = fwht(np.array([2.0, 0, 0, 0]))
     assert np.allclose(flat, 2.0, atol=1e-14)
-    cov = CovarianceSequence(values=np.array([1.25, 1.0]))
-    f = walsh_spectrum_from_cov(cov, 1)
+    f = fwht(np.array([1.25, 1.0]))
     assert f[0] == pytest.approx(2.25)
     assert f[1] == pytest.approx(0.25)
-    with pytest.raises(ValueError):
-        walsh_spectrum_from_cov(cov, 2)
 
 
 def test_spectrum_covariance_round_trip():
     rng = np.random.default_rng(35)
     a = rng.standard_normal(8)
     r = np.array([dma_covariance(a, 1.0, tau) for tau in range(8)])
-    f = walsh_spectrum_from_cov(CovarianceSequence(values=r), 3)
+    f = fwht(r)
     back = np.array([covariance_from_density(f, tau) for tau in range(8)])
     assert np.max(np.abs(back - r)) < 1e-10
