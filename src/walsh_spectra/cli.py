@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -70,13 +71,18 @@ def _write_csv(path: str, comment: str, header: list[str], columns) -> None:
             fh.write("\n")
 
 
+def _write_grid(path: str, comment: str, header: list[str], rows, cols, values: np.ndarray) -> None:
+    """Write a (len(rows), len(cols)) grid row-major as the CSV columns (row, col, value)."""
+    _write_csv(path, comment, header, [np.repeat(rows, len(cols)), np.tile(cols, len(rows)), values.reshape(-1)])
+
+
 def _load_spec(args) -> ProcessSpec:
     preset = getattr(args, "preset", None)
     spec_path = getattr(args, "spec", None)
     if preset is not None and spec_path is not None:
         raise ConfigError("give either --spec or --preset, not both")
     if preset is not None:
-        spec = preset_spec(preset, seed=0)
+        spec = preset_spec(preset)
     elif spec_path is not None:
         try:
             with open(spec_path) as fh:
@@ -147,24 +153,25 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _grid_columns(grid) -> list[np.ndarray]:
-    """(u, x, value) columns of a density grid, u-major like its rows."""
-    nu, nx = grid.values.shape
-    return [np.repeat(grid.u_values, nx), np.tile(grid.x_values, nu), grid.values.reshape(-1)]
+def _write_densities(spec: ProcessSpec, u, m: int, lam, dyadic, fourier) -> None:
+    """Write g(u, x) to ``dyadic`` and, if given, f(u, lambda) to ``fourier``, each a (path, comment) pair.
+
+    Both grids are computed before either file is written, so a failure leaves no partial output.
+    """
+    outputs = [(dyadic, ["u", "x", "g"], tv_dyadic_density(spec, u, m))]
+    if fourier is not None:
+        outputs.append((fourier, ["u", "lambda", "f"], tv_fourier_density(spec, u, lam)))
+    for (path, comment), header, grid in outputs:
+        _write_grid(path, comment, header, grid.u_values, grid.x_values, grid.values)
 
 
 def _cmd_spectrum(args) -> int:
     spec = _load_spec(args)
     u = _u_grid(args.u_points)
     lam = _lambda_grid(args.lambda_points)
-    grid = tv_dyadic_density(spec, u, args.m)
-    if args.fourier_out:  # computed before either file is written, so a failure leaves no partial output
-        fgrid = tv_fourier_density(spec, u, lam)
-    comment = _provenance(spec, command="spectrum", m=args.m, u_points=args.u_points)
-    _write_csv(args.out, comment, ["u", "x", "g"], _grid_columns(grid))
-    if args.fourier_out:
-        comment = _provenance(spec, command="spectrum", lambda_points=args.lambda_points)
-        _write_csv(args.fourier_out, comment, ["u", "lambda", "f"], _grid_columns(fgrid))
+    dyadic = (args.out, _provenance(spec, command="spectrum", m=args.m, u_points=args.u_points))
+    fourier = (args.fourier_out, _provenance(spec, command="spectrum", lambda_points=args.lambda_points))
+    _write_densities(spec, u, args.m, lam, dyadic, fourier if args.fourier_out else None)
     return EXIT_OK
 
 
@@ -175,10 +182,8 @@ def _cmd_convert(args) -> int:
     # dma: K = A / B, the rows behind `spectrum` and `verify`; dar: the dual B / A
     num, den = (a_rows, b_rows) if args.target == "dma" else (b_rows, a_rows)
     k_rows = grid_ratio(num, den, where=u)
-    nu, nk = k_rows.shape
-    columns = [np.repeat(u, nk), np.tile(np.arange(nk), nu), k_rows.reshape(-1)]
     comment = _provenance(spec, command="convert", target=args.target)
-    _write_csv(args.out, comment, ["u", "j", "K_j"], columns)
+    _write_grid(args.out, comment, ["u", "j", "K_j"], u, np.arange(k_rows.shape[1]), k_rows)
     return EXIT_OK
 
 
@@ -244,38 +249,24 @@ def _cmd_periodogram(args) -> int:
         if total is None:
             total = np.zeros_like(rows)
         total += rows
+    comment = _provenance(spec, command="periodogram", T=T, N=N, replicates=reps, smooth=args.smooth)
     u0s = (starts + N / 2) / T
-    x = grid_values(N.bit_length() - 1)
-    comment = _provenance(
-        spec, command="periodogram", T=T, N=N, replicates=reps, smooth=args.smooth
-    )
-    columns = [np.repeat(u0s, N), np.tile(x, len(u0s)), total.reshape(-1) / reps]
-    _write_csv(args.out, comment, ["segment_u0", "x", "I"], columns)
+    _write_grid(args.out, comment, ["segment_u0", "x", "I"], u0s, grid_values(N.bit_length() - 1), total / reps)
     return EXIT_OK
 
 
 def _cmd_figures(args) -> int:
-    import os
-
     names = preset_names() if args.preset is None else (args.preset,)
     u = _u_grid(args.u_points)
     lam = _lambda_grid(args.lambda_points)
     os.makedirs(args.out, exist_ok=True)
     for name in names:
         spec = preset_spec(name)
-        grid = tv_dyadic_density(spec, u, args.m)
-        _write_csv(
-            os.path.join(args.out, f"{name}_dyadic.csv"),
-            _provenance(spec, command="figures", preset=name, m=args.m),
-            ["u", "x", "g"],
-            _grid_columns(grid),
-        )
-        fgrid = tv_fourier_density(spec, u, lam)
-        _write_csv(
-            os.path.join(args.out, f"{name}_fourier.csv"),
-            _provenance(spec, command="figures", preset=name),
-            ["u", "lambda", "f"],
-            _grid_columns(fgrid),
+        stem = os.path.join(args.out, name)
+        _write_densities(
+            spec, u, args.m, lam,
+            (f"{stem}_dyadic.csv", _provenance(spec, command="figures", preset=name, m=args.m)),
+            (f"{stem}_fourier.csv", _provenance(spec, command="figures", preset=name)),
         )
     return EXIT_OK
 
@@ -376,6 +367,9 @@ def main(argv=None) -> int:
         return EXIT_SINGULAR
     except (ValueError, OSError) as exc:
         _error("config", str(exc))
+        return EXIT_CONFIG
+    except MemoryError as exc:
+        _error("config", f"not enough memory for this input: {exc}")
         return EXIT_CONFIG
 
 

@@ -274,7 +274,9 @@ def eval_curve(expr: CurveExpr, u):
     first such u.
     """
     clamped = np.clip(u, 0.0, 1.0)
-    out = _eval(expr, clamped)
+    # an overflow or NaN is reported once, by the isfinite check below
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = _eval(expr, clamped)
     if np.isscalar(u) or np.ndim(u) == 0:
         out = float(out)
     else:
@@ -319,13 +321,13 @@ def constant(value: float) -> CurveExpr:
     return Literal(float(value))
 
 
-def is_constant_zero(expr: CurveExpr, samples: int = 17) -> bool:
+def is_constant_zero(expr: CurveExpr) -> bool:
     """Heuristic: does the curve vanish identically on [0, 1]?
 
-    Checks a fixed sample grid; used only to warn about degenerate
+    Checks 17 evenly spaced points; used only to warn about degenerate
     declared orders, never to change results.
     """
-    u = np.linspace(0.0, 1.0, samples)
+    u = np.linspace(0.0, 1.0, 17)
     try:
         vals = eval_curve(expr, u)
     except CurveDomainError:

@@ -7,7 +7,7 @@ for the spectrum and figure commands.
 
 from __future__ import annotations
 
-from .processes import ProcessSpec, make_process_spec
+from .processes import ProcessSpec, spec_from_dict
 
 PRESETS: dict[str, dict] = {
     # order-1: one oscillating curve against a constant
@@ -35,11 +35,4 @@ def preset_spec(name: str, seed: int = 0) -> ProcessSpec:
     """Instantiate a named preset with the given seed."""
     if name not in PRESETS:
         raise ValueError(f"unknown preset {name!r}; available: {', '.join(preset_names())}")
-    cfg = dict(PRESETS[name])
-    return make_process_spec(
-        cfg["kind"],
-        ma=cfg["ma"],
-        sigma=cfg.get("sigma", 1.0),
-        distribution=cfg.get("distribution", "gaussian"),
-        seed=seed,
-    )
+    return spec_from_dict({**PRESETS[name], "seed": seed})

@@ -23,7 +23,7 @@ from __future__ import annotations
 import hashlib
 import json
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -34,6 +34,8 @@ from .dyadic import fwht  # noqa: F401
 from .poly import SINGULARITY_RTOL, grid_ratio
 
 KINDS = ("tvDMA", "tvDAR", "tvDARMA", "modulated")
+#: kinds with a unit autoregressive block: the core is a finite XOR-lag sum of innovations
+MA_KINDS = ("tvDMA", "modulated")
 DISTRIBUTIONS = ("gaussian", "rademacher", "uniform")
 
 _M64 = (1 << 64) - 1
@@ -205,7 +207,10 @@ def make_process_spec(
     """
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
-    if kind in ("tvDMA", "modulated"):
+    for field, curves in (("ar", ar), ("ma", ma)):
+        if isinstance(curves, str):
+            raise ValueError(f"{field} must be a list of curves, got the string {curves!r}")
+    if kind in MA_KINDS:
         ar_block = (_as_curve("1"),)
     else:
         if not ar:
@@ -231,7 +236,7 @@ def make_process_spec(
         ma=ma_block,
         trend=_as_curve(trend),
         amplitude=_as_curve(amplitude),
-        innovations=InnovationSpec(distribution=distribution, sigma=sigma, seed=int(seed)),
+        innovations=InnovationSpec(distribution=distribution, sigma=float(sigma), seed=int(seed)),
     )
 
 
@@ -243,16 +248,7 @@ def spec_from_dict(data: dict) -> ProcessSpec:
         raise ValueError(f"unknown spec fields: {sorted(extra)}")
     if "kind" not in data:
         raise ValueError("spec needs a 'kind' field")
-    return make_process_spec(
-        data["kind"],
-        ar=data.get("ar"),
-        ma=data.get("ma"),
-        trend=data.get("trend", "0"),
-        amplitude=data.get("amplitude", "1"),
-        distribution=data.get("distribution", "gaussian"),
-        sigma=float(data.get("sigma", 1.0)),
-        seed=int(data.get("seed", 0)),
-    )
+    return make_process_spec(**data)
 
 
 def curve_matrix(curves, u) -> np.ndarray:
@@ -316,12 +312,6 @@ def _dma_combine(coef: np.ndarray, eps: np.ndarray) -> np.ndarray:
     return out
 
 
-def _block_conds(mats: np.ndarray) -> np.ndarray:
-    with np.errstate(divide="ignore", invalid="ignore"):
-        conds = np.linalg.cond(mats)
-    return np.where(np.isfinite(conds), conds, np.inf)
-
-
 def _block_solve(b_rows: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve the XOR recursion sum_k b_k(t/T) X_{t XOR k} = rhs_t exactly.
 
@@ -344,25 +334,22 @@ def _block_solve(b_rows: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     try:
         x = np.linalg.solve(mats, rhs.reshape(n_blocks, L, 1)).reshape(T)
     except np.linalg.LinAlgError:
-        conds = _block_conds(mats)
-        worst = int(np.argmax(conds))
-        raise SingularBlockError(worst, float(conds[worst])) from None
+        x = None
     # tolerance deliberately ignores |x|: a near-singular block inflates x and
     # the residual with it, which is exactly what should be flagged
-    residual = np.max(np.abs(_dma_combine(b_rows, x) - rhs))
     tol = 1e-9 * max(1.0, float(np.max(np.abs(rhs))))
-    if not residual <= tol:
-        conds = _block_conds(mats)
+    if x is None or not np.max(np.abs(_dma_combine(b_rows, x) - rhs)) <= tol:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            conds = np.linalg.cond(mats)
+        conds = np.where(np.isfinite(conds), conds, np.inf)
         worst = int(np.argmax(conds))
         raise SingularBlockError(worst, float(conds[worst]))
     return x
 
 
 def _core_values(spec: ProcessSpec, b_rows, a_rows, eps) -> np.ndarray:
-    if spec.kind in ("tvDMA", "modulated"):
-        return _dma_combine(a_rows, eps)
-    rhs = _dma_combine(a_rows, eps)
-    return _block_solve(b_rows, rhs)
+    ma_part = _dma_combine(a_rows, eps)
+    return ma_part if spec.kind in MA_KINDS else _block_solve(b_rows, ma_part)
 
 
 def _simulate_on(spec: ProcessSpec, T: int, innovations, u0) -> SamplePath:
@@ -426,7 +413,7 @@ def dma_coefficient_rows(spec: ProcessSpec, u) -> np.ndarray:
     """
     u = np.atleast_1d(np.asarray(u, dtype=np.float64))
     b_rows, a_rows = coefficient_rows(spec, u)
-    if spec.kind not in ("tvDMA", "modulated"):
+    if spec.kind not in MA_KINDS:
         a_rows = grid_ratio(a_rows, b_rows, where=u)
     return a_rows * eval_curve(spec.amplitude, u)[:, None]
 
@@ -469,16 +456,7 @@ class ApproxReport:
     replicates: int
 
     def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "u0": self.u0,
-            "radius": self.radius,
-            "T_values": list(self.T_values),
-            "errors": list(self.errors),
-            "slope": self.slope,
-            "exact": self.exact,
-            "replicates": self.replicates,
-        }
+        return asdict(self)
 
 
 def _slack_pattern(T: int, width: int, magnitude: float) -> np.ndarray:
@@ -497,7 +475,6 @@ def decay_experiment(
     radius: int = 16,
     replicates: int = 20,
     slack: float = 0.0,
-    base_seed: int | None = None,
 ) -> ApproxReport:
     """Measure how fast the local approximation error shrinks with T.
 
@@ -516,15 +493,13 @@ def decay_experiment(
     """
     if mode not in ("frozen", "conversion"):
         raise ValueError(f"mode must be 'frozen' or 'conversion', got {mode!r}")
-    if mode == "conversion" and spec.kind in ("tvDMA", "modulated"):
+    if mode == "conversion" and spec.kind in MA_KINDS:
         raise ValueError("conversion mode needs an autoregressive-kind spec")
     if replicates < 1:
         raise ValueError(f"replicates must be >= 1, got {replicates}")
     u0 = float(u0)
     if not (np.isfinite(u0) and 0.0 <= u0 < 1.0):
         raise ValueError(f"u0 must be a finite number in [0, 1), got {u0}")
-    if base_seed is None:
-        base_seed = spec.innovations.seed
     T_values = tuple(int(T) for T in T_values)
     needed = max(len(spec.ar), len(spec.ma))
     # every horizon and window is checked before anything is simulated
@@ -537,7 +512,7 @@ def decay_experiment(
         b_rows, a_rows = coefficient_rows(spec, u)
         if slack:
             a_rows = a_rows + _slack_pattern(T, a_rows.shape[1], slack)
-            if spec.kind not in ("tvDMA", "modulated"):
+            if spec.kind not in MA_KINDS:
                 b_rows = b_rows + _slack_pattern(T, b_rows.shape[1], slack)
         if mode == "frozen":
             fb_rows, fa_rows = coefficient_rows(spec, np.full(T, float(u0)))
@@ -548,7 +523,7 @@ def decay_experiment(
         errs = []
         for rep in range(replicates):
             eps = make_innovations(
-                replace(spec.innovations, seed=spawn_seed(base_seed, rep)), T
+                replace(spec.innovations, seed=spawn_seed(spec.innovations.seed, rep)), T
             )
             core_tv = _core_values(spec, b_rows, a_rows, eps)
             x_tv = trend_vals + amp_vals * core_tv

@@ -24,7 +24,7 @@ import numpy as np
 
 from .dyadic import fwht, grid_values
 from .poly import WalshPolynomial
-from .processes import ProcessSpec, SamplePath, dma_coefficient_rows
+from .processes import MA_KINDS, ProcessSpec, SamplePath, dma_coefficient_rows
 
 
 @dataclass(frozen=True)
@@ -87,7 +87,7 @@ def tv_fourier_density(spec: ProcessSpec, u_values, lambda_values) -> SpectralGr
     moving-average kinds only.  The squared modulus is used (the sum is
     complex), which is the standard convention.
     """
-    if spec.kind not in ("tvDMA", "modulated"):
+    if spec.kind not in MA_KINDS:
         raise ValueError("the Fourier comparison density needs a moving-average kind")
     u = np.atleast_1d(np.asarray(u_values, dtype=np.float64))
     lam = np.atleast_1d(np.asarray(lambda_values, dtype=np.float64))
@@ -187,21 +187,20 @@ def _smooth_rows(values: np.ndarray, w: int) -> np.ndarray:
     return full[2 * w :].reshape(rows, n + 2 * w)[:, :n]
 
 
-def walsh_periodogram(data, segment_start: int = 0, total_length: int | None = None) -> Periodogram:
-    """Periodogram I(x_j) = d(x_j)**2 / N of one segment.
+def walsh_periodogram(data) -> Periodogram:
+    """Periodogram I(x_j) = d(x_j)**2 / N of a whole series of power-of-two length N.
 
-    ``total_length`` rescales the segment midpoint u0 to the full series;
-    by default the segment is the whole series (u0 = 1/2).
+    The series is one segment starting at 0, so its rescaled midpoint u0 is
+    1/2; `segmented_local_spectrum` gives the periodograms of sub-segments.
     """
     x = np.asarray(data, dtype=np.float64)
     if x.ndim != 1 or x.size == 0 or x.size & (x.size - 1):
         raise ValueError("periodogram needs a one-dimensional power-of-two segment")
     n = x.size
-    total = n if total_length is None else int(total_length)
     return Periodogram(
-        segment_start=int(segment_start),
+        segment_start=0,
         size=n,
-        u0=(segment_start + n / 2) / total,
+        u0=0.5,
         x_values=grid_values(n.bit_length() - 1),
         values=_segment_periodograms(x, n, n)[1][0],
     )

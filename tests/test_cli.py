@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -390,15 +394,67 @@ def test_seed_outside_64_bits_exit_code(tmp_path, capsys, seed):
     assert not out.exists()
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def one_json_line(stderr):
+    assert stderr.endswith("\n") and stderr.count("\n") == 1, stderr
+    return json.loads(stderr)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_non_finite_curve_exit_code(tmp_path, capsys):
     spec = write_spec(tmp_path, {"kind": "tvDMA", "ma": ["exp(1000*u)"], "seed": 0})
     out = tmp_path / "x.csv"
-    assert main(["simulate", "--spec", spec, "--T", "8", "--out", str(out)]) == 2
-    err = json.loads(capsys.readouterr().err.strip())
+    argv = ["simulate", "--spec", spec, "--T", "8", "--out", str(out)]
+    assert main(argv) == 2
+    err = one_json_line(capsys.readouterr().err)
     assert err["error"] == "config"
     assert "is not finite at u=" in err["message"]
     assert not out.exists()
+    # a fresh interpreter shows numpy warnings on stderr, where pytest would capture them
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-m", "walsh_spectra", *argv], env=env, capture_output=True, text=True)
+    assert run.returncode == 2
+    assert one_json_line(run.stderr) == err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("ma", ["12", "0.81"])
+def test_curve_list_given_as_string_exit_code(tmp_path, capsys, ma):
+    spec = write_spec(tmp_path, {"kind": "tvDMA", "ma": ma, "seed": 0})
+    out = tmp_path / "x.csv"
+    assert main(["simulate", "--spec", spec, "--T", "8", "--out", str(out)]) == 2
+    err = one_json_line(capsys.readouterr().err)
+    assert err == {"error": "config", "message": f"bad spec: ma must be a list of curves, got the string {ma!r}"}
+    assert not out.exists()
+
+
+def test_out_of_memory_exit_code(tmp_path, capsys, monkeypatch):
+    # stands in for `simulate --T 2**40`: nothing is really allocated
+    def fail(*args, **kwargs):
+        raise MemoryError("Unable to allocate 8.00 TiB for an array with shape (1099511627776,)")
+
+    monkeypatch.setattr("walsh_spectra.cli.simulate", fail)
+    out = tmp_path / "x.csv"
+    assert main(["simulate", "--preset", "figure1", "--T", str(2**40), "--out", str(out)]) == 2
+    err = one_json_line(capsys.readouterr().err)
+    assert err == {
+        "error": "config",
+        "message": "not enough memory for this input: Unable to allocate 8.00 TiB for an array with shape (1099511627776,)",
+    }
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_figures_failure_leaves_no_output(tmp_path, capsys, monkeypatch):
+    # both grids of a preset are computed before either of its files is written
+    def fail(*args, **kwargs):
+        raise ValueError("no Fourier grid")
+
+    monkeypatch.setattr("walsh_spectra.cli.tv_fourier_density", fail)
+    outdir = tmp_path / "figs"
+    argv = ["figures", "--preset", "figure1", "--u-points", "3", "--m", "2", "--lambda-points", "3"]
+    assert main([*argv, "--out", str(outdir)]) == 2
+    assert one_json_line(capsys.readouterr().err) == {"error": "config", "message": "no Fourier grid"}
+    assert list(outdir.iterdir()) == []
 
 
 def test_figures_exports_all_grids(tmp_path):

@@ -96,7 +96,7 @@ def test_division_by_zero():
         eval_curve(parse("1/0"), 0.2)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_non_finite_values_raise():
     with pytest.raises(CurveDomainError, match=r"curve exp\(\(1000\.0\*u\)\) is not finite at u=0\.75"):
         eval_curve(parse("exp(1000*u)"), np.linspace(0, 1, 5))

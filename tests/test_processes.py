@@ -148,6 +148,27 @@ def test_spec_dict_round_trip():
         spec_from_dict({"ma": ["1"]})
 
 
+@pytest.mark.parametrize("kind, field", [("tvDMA", "ma"), ("tvDAR", "ar"), ("tvDARMA", "ar"), ("tvDARMA", "ma")])
+@pytest.mark.parametrize("text", ["12", "0.81"])
+def test_spec_rejects_a_string_for_a_curve_list(kind, field, text):
+    # iterating the string would read "12" as the two curves 1 and 2
+    data = {"kind": kind, "ar": ["1", "0.5"], "ma": ["1", "0.5"], field: text}
+    message = f"{field} must be a list of curves, got the string {text!r}"
+    with pytest.raises(ValueError) as info:
+        spec_from_dict(data)
+    assert str(info.value) == message
+    data.pop("kind")
+    with pytest.raises(ValueError) as info:
+        make_process_spec(kind, **data)
+    assert str(info.value) == message
+
+
+def test_int_and_float_sigma_share_a_fingerprint():
+    as_int = make_process_spec("tvDMA", ma=["1", "0.5"], sigma=2)
+    as_float = make_process_spec("tvDMA", ma=["1", "0.5"], sigma=2.0)
+    assert as_int.fingerprint() == as_float.fingerprint()
+
+
 def test_frozen_coefficient_rows_figure2_values():
     spec = make_process_spec(
         "tvDMA", ma=["1.2*cos(2*pi*u)", "2*cos(1.5-cos(8*pi*u))", "u", "0"]
@@ -160,7 +181,7 @@ def test_frozen_coefficient_rows_figure2_values():
 # ------------------------------------------------------------------ simulation
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_non_finite_curve_values_raise():
     from walsh_spectra.curves import CurveDomainError
 
