@@ -19,8 +19,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .curves import CurveDomainError, CurveSyntaxError
-from .dyadic import grid_values
+from .curves import CurveDomainError
+from .dyadic import block_exponent, grid_values
 from .poly import SingularPolynomialError, grid_ratio
 from .presets import preset_names, preset_spec
 from .processes import (
@@ -42,10 +42,6 @@ EXIT_VERIFY = 4
 SLOPE_RANGE = (-1.4, -0.6)
 #: rows formatted and written per step; bounds the text held in memory
 CSV_CHUNK_ROWS = 1 << 12
-
-
-class ConfigError(ValueError):
-    pass
 
 
 def _provenance(spec: ProcessSpec | None, **extra) -> str:
@@ -76,11 +72,18 @@ def _write_grid(path: str, comment: str, header: list[str], rows, cols, values: 
     _write_csv(path, comment, header, [np.repeat(rows, len(cols)), np.tile(cols, len(rows)), values.reshape(-1)])
 
 
+def _write_json(path: str, spec: ProcessSpec, payload: dict) -> None:
+    """Write ``payload`` with the spec fingerprint and tool version as sorted, indented JSON."""
+    with open(path, "w", newline="\n") as fh:
+        json.dump({**payload, "fingerprint": spec.fingerprint(), "version": __version__}, fh, sort_keys=True, indent=2)
+        fh.write("\n")
+
+
 def _load_spec(args) -> ProcessSpec:
     preset = getattr(args, "preset", None)
     spec_path = getattr(args, "spec", None)
     if preset is not None and spec_path is not None:
-        raise ConfigError("give either --spec or --preset, not both")
+        raise ValueError("give either --spec or --preset, not both")
     if preset is not None:
         spec = preset_spec(preset)
     elif spec_path is not None:
@@ -88,17 +91,17 @@ def _load_spec(args) -> ProcessSpec:
             with open(spec_path) as fh:
                 data = json.load(fh)
         except OSError as exc:
-            raise ConfigError(f"cannot read spec file: {exc}") from exc
+            raise ValueError(f"cannot read spec file: {exc}") from exc
         except json.JSONDecodeError as exc:
-            raise ConfigError(f"spec file is not valid JSON: {exc}") from exc
+            raise ValueError(f"spec file is not valid JSON: {exc}") from exc
         if not isinstance(data, dict):
-            raise ConfigError("spec file must hold a JSON object")
+            raise ValueError("spec file must hold a JSON object")
         try:
             spec = spec_from_dict(data)
         except (ValueError, TypeError) as exc:
-            raise ConfigError(f"bad spec: {exc}") from exc
+            raise ValueError(f"bad spec: {exc}") from exc
     else:
-        raise ConfigError("a spec is required: --spec FILE or --preset NAME")
+        raise ValueError("a spec is required: --spec FILE or --preset NAME")
     seed = getattr(args, "seed", None)
     if seed is not None:
         spec = spec.with_seed(seed)
@@ -107,7 +110,7 @@ def _load_spec(args) -> ProcessSpec:
 
 def _u_grid(count: int) -> np.ndarray:
     if count < 1:
-        raise ConfigError("--u-points must be >= 1")
+        raise ValueError("--u-points must be >= 1")
     if count == 1:
         return np.array([0.0])
     return np.arange(count) / (count - 1)
@@ -115,7 +118,7 @@ def _u_grid(count: int) -> np.ndarray:
 
 def _lambda_grid(count: int) -> np.ndarray:
     if count < 1:
-        raise ConfigError(f"--lambda-points must be >= 1, got {count}")
+        raise ValueError(f"--lambda-points must be >= 1, got {count}")
     return np.linspace(0.0, np.pi, count)
 
 
@@ -123,9 +126,9 @@ def _parse_T_list(text: str) -> list[int]:
     try:
         values = [int(part) for part in text.split(",") if part.strip()]
     except ValueError as exc:
-        raise ConfigError(f"bad T list {text!r}") from exc
+        raise ValueError(f"bad T list {text!r}") from exc
     if not values:
-        raise ConfigError("empty T list")
+        raise ValueError("empty T list")
     return values
 
 
@@ -139,17 +142,8 @@ def _cmd_simulate(args) -> int:
     u = np.arange(path.length) / path.length
     comment = _provenance(spec, seed=spec.innovations.seed, T=path.length, command="simulate")
     _write_csv(args.out, comment, ["t", "u", "x_value"], [np.arange(path.length), u, path.values])
-    sidecar = {
-        "T": path.length,
-        "command": "simulate",
-        "fingerprint": spec.fingerprint(),
-        "seed": spec.innovations.seed,
-        "spec": spec.to_dict(),
-        "version": __version__,
-    }
-    with open(args.out + ".json", "w", newline="\n") as fh:
-        json.dump(sidecar, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    sidecar = {"T": path.length, "command": "simulate", "seed": spec.innovations.seed, "spec": spec.to_dict()}
+    _write_json(args.out + ".json", spec, sidecar)
     return EXIT_OK
 
 
@@ -200,14 +194,7 @@ def _cmd_verify(args) -> int:
     )
     lo, hi = SLOPE_RANGE
     passed = report.exact or (report.slope is not None and lo <= report.slope <= hi)
-    payload = report.to_dict()
-    payload["slope_range"] = [lo, hi]
-    payload["passed"] = passed
-    payload["fingerprint"] = spec.fingerprint()
-    payload["version"] = __version__
-    with open(args.out, "w", newline="\n") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    _write_json(args.out, spec, {**report.to_dict(), "slope_range": [lo, hi], "passed": passed})
     if report.exact:
         print("verify: errors are exactly zero (constant curves)")
         return EXIT_OK
@@ -224,21 +211,19 @@ def _cmd_periodogram(args) -> int:
     N = args.segments
     # every flag is checked before anything is simulated
     if N is None:
-        raise ConfigError("--segments (segment length N) is required")
-    if T < 1 or T & (T - 1):
-        raise ConfigError(f"--T must be a power of two, got {T}")
+        raise ValueError("--segments (segment length N) is required")
+    block_exponent(T, "--T")
     step = N if args.step is None else args.step
-    if N < 1 or N & (N - 1):
-        raise ConfigError(f"--segments must be a power of two, got {N}")
+    m = block_exponent(N, "--segments")
     if N > T:
-        raise ConfigError(f"--segments {N} exceeds --T {T}")
+        raise ValueError(f"--segments {N} exceeds --T {T}")
     if step < 1:
-        raise ConfigError(f"--step must be >= 1, got {step}")
+        raise ValueError(f"--step must be >= 1, got {step}")
     if args.smooth < 0:
-        raise ConfigError(f"--smooth must be >= 0, got {args.smooth}")
+        raise ValueError(f"--smooth must be >= 0, got {args.smooth}")
     reps = args.replicates
     if reps < 1:
-        raise ConfigError("--replicates must be >= 1")
+        raise ValueError("--replicates must be >= 1")
     total = None
     for rep in range(reps):
         seed = spec.innovations.seed if reps == 1 else spawn_seed(spec.innovations.seed, rep)
@@ -251,7 +236,7 @@ def _cmd_periodogram(args) -> int:
         total += rows
     comment = _provenance(spec, command="periodogram", T=T, N=N, replicates=reps, smooth=args.smooth)
     u0s = (starts + N / 2) / T
-    _write_grid(args.out, comment, ["segment_u0", "x", "I"], u0s, grid_values(N.bit_length() - 1), total / reps)
+    _write_grid(args.out, comment, ["segment_u0", "x", "I"], u0s, grid_values(m), total / reps)
     return EXIT_OK
 
 
@@ -356,16 +341,13 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ConfigError, CurveSyntaxError, CurveDomainError) as exc:
-        _error("config", str(exc))
-        return EXIT_CONFIG
     except SingularPolynomialError as exc:
         _error("singular-polynomial", str(exc))
         return EXIT_SINGULAR
     except SingularBlockError as exc:
         _error("singular-block", str(exc))
         return EXIT_SINGULAR
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, CurveDomainError) as exc:
         _error("config", str(exc))
         return EXIT_CONFIG
     except MemoryError as exc:

@@ -28,7 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 _FUNCTIONS = ("cos", "sin", "exp", "abs")
-_NUMBER_RE = re.compile(r"\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?")
+# ASCII only: a non-ASCII digit or letter is an unexpected character
+_NUMBER_RE = re.compile(r"\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?", re.ASCII)
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 
 
@@ -103,15 +104,15 @@ def _tokenize(text: str) -> list[_Token]:
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit() or ch == ".":
+        if ch in "0123456789.":
             m = _NUMBER_RE.match(text, i)
             if not m:
                 raise CurveSyntaxError(f"malformed number {ch!r}", i)
             tokens.append(_Token("number", m.group(), i))
             i = m.end()
             continue
-        if ch.isalpha() or ch == "_":
-            m = _IDENT_RE.match(text, i)
+        m = _IDENT_RE.match(text, i)
+        if m:
             tokens.append(_Token("ident", m.group(), i))
             i = m.end()
             continue

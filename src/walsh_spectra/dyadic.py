@@ -210,6 +210,30 @@ def hadamard_matrix(m: int) -> np.ndarray:
     return (1 - 2 * parity).astype(np.int32)
 
 
+def block_exponent(n: int, what: str = "length") -> int:
+    """m for n = 2**m; any other n raises ValueError naming ``what``."""
+    if n < 1 or n & (n - 1):
+        raise ValueError(f"{what} must be a power of two, got {n}")
+    return n.bit_length() - 1
+
+
+def block_size(n: int) -> int:
+    """The smallest power of two >= n (1 for n <= 1)."""
+    return 1 << max(n - 1, 0).bit_length()
+
+
+def zero_pad(a, size: int | None = None) -> np.ndarray:
+    """``a`` as float64, last axis zero-padded to ``size`` (default `block_size`); no copy if already that long."""
+    a = np.asarray(a, dtype=np.float64)
+    n = a.shape[-1]
+    size = block_size(n) if size is None else size
+    if size == n:
+        return a
+    out = np.zeros(a.shape[:-1] + (size,))
+    out[..., :n] = a
+    return out
+
+
 def fwht(values) -> np.ndarray:
     """Fast Walsh-Hadamard transform along the last axis (unnormalized).
 
@@ -220,9 +244,7 @@ def fwht(values) -> np.ndarray:
     """
     a = np.array(values, dtype=np.float64)
     n = a.shape[-1]
-    if n == 0 or n & (n - 1):
-        raise ValueError(f"length must be a power of two, got {n}")
-    m = n.bit_length() - 1
+    m = block_exponent(n)
     shape = a.shape
     a = a.reshape(-1, n)
     rows = a.shape[0]

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dyadic import fwht, walsh
+from .dyadic import fwht, walsh, zero_pad
 
 #: relative threshold below which a grid value counts as a zero of the polynomial
 SINGULARITY_RTOL = 1e-9
@@ -49,12 +49,7 @@ def _pad_pow2(coeffs) -> np.ndarray:
         raise ValueError("coefficients must be one-dimensional")
     if c.size == 0:
         raise ValueError("need at least one coefficient")
-    size = 1
-    while size < c.size:
-        size *= 2
-    if size != c.size:
-        c = np.concatenate([c, np.zeros(size - c.size)])
-    return c
+    return zero_pad(c)
 
 
 @dataclass(frozen=True)
@@ -73,9 +68,7 @@ class WalshPolynomial:
     def padded_to(self, length: int) -> "WalshPolynomial":
         if length < self.length:
             raise ValueError("cannot shrink a polynomial")
-        out = np.zeros(length)
-        out[: self.length] = self.coefficients
-        return WalshPolynomial(out)
+        return WalshPolynomial(zero_pad(self.coefficients, length))
 
     def evaluate(self, x) -> float:
         """Pointwise value sum_j c_j W(j, x); constant on each dyadic cell."""
@@ -92,24 +85,17 @@ class WalshPolynomial:
     def __eq__(self, other):
         if not isinstance(other, WalshPolynomial):
             return NotImplemented
-        a, b = self.coefficients, other.coefficients
-        if a.size != b.size:
-            size = max(a.size, b.size)
-            a = self.padded_to(size).coefficients
-            b = other.padded_to(size).coefficients
-        return bool(np.array_equal(a, b))
+        return bool(np.array_equal(*_common(self, other)))
 
 
 def unit(length: int = 1) -> WalshPolynomial:
     """The constant polynomial 1 (coefficient vector e_0), the convolution unit."""
-    c = np.zeros(length)
-    c[0] = 1.0
-    return WalshPolynomial(c)
+    return WalshPolynomial(zero_pad([1.0], length))
 
 
 def _common(a: WalshPolynomial, b: WalshPolynomial) -> tuple[np.ndarray, np.ndarray]:
     size = max(a.length, b.length)
-    return a.padded_to(size).coefficients, b.padded_to(size).coefficients
+    return zero_pad(a.coefficients, size), zero_pad(b.coefficients, size)
 
 
 def xor_convolve(a: WalshPolynomial, b: WalshPolynomial) -> WalshPolynomial:
@@ -149,10 +135,8 @@ def grid_ratio(num, den, where=None) -> np.ndarray:
     row is within ``SINGULARITY_RTOL`` of that row's largest; for stacked
     rows ``where[i]`` labels row i in the error (e.g. its rescaled time).
     """
-    num = np.asarray(num, dtype=np.float64)
-    den = np.asarray(den, dtype=np.float64)
-    size = max(num.shape[-1], den.shape[-1])
-    num, den = (np.pad(x, [(0, 0)] * (x.ndim - 1) + [(0, size - x.shape[-1])]) for x in (num, den))
+    size = max(np.shape(num)[-1], np.shape(den)[-1])
+    num, den = zero_pad(num, size), zero_pad(den, size)
     den_grid = fwht(den)
     scale = np.max(np.abs(den_grid), axis=-1, keepdims=True)
     bad = np.abs(den_grid) <= SINGULARITY_RTOL * np.maximum(scale, 1e-300)

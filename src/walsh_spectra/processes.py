@@ -28,7 +28,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .curves import CurveExpr, constant, eval_curve, is_constant_zero, parse, serialize
-from .dyadic import INDEX_CAP
+from .dyadic import INDEX_CAP, block_exponent, block_size
 # unused here, but kept bound: benchmark/smoke_check.py asserts processes.fwht is dyadic.fwht
 from .dyadic import fwht  # noqa: F401
 from .poly import SINGULARITY_RTOL, grid_ratio
@@ -97,10 +97,17 @@ class InnovationSpec:
             raise ValueError(
                 f"distribution must be one of {DISTRIBUTIONS}, got {self.distribution!r}"
             )
-        if not self.sigma > 0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
-        if not 0 <= self.seed <= _M64:
-            raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
+        sigma, seed = self.sigma, self.seed
+        # a bool or a string is rejected, not coerced: True is not a sigma of 1
+        real = isinstance(sigma, (int, float, np.integer, np.floating)) and not isinstance(sigma, bool)
+        if not (real and 0 < sigma < np.inf):
+            raise ValueError(f"sigma must be a finite positive number, got {sigma!r}")
+        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
+            raise TypeError(f"seed must be an integer, got {seed!r}")
+        if not 0 <= seed <= _M64:
+            raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
+        object.__setattr__(self, "sigma", float(sigma))
+        object.__setattr__(self, "seed", int(seed))
 
 
 def make_innovations(spec: InnovationSpec, count: int, start: int = 0) -> np.ndarray:
@@ -144,10 +151,7 @@ def _as_curve(c) -> CurveExpr:
 
 def _curve_block(curves) -> tuple[CurveExpr, ...]:
     items = [_as_curve(c) for c in curves]
-    size = 1
-    while size < len(items):
-        size *= 2
-    items.extend(constant(0.0) for _ in range(size - len(items)))
+    items.extend(constant(0.0) for _ in range(block_size(len(items)) - len(items)))
     return tuple(items)
 
 
@@ -236,7 +240,7 @@ def make_process_spec(
         ma=ma_block,
         trend=_as_curve(trend),
         amplitude=_as_curve(amplitude),
-        innovations=InnovationSpec(distribution=distribution, sigma=float(sigma), seed=int(seed)),
+        innovations=InnovationSpec(distribution=distribution, sigma=sigma, seed=seed),
     )
 
 
@@ -296,8 +300,7 @@ class SamplePath:
 
 def _check_horizon(T: int, needed: int) -> int:
     T = int(T)
-    if T < 1 or T & (T - 1):
-        raise ValueError(f"T must be a power of two, got {T}")
+    block_exponent(T, "T")
     if T < needed:
         raise ValueError(f"T={T} is shorter than the coefficient block length {needed}")
     return T
@@ -500,6 +503,9 @@ def decay_experiment(
     u0 = float(u0)
     if not (np.isfinite(u0) and 0.0 <= u0 < 1.0):
         raise ValueError(f"u0 must be a finite number in [0, 1), got {u0}")
+    slack = float(slack)
+    if not np.isfinite(slack):
+        raise ValueError(f"slack must be a finite number, got {slack}")
     T_values = tuple(int(T) for T in T_values)
     needed = max(len(spec.ar), len(spec.ma))
     # every horizon and window is checked before anything is simulated

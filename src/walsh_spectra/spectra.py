@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dyadic import fwht, grid_values
+from .dyadic import block_exponent, fwht, grid_values, zero_pad
 from .poly import WalshPolynomial
 from .processes import MA_KINDS, ProcessSpec, SamplePath, dma_coefficient_rows
 
@@ -70,13 +70,8 @@ def tv_dyadic_density(spec: ProcessSpec, u_values, m: int) -> SpectralGrid:
     x = grid_values(m)  # checks m against GRID_EXPONENT_CAP before the grid is allocated
     u = np.atleast_1d(np.asarray(u_values, dtype=np.float64))
     rows = dma_coefficient_rows(spec, u)
-    size = rows.shape[1]
-    m_eval = max(m, size.bit_length() - 1)
-    padded = np.zeros((u.size, 1 << m_eval))
-    padded[:, :size] = rows
-    amps = fwht(padded)
-    stride = (1 << m_eval) >> m
-    g = spec.innovations.sigma**2 * amps[:, ::stride] ** 2
+    amps = fwht(zero_pad(rows, max(1 << m, rows.shape[1])))
+    g = spec.innovations.sigma**2 * amps[:, :: amps.shape[1] >> m] ** 2
     return SpectralGrid(u_values=u, x_values=x, values=g)
 
 
@@ -122,8 +117,9 @@ def covariance_from_density(density_row, tau: int) -> float:
     the integral over [0, 1) is the plain average over grid_points(m).
     """
     g = np.asarray(density_row, dtype=np.float64)
-    if g.ndim != 1 or g.size == 0 or g.size & (g.size - 1):
-        raise ValueError("density row must have power-of-two length")
+    if g.ndim != 1:
+        raise ValueError(f"density row must be one-dimensional, got shape {g.shape}")
+    block_exponent(g.size, "density row length")
     tau = int(tau)
     if not 0 <= tau < g.size:
         raise ValueError(f"tau must lie in [0, {g.size}), got {tau}")
@@ -140,8 +136,7 @@ def empirical_dyadic_covariance(path, tau: int, segment: tuple[int, int] | None 
     if segment is None:
         segment = (0, values.size)
     start, n = map(int, segment)
-    if n < 1 or n & (n - 1):
-        raise ValueError(f"segment length must be a power of two, got {n}")
+    block_exponent(n, "segment length")
     if start % n != 0:
         raise ValueError(f"segment start {start} is not aligned to length {n}")
     if start < 0 or start + n > values.size:
@@ -194,14 +189,14 @@ def walsh_periodogram(data) -> Periodogram:
     1/2; `segmented_local_spectrum` gives the periodograms of sub-segments.
     """
     x = np.asarray(data, dtype=np.float64)
-    if x.ndim != 1 or x.size == 0 or x.size & (x.size - 1):
-        raise ValueError("periodogram needs a one-dimensional power-of-two segment")
+    if x.ndim != 1:
+        raise ValueError(f"periodogram needs a one-dimensional segment, got shape {x.shape}")
     n = x.size
     return Periodogram(
         segment_start=0,
         size=n,
         u0=0.5,
-        x_values=grid_values(n.bit_length() - 1),
+        x_values=grid_values(block_exponent(n, "segment length")),
         values=_segment_periodograms(x, n, n)[1][0],
     )
 
@@ -229,8 +224,7 @@ def segmented_local_spectrum(path, N: int, step: int | None = None) -> list[Peri
     values = path.values if isinstance(path, SamplePath) else np.asarray(path, dtype=np.float64)
     T = values.size
     N = int(N)
-    if N < 1 or N & (N - 1):
-        raise ValueError(f"segment length must be a power of two, got {N}")
+    m = block_exponent(N, "segment length")
     if N > T:
         raise ValueError(f"segment length {N} exceeds the path length {T}")
     if step is None:
@@ -239,7 +233,7 @@ def segmented_local_spectrum(path, N: int, step: int | None = None) -> list[Peri
     if step < 1:
         raise ValueError("step must be >= 1")
     starts, rows = _segment_periodograms(values, N, step)
-    x = grid_values(N.bit_length() - 1)
+    x = grid_values(m)
     return [
         Periodogram(segment_start=s, size=N, u0=(s + N / 2) / T, x_values=x, values=row)
         for s, row in zip(starts.tolist(), rows)

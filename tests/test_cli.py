@@ -264,15 +264,17 @@ def test_verify_window_outside_path_exit_code(tmp_path, capsys, u0, T_list):
     ("--replicates", "-1", "replicates must be >= 1"),
     ("--u0", "nan", "u0 must be a finite number in [0, 1)"),
     ("--u0", "inf", "u0 must be a finite number in [0, 1)"),
+    ("--slack", "nan", "slack must be a finite number, got nan"),
+    ("--slack", "inf", "slack must be a finite number, got inf"),
 ])
 def test_verify_bad_argument_exit_code(tmp_path, capsys, flag, value, message):
     out = tmp_path / "report.json"
-    args = {"--replicates": "2", "--u0": "0.3", flag: value}
+    args = {"--replicates": "2", "--u0": "0.3", "--slack": "0", flag: value}
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code = main([
-            "verify", "--preset", "figure1", "--mode", "frozen", "--T", "128,256",
-            "--replicates", args["--replicates"], "--u0", args["--u0"], "--out", str(out),
+            "verify", "--preset", "figure1", "--mode", "frozen", "--T", "128,256", "--replicates",
+            args["--replicates"], "--u0", args["--u0"], "--slack", args["--slack"], "--out", str(out),
         ])
     assert code == 2
     err = json.loads(capsys.readouterr().err.strip())
@@ -425,6 +427,33 @@ def test_curve_list_given_as_string_exit_code(tmp_path, capsys, ma):
     assert main(["simulate", "--spec", spec, "--T", "8", "--out", str(out)]) == 2
     err = one_json_line(capsys.readouterr().err)
     assert err == {"error": "config", "message": f"bad spec: ma must be a list of curves, got the string {ma!r}"}
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("ma", ["0.5*\u00e9", "\uff55"])
+def test_non_ascii_curve_exit_code(tmp_path, capsys, ma):
+    spec = write_spec(tmp_path, {"kind": "tvDMA", "ma": ["1", ma], "seed": 0})
+    out = tmp_path / "x.csv"
+    assert main(["simulate", "--spec", spec, "--T", "8", "--out", str(out)]) == 2
+    err = one_json_line(capsys.readouterr().err)
+    assert err["error"] == "config"
+    assert f"unexpected character {ma[-1]!r} at offset {len(ma) - 1}" in err["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("seed", 1.5, "seed must be an integer, got 1.5"),
+    ("seed", "7", "seed must be an integer, got '7'"),
+    ("seed", True, "seed must be an integer, got True"),
+    ("sigma", True, "sigma must be a finite positive number, got True"),
+    ("sigma", "abc", "sigma must be a finite positive number, got 'abc'"),
+    ("sigma", "inf", "sigma must be a finite positive number, got 'inf'"),
+])
+def test_bad_noise_field_exit_code(tmp_path, capsys, field, value, message):
+    spec = write_spec(tmp_path, {"kind": "tvDMA", "ma": ["1"], field: value})
+    out = tmp_path / "x.csv"
+    assert main(["simulate", "--spec", spec, "--T", "8", "--out", str(out)]) == 2
+    assert one_json_line(capsys.readouterr().err) == {"error": "config", "message": f"bad spec: {message}"}
     assert not out.exists()
 
 

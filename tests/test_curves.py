@@ -138,6 +138,14 @@ def test_bad_characters_report_offset():
     assert excinfo.value.offset == 4
 
 
+# str.isalpha and str.isdigit accept these, but identifiers and numbers are ASCII only
+@pytest.mark.parametrize("text, offset", [("é", 0), ("u*é", 2), ("\uff55", 0), ("1\u0663", 1)])
+def test_non_ascii_characters_report_offset(text, offset):
+    with pytest.raises(CurveSyntaxError, match=f"unexpected character {text[offset]!r} at offset {offset}") as excinfo:
+        parse(text)
+    assert excinfo.value.offset == offset
+
+
 @pytest.mark.parametrize("text", FIGURE_CURVES + ["u^2", "-(u+1)*exp(-u)", "2^-3*u"])
 def test_serialization_round_trip(text):
     tree = parse(text)

@@ -1,4 +1,6 @@
+import re
 import types
+from pathlib import Path
 
 import walsh_spectra
 
@@ -13,6 +15,7 @@ REMOVED = (
     "CovarianceSequence",
     "walsh_spectrum_from_cov",
 )
+SRC = Path(walsh_spectra.__file__).parent
 
 
 def test_every_exported_name_resolves():
@@ -36,3 +39,19 @@ def test_removed_aliases_are_gone():
         assert name not in walsh_spectra.__all__
         for module in (walsh_spectra, dyadic, poly, processes, spectra):
             assert not hasattr(module, name), (module.__name__, name)
+    from walsh_spectra import cli
+
+    assert not hasattr(cli, "ConfigError")
+
+
+def test_only_dyadic_decides_power_of_two_blocks():
+    # `n & (n - 1)` and `.bit_length(` belong to dyadic.block_exponent and block_size
+    by_hand = re.compile(r"&\s*\([^()]*-\s*1\s*\)|\.bit_length\(")
+    offenders = [
+        f"{path.name}:{lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "dyadic.py"
+        for lineno, line in enumerate(path.read_text().splitlines(), 1)
+        if by_hand.search(line)
+    ]
+    assert offenders == []

@@ -163,6 +163,32 @@ def test_spec_rejects_a_string_for_a_curve_list(kind, field, text):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("field, value, error, message", [
+    ("seed", 1.5, TypeError, "seed must be an integer, got 1.5"),
+    ("seed", "7", TypeError, "seed must be an integer, got '7'"),
+    ("seed", True, TypeError, "seed must be an integer, got True"),
+    ("sigma", True, ValueError, "sigma must be a finite positive number, got True"),
+    ("sigma", "abc", ValueError, "sigma must be a finite positive number, got 'abc'"),
+    ("sigma", "inf", ValueError, "sigma must be a finite positive number, got 'inf'"),
+    ("sigma", float("inf"), ValueError, "sigma must be a finite positive number, got inf"),
+    ("sigma", float("nan"), ValueError, "sigma must be a finite positive number, got nan"),
+    ("sigma", 0, ValueError, "sigma must be a finite positive number, got 0"),
+])
+def test_spec_rejects_bad_noise_fields(field, value, error, message):
+    with pytest.raises(error) as info:
+        spec_from_dict({"kind": "tvDMA", "ma": ["1"], field: value})
+    assert str(info.value) == message
+    with pytest.raises(error) as info:
+        InnovationSpec(**{field: value})
+    assert str(info.value) == message
+
+
+def test_noise_fields_are_stored_as_float_and_int():
+    spec = InnovationSpec(sigma=np.int64(2), seed=np.uint64(7))
+    assert type(spec.sigma) is float and type(spec.seed) is int
+    assert (spec.sigma, spec.seed) == (2.0, 7)
+
+
 def test_int_and_float_sigma_share_a_fingerprint():
     as_int = make_process_spec("tvDMA", ma=["1", "0.5"], sigma=2)
     as_float = make_process_spec("tvDMA", ma=["1", "0.5"], sigma=2.0)

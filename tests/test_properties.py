@@ -1,17 +1,19 @@
 """Property tests: laws that hold for every input, not just the worked examples.
 
 Examples are small and drawn single-threaded with a fixed budget, so the
-file adds about a second to the suite.
+file adds about two seconds to the suite.
 """
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from walsh_spectra.curves import Binary, Call, Literal, Negate, Pi, Variable, parse, serialize
-from walsh_spectra.dyadic import INDEX_CAP, fwht
+from walsh_spectra.dyadic import INDEX_CAP, block_exponent, block_size, fwht, zero_pad
 from walsh_spectra.poly import grid_ratio
-from walsh_spectra.processes import DISTRIBUTIONS, InnovationSpec, make_innovations
+from walsh_spectra.processes import DISTRIBUTIONS, InnovationSpec, _block_solve, make_innovations
 
 from oracles import oracle_transform, oracle_xor_convolve
 
@@ -99,3 +101,54 @@ def test_grid_ratio_conversions_invert_each_other(pair):
     assert np.allclose(oracle_xor_convolve(k, g), unit, rtol=0, atol=1e-9)
     # a / b is the K with K * b == a
     assert np.allclose(oracle_xor_convolve(k, b), a, rtol=0, atol=1e-9 * np.max(np.abs(a)))
+
+
+# (T, L): L in {2, 4, 8} and T a power of two with L <= T <= 64
+block_shapes = st.integers(1, 3).flatmap(lambda l: st.integers(l, 6).map(lambda m: (1 << m, 1 << l)))
+
+
+@SETTINGS
+@given(
+    block_shapes.flatmap(lambda s: st.tuples(arrays(np.float64, s, elements=finite), arrays(np.float64, s[0], elements=finite))),
+    st.floats(1e-3, 1e3),
+)
+def test_diagonally_dominant_blocks_solve_to_a_small_residual(system, margin):
+    b_rows, rhs = system
+    T, L = b_rows.shape
+    # |b_0(t)| exceeds the sum of the other |b_k(t)|, so every L x L block is non-singular
+    b_rows[:, 0] = np.where(b_rows[:, 0] < 0, -1.0, 1.0) * (np.sum(np.abs(b_rows[:, 1:]), axis=1) + margin)
+    x = _block_solve(b_rows, rhs)
+    # the dense T x T system of the recursion sum_k b_k(t) x[t XOR k] = rhs[t]
+    dense = np.zeros((T, T))
+    for t in range(T):
+        for k in range(L):
+            dense[t, t ^ k] = b_rows[t, k]
+    assert np.max(np.abs(dense @ x - rhs)) <= 1e-9 * max(1.0, float(np.max(np.abs(rhs))))
+
+
+near_powers = st.tuples(st.integers(0, 80), st.integers(-1, 1)).map(lambda p: (1 << p[0]) + p[1])
+
+
+@SETTINGS
+@given(st.one_of(near_powers, st.integers(-(1 << 70), 1 << 70)))
+def test_block_exponent_accepts_exactly_the_powers_of_two(n):
+    if n > 0 and bin(n).count("1") == 1:
+        assert 1 << block_exponent(n) == n
+    else:
+        with pytest.raises(ValueError, match=f"length must be a power of two, got {n}"):
+            block_exponent(n)
+
+
+@SETTINGS
+@given(
+    st.integers(1, 70).flatmap(lambda n: arrays(np.float64, st.tuples(st.integers(1, 3), st.just(n)), elements=finite)),
+    st.one_of(st.none(), st.integers(0, 70)),
+)
+def test_zero_pad_keeps_the_prefix_and_zero_fills_the_tail(a, extra):
+    n = a.shape[-1]
+    size = block_size(n)
+    assert n <= size < 2 * n and bin(size).count("1") == 1
+    padded = zero_pad(a) if extra is None else zero_pad(a, n + extra)
+    assert padded.shape == (a.shape[0], size if extra is None else n + extra)
+    assert np.array_equal(padded[:, :n], a)
+    assert not np.any(padded[:, n:])

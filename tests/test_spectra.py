@@ -159,6 +159,18 @@ def test_dma_covariance_bounded_by_lag_zero():
         assert abs(dma_covariance(a, 1.0, tau)) <= r0 + 1e-12
 
 
+def test_one_dimensional_and_length_checks_are_separate():
+    with pytest.raises(ValueError, match=r"density row must be one-dimensional, got shape \(2, 4\)"):
+        covariance_from_density(np.ones((2, 4)), 0)
+    with pytest.raises(ValueError, match="density row length must be a power of two, got 12"):
+        covariance_from_density(np.ones(12), 0)
+    with pytest.raises(ValueError, match=r"periodogram needs a one-dimensional segment, got shape \(2, 4\)"):
+        walsh_periodogram(np.ones((2, 4)))
+    for n in (0, 12):
+        with pytest.raises(ValueError, match=f"segment length must be a power of two, got {n}"):
+            walsh_periodogram(np.ones(n))
+
+
 def test_covariance_from_density_examples():
     flat = np.full(8, 2.5)
     assert covariance_from_density(flat, 0) == pytest.approx(2.5)
