@@ -15,12 +15,13 @@ import argparse
 import json
 import os
 import sys
+import warnings
 
 import numpy as np
 
 from . import __version__
 from .curves import CurveDomainError
-from .dyadic import block_exponent, grid_values
+from .dyadic import block_exponent
 from .poly import SingularPolynomialError, grid_ratio
 from .presets import preset_names, preset_spec
 from .processes import (
@@ -32,7 +33,7 @@ from .processes import (
     spawn_seed,
     spec_from_dict,
 )
-from .spectra import _segment_periodograms, _smooth_rows, tv_dyadic_density, tv_fourier_density
+from .spectra import periodogram_grid, smooth_periodogram, tv_dyadic_density, tv_fourier_density
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -207,36 +208,29 @@ def _cmd_verify(args) -> int:
 
 def _cmd_periodogram(args) -> int:
     spec = _load_spec(args)
-    T = args.T
-    N = args.segments
+    T, N, step = args.T, args.segments, args.step
     # every flag is checked before anything is simulated
     if N is None:
         raise ValueError("--segments (segment length N) is required")
     block_exponent(T, "--T")
-    step = N if args.step is None else args.step
-    m = block_exponent(N, "--segments")
+    block_exponent(N, "--segments")
     if N > T:
         raise ValueError(f"--segments {N} exceeds --T {T}")
-    if step < 1:
+    if step is not None and step < 1:
         raise ValueError(f"--step must be >= 1, got {step}")
     if args.smooth < 0:
         raise ValueError(f"--smooth must be >= 0, got {args.smooth}")
     reps = args.replicates
     if reps < 1:
         raise ValueError("--replicates must be >= 1")
-    total = None
+    total = 0.0
     for rep in range(reps):
         seed = spec.innovations.seed if reps == 1 else spawn_seed(spec.innovations.seed, rep)
         path = simulate(spec.with_seed(seed), T)
-        starts, rows = _segment_periodograms(path.values, N, step)
-        if args.smooth:
-            rows = _smooth_rows(rows, args.smooth)
-        if total is None:
-            total = np.zeros_like(rows)
-        total += rows
+        grid = smooth_periodogram(periodogram_grid(path.values, N, step), args.smooth)
+        total += grid.values
     comment = _provenance(spec, command="periodogram", T=T, N=N, replicates=reps, smooth=args.smooth)
-    u0s = (starts + N / 2) / T
-    _write_grid(args.out, comment, ["segment_u0", "x", "I"], u0s, grid_values(m), total / reps)
+    _write_grid(args.out, comment, ["segment_u0", "x", "I"], grid.u_values, grid.x_values, total / reps)
     return EXIT_OK
 
 
@@ -340,7 +334,12 @@ def main(argv=None) -> int:
         # argparse exits 2 on bad usage, matching the config-error code
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        # a failed command's stderr is its one JSON error line, so warnings are shown only on success
+        with warnings.catch_warnings(record=True) as caught:
+            code = args.func(args)
+        for w in caught:
+            warnings.showwarning(w.message, w.category, w.filename, w.lineno)
+        return code
     except SingularPolynomialError as exc:
         _error("singular-polynomial", str(exc))
         return EXIT_SINGULAR

@@ -274,18 +274,17 @@ def eval_curve(expr: CurveExpr, u):
     finite (overflow, or a NaN u) raises `CurveDomainError` naming the
     first such u.
     """
-    clamped = np.clip(u, 0.0, 1.0)
+    scalar = np.ndim(u) == 0
+    # a scalar runs as a 1-element array: numpy rounds integer powers of 0-d
+    # values differently, and u must give the same bits alone as in an array
+    clamped = np.clip(np.reshape(u, 1) if scalar else u, 0.0, 1.0)
     # an overflow or NaN is reported once, by the isfinite check below
     with np.errstate(over="ignore", invalid="ignore"):
-        out = _eval(expr, clamped)
-    if np.isscalar(u) or np.ndim(u) == 0:
-        out = float(out)
-    else:
-        out = np.asarray(out, dtype=np.float64) + np.zeros_like(clamped, dtype=np.float64)
+        out = np.asarray(_eval(expr, clamped), dtype=np.float64) + np.zeros_like(clamped, dtype=np.float64)
     if not np.isfinite(out).all():
         bad_u = np.ravel(u)[np.argmin(np.isfinite(out))]
         raise CurveDomainError(f"curve {serialize(expr)} is not finite at u={float(bad_u)!r}")
-    return out
+    return float(out[0]) if scalar else out
 
 
 def serialize(expr: CurveExpr) -> str:

@@ -141,16 +141,19 @@ def make_innovations(spec: InnovationSpec, count: int, start: int = 0) -> np.nda
 # process specifications
 
 
-def _as_curve(c) -> CurveExpr:
+def _as_curve(c, name: str) -> CurveExpr:
     if isinstance(c, CurveExpr):
         return c
     if isinstance(c, str):
         return parse(c)
-    return constant(float(c))
+    # a bool is rejected, not coerced: True is not the curve 1
+    if isinstance(c, (int, float, np.integer, np.floating)) and not isinstance(c, bool):
+        return constant(float(c))
+    raise ValueError(f"{name} must be a curve string or a number, got {c!r}")
 
 
-def _curve_block(curves) -> tuple[CurveExpr, ...]:
-    items = [_as_curve(c) for c in curves]
+def _curve_block(curves, field: str) -> tuple[CurveExpr, ...]:
+    items = [_as_curve(c, f"{field}[{i}]") for i, c in enumerate(curves)]
     items.extend(constant(0.0) for _ in range(block_size(len(items)) - len(items)))
     return tuple(items)
 
@@ -212,20 +215,22 @@ def make_process_spec(
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
     for field, curves in (("ar", ar), ("ma", ma)):
-        if isinstance(curves, str):
-            raise ValueError(f"{field} must be a list of curves, got the string {curves!r}")
+        # iterating a string or a dict would read its characters or keys as curves
+        if curves is not None and not isinstance(curves, (list, tuple)):
+            got = f"the string {curves!r}" if isinstance(curves, str) else repr(curves)
+            raise ValueError(f"{field} must be a list of curves, got {got}")
     if kind in MA_KINDS:
-        ar_block = (_as_curve("1"),)
+        ar_block = (constant(1.0),)
     else:
         if not ar:
             raise ValueError(f"{kind} needs autoregressive curves")
-        ar_block = _curve_block(ar)
+        ar_block = _curve_block(ar, "ar")
     if kind == "tvDAR":
-        ma_block = (_as_curve("1"),)
+        ma_block = (constant(1.0),)
     else:
         if not ma:
             raise ValueError(f"{kind} needs moving-average curves")
-        ma_block = _curve_block(ma)
+        ma_block = _curve_block(ma, "ma")
     for name, block in (("autoregressive", ar_block), ("moving-average", ma_block)):
         half = len(block) // 2
         if len(block) > 1 and all(is_constant_zero(c) for c in block[half:]):
@@ -238,8 +243,8 @@ def make_process_spec(
         kind=kind,
         ar=ar_block,
         ma=ma_block,
-        trend=_as_curve(trend),
-        amplitude=_as_curve(amplitude),
+        trend=_as_curve(trend, "trend"),
+        amplitude=_as_curve(amplitude, "amplitude"),
         innovations=InnovationSpec(distribution=distribution, sigma=sigma, seed=seed),
     )
 
@@ -291,7 +296,6 @@ class SamplePath:
 
     values: np.ndarray
     innovations: np.ndarray
-    spec_fingerprint: str
 
     @property
     def length(self) -> int:
@@ -366,7 +370,7 @@ def _simulate_on(spec: ProcessSpec, T: int, innovations, u0) -> SamplePath:
     # evaluated, which keeps them out of the peak memory at large T
     core = _core_values(spec, *coefficient_rows(spec, u), eps)
     values = eval_curve(spec.trend, u) + eval_curve(spec.amplitude, u) * core
-    return SamplePath(values=values, innovations=eps, spec_fingerprint=spec.fingerprint())
+    return SamplePath(values=values, innovations=eps)
 
 
 def simulate(spec: ProcessSpec, T: int, innovations=None) -> SamplePath:

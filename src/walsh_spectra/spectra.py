@@ -12,8 +12,8 @@ grid averages.
 Estimation side: the finite Walsh transform of a data segment, its
 periodogram (squared transform over the segment length), optional moving
 average smoothing over neighboring bins, and the segmented local
-estimator that applies the periodogram on aligned power-of-two blocks to
-track a time-varying spectrum.
+estimator `periodogram_grid` that applies the periodogram on aligned
+power-of-two blocks to track a time-varying spectrum as a `SpectralGrid`.
 """
 
 from __future__ import annotations
@@ -153,88 +153,85 @@ def empirical_dyadic_covariance(path, tau: int, segment: tuple[int, int] | None 
 # estimation from data
 
 
-def _segment_periodograms(values: np.ndarray, N: int, step: int) -> tuple[np.ndarray, np.ndarray]:
-    """Starts and the (segments, N) periodogram rows d*d/N of every N-point segment.
+def _size(value, name: str) -> int:
+    """``value`` as an int; a bool, float or string raises TypeError naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
-    The segments start at 0, step, 2*step, ... and end inside ``values``;
-    one `fwht` call transforms all of them.
+
+def periodogram_grid(values, N: int, step: int | None = None) -> SpectralGrid:
+    """Periodograms d*d/N of the N-point segments of a series, one row per segment.
+
+    The segments start at 0, step, 2*step, ... and end inside the series
+    of length T; row i sits at the rescaled midpoint (start_i + N/2) / T
+    on x = grid_values(log2 N), and one `fwht` call transforms every
+    segment.  Default is aligned, non-overlapping segments (step = N),
+    for which the XOR indexing of each segment is internally consistent;
+    other steps give overlapping segments, useful as a smoother but
+    heuristic.
     """
+    values = np.asarray(values, dtype=np.float64)
+    if values.ndim != 1:
+        raise ValueError(f"periodogram needs a one-dimensional segment, got shape {values.shape}")
+    T = values.size
+    N = _size(N, "N")
+    m = block_exponent(N, "segment length")
+    if N > T:
+        raise ValueError(f"segment length {N} exceeds the path length {T}")
+    step = N if step is None else _size(step, "step")
+    if step < 1:
+        raise ValueError("step must be >= 1")
+    x = grid_values(m)  # built before the transform: allocated after it, it raised the peak memory
     d = fwht(np.lib.stride_tricks.sliding_window_view(values, N)[::step])
     d *= d
     d /= N
-    return np.arange(0, values.size - N + 1, step), d
-
-
-def _smooth_rows(values: np.ndarray, w: int) -> np.ndarray:
-    """Moving average over 2*w+1 adjacent bins of each row, reflecting at the row ends.
-
-    Each row is padded as ``np.pad(row, w, mode="symmetric")`` does (the
-    reflection repeats with period 2n when w > n), the padded rows are
-    laid end to end and convolved once, and the outputs that overlap a
-    row boundary are dropped.  Each kept output is the same dot product
-    over the same 2*w+1 values as a per-row ``mode="valid"`` convolution.
-    """
-    rows, n = values.shape
-    idx = np.arange(-w, n + w) % (2 * n)
-    padded = values[:, np.minimum(idx, 2 * n - 1 - idx)]
-    kernel = np.full(2 * w + 1, 1.0 / (2 * w + 1))
-    full = np.convolve(padded.reshape(-1), kernel)  # "full": 2*w partial outputs lead
-    return full[2 * w :].reshape(rows, n + 2 * w)[:, :n]
+    return SpectralGrid(u_values=(np.arange(0, T - N + 1, step) + N / 2) / T, x_values=x, values=d)
 
 
 def walsh_periodogram(data) -> Periodogram:
     """Periodogram I(x_j) = d(x_j)**2 / N of a whole series of power-of-two length N.
 
     The series is one segment starting at 0, so its rescaled midpoint u0 is
-    1/2; `segmented_local_spectrum` gives the periodograms of sub-segments.
+    1/2; `periodogram_grid` gives the periodograms of sub-segments.
     """
     x = np.asarray(data, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError(f"periodogram needs a one-dimensional segment, got shape {x.shape}")
-    n = x.size
-    return Periodogram(
-        segment_start=0,
-        size=n,
-        u0=0.5,
-        x_values=grid_values(block_exponent(n, "segment length")),
-        values=_segment_periodograms(x, n, n)[1][0],
-    )
+    grid = periodogram_grid(x, x.size)
+    return Periodogram(segment_start=0, size=x.size, u0=0.5, x_values=grid.x_values, values=grid.values[0])
 
 
-def smooth_periodogram(p: Periodogram, half_width: int) -> Periodogram:
-    """Moving average over 2*half_width+1 adjacent bins, reflecting at the ends.
+def smooth_periodogram(p: Periodogram | SpectralGrid, half_width: int) -> Periodogram | SpectralGrid:
+    """Moving average of each row over 2*half_width+1 adjacent bins, reflecting at the ends.
 
     Reflection keeps the total mass unchanged; half_width=0 is the identity.
+    With w = half_width, each row is padded as ``np.pad(row, w,
+    mode="symmetric")`` does (the reflection repeats with period 2n when
+    w > n), the padded rows are laid end to end and convolved once, and
+    the outputs that overlap a row boundary are dropped.  Each kept output
+    is the same dot product over the same 2*w+1 values as a per-row
+    ``mode="valid"`` convolution.
     """
-    w = int(half_width)
+    w = _size(half_width, "half_width")
     if w < 0:
         raise ValueError("half_width must be >= 0")
     if w == 0:
         return p
-    return replace(p, values=_smooth_rows(p.values[None, :], w)[0])
+    values = np.atleast_2d(p.values)
+    rows, n = values.shape
+    idx = np.arange(-w, n + w) % (2 * n)
+    padded = values[:, np.minimum(idx, 2 * n - 1 - idx)]
+    kernel = np.full(2 * w + 1, 1.0 / (2 * w + 1))
+    full = np.convolve(padded.reshape(-1), kernel)  # "full": 2*w partial outputs lead
+    return replace(p, values=full[2 * w :].reshape(rows, n + 2 * w)[:, :n].reshape(p.values.shape))
 
 
 def segmented_local_spectrum(path, N: int, step: int | None = None) -> list[Periodogram]:
-    """Per-segment periodograms of a path, tracking a time-varying spectrum.
-
-    Default is aligned, non-overlapping segments (step = N), for which
-    the XOR indexing of each segment is internally consistent; other
-    steps give overlapping segments, useful as a smoother but heuristic.
-    """
+    """The rows of `periodogram_grid` over a path, one `Periodogram` per segment."""
     values = path.values if isinstance(path, SamplePath) else np.asarray(path, dtype=np.float64)
-    T = values.size
-    N = int(N)
-    m = block_exponent(N, "segment length")
-    if N > T:
-        raise ValueError(f"segment length {N} exceeds the path length {T}")
-    if step is None:
-        step = N
-    step = int(step)
-    if step < 1:
-        raise ValueError("step must be >= 1")
-    starts, rows = _segment_periodograms(values, N, step)
-    x = grid_values(m)
+    grid = periodogram_grid(values, N, step)
+    N = grid.x_values.size
     return [
-        Periodogram(segment_start=s, size=N, u0=(s + N / 2) / T, x_values=x, values=row)
-        for s, row in zip(starts.tolist(), rows)
+        # u0 = (start + N/2) / T, so rounding u0*T - N/2 recovers the start exactly
+        Periodogram(segment_start=round(u0 * values.size - N / 2), size=N, u0=u0, x_values=grid.x_values, values=row)
+        for u0, row in zip(grid.u_values.tolist(), grid.values)
     ]

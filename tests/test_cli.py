@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from walsh_spectra.cli import CSV_CHUNK_ROWS, _write_csv, main
+from walsh_spectra.processes import approx_error, simulate, simulate_frozen, spawn_seed, spec_from_dict
 
 WHITE_NOISE = {"kind": "tvDMA", "ma": ["1"], "sigma": 1.0, "seed": 3}
 CONSTANT_DAR = {"kind": "tvDAR", "ar": ["2", "1"], "seed": 5}
@@ -401,6 +402,13 @@ def one_json_line(stderr):
     return json.loads(stderr)
 
 
+def fresh_cli(argv):
+    """Run the CLI in a fresh interpreter, which shows warnings on stderr where pytest would capture them."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "walsh_spectra", *argv], env=env, capture_output=True, text=True)
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_non_finite_curve_exit_code(tmp_path, capsys):
     spec = write_spec(tmp_path, {"kind": "tvDMA", "ma": ["exp(1000*u)"], "seed": 0})
@@ -411,10 +419,7 @@ def test_non_finite_curve_exit_code(tmp_path, capsys):
     assert err["error"] == "config"
     assert "is not finite at u=" in err["message"]
     assert not out.exists()
-    # a fresh interpreter shows numpy warnings on stderr, where pytest would capture them
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    run = subprocess.run([sys.executable, "-m", "walsh_spectra", *argv], env=env, capture_output=True, text=True)
+    run = fresh_cli(argv)
     assert run.returncode == 2
     assert one_json_line(run.stderr) == err
     assert not out.exists()
@@ -539,3 +544,52 @@ def test_write_csv_matches_row_reference(tmp_path, rows):
 def test_write_csv_rejects_ragged_columns(tmp_path):
     with pytest.raises(ValueError):
         _write_csv(str(tmp_path / "out.csv"), "#", ["a", "b"], [np.arange(3), np.arange(4.0)])
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("ma", [1, True], "ma[1] must be a curve string or a number, got True"),
+    ("ma", [1, None], "ma[1] must be a curve string or a number, got None"),
+    ("ma", [1, [2]], "ma[1] must be a curve string or a number, got [2]"),
+    ("ma", {"a": 1}, "ma must be a list of curves, got {'a': 1}"),
+    ("trend", None, "trend must be a curve string or a number, got None"),
+    ("amplitude", True, "amplitude must be a curve string or a number, got True"),
+])
+def test_non_curve_spec_value_exit_code(tmp_path, capsys, field, value, message):
+    spec = write_spec(tmp_path, {"kind": "tvDMA", "ma": ["1"], "seed": 0, field: value})
+    out = tmp_path / "x.csv"
+    assert main(["simulate", "--spec", spec, "--T", "8", "--out", str(out)]) == 2
+    err = one_json_line(capsys.readouterr().err)
+    assert err == {"error": "config", "message": f"bad spec: {message}"}
+    assert not out.exists()
+
+
+def test_spec_warning_is_shown_only_when_the_command_succeeds(tmp_path):
+    # the zero upper half of `ma` warns that the declared order is inflated
+    spec = write_spec(tmp_path, {"kind": "tvDMA", "ma": ["1", "0"], "seed": 0})
+    out = tmp_path / "x.csv"
+    failed = fresh_cli(["simulate", "--spec", spec, "--T", "3", "--out", str(out)])
+    assert failed.returncode == 2
+    assert one_json_line(failed.stderr) == {"error": "config", "message": "T must be a power of two, got 3"}
+    assert not out.exists()
+    passed = fresh_cli(["simulate", "--spec", spec, "--T", "8", "--out", str(out)])
+    assert passed.returncode == 0
+    assert "UserWarning: moving-average block of length 2 has an identically zero upper half" in passed.stderr
+    assert out.exists()
+
+
+def test_verify_frozen_errors_equal_the_mean_library_error(tmp_path):
+    # the frozen trend u^3 is evaluated at the scalar u0, the time-varying one on an array
+    u0, Ts, radius, reps = 0.38042426988653233, (128, 256, 512), 4, 3
+    payload = {"kind": "tvDMA", "ma": ["1", "0.5*u"], "trend": "u^3", "seed": 3}
+    out = tmp_path / "report.json"
+    main([
+        "verify", "--spec", write_spec(tmp_path, payload), "--mode", "frozen", "--T", ",".join(map(str, Ts)),
+        "--radius", str(radius), "--replicates", str(reps), "--u0", repr(u0), "--out", str(out),
+    ])
+    spec = spec_from_dict(payload)
+    expected = []
+    for T in Ts:
+        seeds = [spec.with_seed(spawn_seed(3, r)) for r in range(reps)]
+        errs = [approx_error(simulate(s, T), simulate_frozen(s, u0, T), round(u0 * T), radius) for s in seeds]
+        expected.append(float(np.mean(errs)))
+    assert json.loads(out.read_text())["errors"] == expected

@@ -80,7 +80,22 @@ def test_vectorized_evaluation_matches_scalar():
     vec = eval_curve(curve, us)
     assert vec.shape == us.shape
     for i, u in enumerate(us):
-        assert vec[i] == pytest.approx(eval_curve(curve, float(u)), abs=1e-15)
+        assert vec[i] == eval_curve(curve, float(u))
+
+
+@pytest.mark.parametrize("text", ["u^3", "u^-2", "abs(u-0.3)^3/(1+u^2)"])
+def test_scalar_and_array_evaluation_agree_bit_for_bit(text):
+    # numpy rounds integer powers of 0-d values differently from arrays
+    curve = parse(text)
+    us = np.random.default_rng(7).uniform(0.01, 1.0, 2000)
+    scalars = [eval_curve(curve, u) for u in us.tolist()]
+    assert all(type(v) is float for v in scalars)
+    assert scalars == eval_curve(curve, us).tolist()
+
+
+def test_scalar_power_matches_array_power():
+    u = 0.38042426988653233
+    assert eval_curve(parse("u^3"), u) == eval_curve(parse("u^3"), np.array([u]))[0] == 0.05505599899684422
 
 
 def test_constant_curve_broadcasts():

@@ -1,3 +1,4 @@
+import ast
 import re
 import types
 from pathlib import Path
@@ -53,5 +54,18 @@ def test_only_dyadic_decides_power_of_two_blocks():
         if path.name != "dyadic.py"
         for lineno, line in enumerate(path.read_text().splitlines(), 1)
         if by_hand.search(line)
+    ]
+    assert offenders == []
+
+
+def test_no_module_imports_another_modules_private_names():
+    # a `_` name is private to its module; dunders such as __version__ are not
+    offenders = [
+        f"{path.name}:{node.lineno} {alias.name}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("walsh_spectra"))
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.startswith("__")
     ]
     assert offenders == []

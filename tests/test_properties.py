@@ -1,8 +1,16 @@
 """Property tests: laws that hold for every input, not just the worked examples.
 
 Examples are small and drawn single-threaded with a fixed budget, so the
-file adds about two seconds to the suite.
+file adds about four seconds to the suite.
 """
+
+import contextlib
+import io
+import json
+import sys
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +18,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from walsh_spectra.cli import main
 from walsh_spectra.curves import Binary, Call, Literal, Negate, Pi, Variable, parse, serialize
 from walsh_spectra.dyadic import INDEX_CAP, block_exponent, block_size, fwht, zero_pad
 from walsh_spectra.poly import grid_ratio
@@ -152,3 +161,89 @@ def test_zero_pad_keeps_the_prefix_and_zero_fills_the_tail(a, extra):
     assert padded.shape == (a.shape[0], size if extra is None else n + extra)
     assert np.array_equal(padded[:, :n], a)
     assert not np.any(padded[:, n:])
+
+
+# ------------------------------------------------------------------ CLI arguments
+
+# files a drawn `--spec` may name, written into each example's temp directory
+# ("missing.json" is never written, "broken.json" is not JSON)
+SPEC_FILES = {
+    "dma.json": {"kind": "tvDMA", "ma": ["1", "0.5*u"], "seed": 1},
+    "darma.json": {"kind": "tvDARMA", "ar": ["1", "0.4*u"], "ma": ["1", "0.3"], "seed": 2},
+    "singular.json": {"kind": "tvDAR", "ar": ["1", "1"], "seed": 1},
+    "inflated.json": {"kind": "tvDMA", "ma": ["1", "0"]},  # warns: zero upper half
+    "bad_curve.json": {"kind": "tvDMA", "ma": [1, True]},
+    "not_object.json": [1, 2],
+}
+SPEC_FLAGS = {
+    "--preset": ["figure1", "figure2", "nope"],
+    "--spec": [*SPEC_FILES, "broken.json", "missing.json"],
+    "--seed": [0, 5, -1, 1 << 64, "x"],
+}
+GRID_FLAGS = {"--u-points": [-1, 0, 1, 5], "--m": [-1, 0, 3, 25, 40, "x"], "--lambda-points": [-1, 0, 1, 5]}
+# T <= 2**10, replicates <= 2, and a grid exponent m that is small or over the cap
+COMMAND_FLAGS = {
+    "simulate": {**SPEC_FLAGS, "--T": [-1, 0, 1, 3, 8, 100, 1024, "x"], "--out": ["out.csv"]},
+    "spectrum": {**SPEC_FLAGS, **GRID_FLAGS, "--fourier-out": ["f.csv"], "--out": ["g.csv"]},
+    "convert": {**SPEC_FLAGS, "--target": ["dma", "dar", "x"], "--u-points": [-1, 0, 1, 5], "--out": ["k.csv"]},
+    "verify": {
+        **SPEC_FLAGS,
+        "--mode": ["frozen", "conversion", "x"],
+        "--T": ["128,256", "8,16,32", "", "abc", "128", "100,128", "-4,8", "1024,512"],
+        "--replicates": [-1, 0, 1, 2],
+        "--radius": [-1, 0, 2, 3000],
+        "--u0": [-0.5, 0, 0.3, 0.99, 1, "nan", "inf"],
+        "--slack": [0, 0.5, "nan", -1],
+        "--out": ["report.json"],
+    },
+    "periodogram": {
+        **SPEC_FLAGS,
+        "--T": [-1, 0, 8, 64, 100, 1024],
+        "--segments": [-1, 0, 1, 3, 16, 2048],
+        "--step": [-1, 0, 1, 3, 16],
+        "--smooth": [-1, 0, 1, 3],
+        "--replicates": [-1, 0, 1, 2],
+        "--out": ["p.csv"],
+    },
+    "figures": {"--preset": ["figure1", "nope"], **GRID_FLAGS, "--out": ["figs"]},
+}
+
+
+PATH_FLAGS = ("--spec", "--out", "--fourier-out")
+
+
+def flag(name, values):
+    """Nothing, or ``[name, value]`` for one drawn value; paths point into the example's temp directory."""
+    text = (lambda v: f"{{tmp}}/{v}") if name in PATH_FLAGS else str
+    return st.one_of(st.just([]), st.sampled_from(values).map(lambda v: [name, text(v)]))
+
+
+def argument_vectors():
+    def command_line(command):
+        parts = [flag(name, values) for name, values in COMMAND_FLAGS[command].items()]
+        return st.tuples(*parts).map(lambda drawn: [command, *(a for part in drawn for a in part)])
+
+    return st.sampled_from(sorted(COMMAND_FLAGS)).flatmap(command_line)
+
+
+@SETTINGS
+@given(argument_vectors())
+def test_cli_ends_every_argument_vector_in_an_exit_code(argv):
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        for name, payload in SPEC_FILES.items():
+            Path(tmp, name).write_text(json.dumps(payload))
+        Path(tmp, "broken.json").write_text("{")
+        with warnings.catch_warnings():
+            # warnings reach stderr, as they do outside the test runner
+            warnings.simplefilter("always")
+            warnings.showwarning = lambda *w, **kw: sys.stderr.write(warnings.formatwarning(*w[:4]))
+            code = main([a.replace("{tmp}", tmp) for a in argv])
+    assert code in (0, 2, 3, 4)
+    err = stderr.getvalue()
+    if err.startswith("usage:"):
+        assert code == 2
+    elif code in (2, 3):
+        lines = err.splitlines()
+        assert len(lines) == 1 and err.endswith("\n"), err
+        assert set(json.loads(lines[0])) == {"error", "message"}

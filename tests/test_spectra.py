@@ -14,11 +14,11 @@ from walsh_spectra.processes import (
     simulate,
 )
 from walsh_spectra.spectra import (
-    _segment_periodograms,
-    _smooth_rows,
+    SpectralGrid,
     covariance_from_density,
     dma_covariance,
     empirical_dyadic_covariance,
+    periodogram_grid,
     segmented_local_spectrum,
     smooth_periodogram,
     tv_dyadic_density,
@@ -315,8 +315,11 @@ def test_segment_periodogram_matches_manual():
 ])
 def test_segment_periodograms_match_single_segments(T, N, step):
     values = np.random.default_rng(T + N + step).standard_normal(T)
-    starts, rows = _segment_periodograms(values, N, step)
-    assert starts.tolist() == list(range(0, T - N + 1, step))
+    grid = periodogram_grid(values, N, step)
+    starts = range(0, T - N + 1, step)
+    assert grid.u_values.tolist() == [(s + N / 2) / T for s in starts]
+    assert np.array_equal(grid.x_values, grid_values(N.bit_length() - 1))
+    rows = grid.values
     assert rows.shape == (len(starts), N)
     for s, row in zip(starts, rows):
         seg = values[s : s + N]
@@ -332,11 +335,53 @@ def test_smooth_rows_match_per_row_convolution(N, w):
     rows = np.random.default_rng(N * w).exponential(size=(5, N)) * 1e3
     kernel = np.full(2 * w + 1, 1.0 / (2 * w + 1))
     expected = [np.convolve(np.pad(r, w, mode="symmetric"), kernel, mode="valid") for r in rows]
-    out = _smooth_rows(rows, w)
+    out = smooth_periodogram(SpectralGrid(u_values=np.arange(5.0), x_values=np.arange(N) / N, values=rows), w).values
     assert out.shape == rows.shape
     assert all(np.array_equal(o, e) for o, e in zip(out, expected))
     p = walsh_periodogram(np.zeros(N))
     assert np.array_equal(smooth_periodogram(replace(p, values=rows[2]), w).values, expected[2])
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda x: segmented_local_spectrum(x, 16, step=2.5), TypeError, "step must be an integer, got 2.5"),
+    (lambda x: segmented_local_spectrum(x, 16.0), TypeError, "N must be an integer, got 16.0"),
+    (lambda x: segmented_local_spectrum(x, True), TypeError, "N must be an integer, got True"),
+    (lambda x: periodogram_grid(x, "16"), TypeError, "N must be an integer, got '16'"),
+    (lambda x: periodogram_grid(x, 16, step=True), TypeError, "step must be an integer, got True"),
+    (lambda x: smooth_periodogram(walsh_periodogram(x), 1.5), TypeError, "half_width must be an integer, got 1.5"),
+    (lambda x: smooth_periodogram(walsh_periodogram(x), True), TypeError, "half_width must be an integer, got True"),
+    (lambda x: smooth_periodogram(walsh_periodogram(x), "2"), TypeError, "half_width must be an integer, got '2'"),
+    (lambda x: smooth_periodogram(periodogram_grid(x, 16), -1), ValueError, "half_width must be >= 0"),
+    (lambda x: segmented_local_spectrum(x.reshape(2, 64), 16), ValueError,
+     "periodogram needs a one-dimensional segment, got shape (2, 64)"),
+    (lambda x: periodogram_grid(x.reshape(2, 64), 16), ValueError,
+     "periodogram needs a one-dimensional segment, got shape (2, 64)"),
+])
+def test_periodogram_sizes_are_checked_not_truncated(call, error, message):
+    with pytest.raises(error) as info:
+        call(np.ones(128))
+    assert str(info.value) == message
+
+
+def test_periodogram_sizes_accept_numpy_integers():
+    values = np.random.default_rng(5).standard_normal(128)
+    segs = segmented_local_spectrum(values, np.int64(16), step=np.int32(8))
+    assert [p.segment_start for p in segs] == list(range(0, 113, 8))
+    assert all(type(p.segment_start) is int and type(p.size) is int for p in segs)
+    smoothed = smooth_periodogram(segs[3], np.int64(2))
+    assert np.array_equal(smoothed.values, smooth_periodogram(segs[3], 2).values)
+
+
+def test_smoothing_a_grid_smooths_each_row():
+    values = np.random.default_rng(6).standard_normal(256)
+    grid = periodogram_grid(values, 32, 16)
+    smoothed = smooth_periodogram(grid, 3)
+    assert smoothed.u_values is grid.u_values and smoothed.x_values is grid.x_values
+    segs = segmented_local_spectrum(values, 32, 16)
+    assert len(segs) == smoothed.values.shape[0]
+    for p, row in zip(segs, smoothed.values):
+        assert np.array_equal(smooth_periodogram(p, 3).values, row)
+    assert smooth_periodogram(grid, 0) is grid
 
 
 def test_segmented_local_spectrum_fields():
