@@ -337,8 +337,8 @@ def main(argv=None) -> int:
         # a failed command's stderr is its one JSON error line, so warnings are shown only on success
         with warnings.catch_warnings(record=True) as caught:
             code = args.func(args)
-        for w in caught:
-            warnings.showwarning(w.message, w.category, w.filename, w.lineno)
+        for w in caught:  # the message alone: the package line that warned means nothing to a user
+            print(f"{w.category.__name__}: {w.message}", file=sys.stderr)
         return code
     except SingularPolynomialError as exc:
         _error("singular-polynomial", str(exc))

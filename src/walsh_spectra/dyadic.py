@@ -32,10 +32,15 @@ GRID_EXPONENT_CAP = 24
 MATRIX_EXPONENT_CAP = 12
 
 
+def as_int(value, what: str) -> int:
+    """``value`` as an int; a bool, float, string or any other non-integer raises TypeError naming ``what``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _check_index(n, what: str = "index") -> int:
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-        raise TypeError(f"{what} must be an integer, got {type(n).__name__}")
-    n = int(n)
+    n = as_int(n, what)
     if n < 0:
         raise ValueError(f"{what} must be non-negative, got {n}")
     if n >= INDEX_CAP:
@@ -66,20 +71,13 @@ class DyadicPoint:
 
     def __post_init__(self):
         j = _check_index(self.numerator, "numerator")
-        m = self.resolution
-        if isinstance(m, bool) or not isinstance(m, (int, np.integer)):
-            raise TypeError("resolution must be an integer")
-        m = int(m)
+        m = as_int(self.resolution, "resolution")
         if m < 0:
             raise ValueError("resolution must be >= 0")
         if j >= (1 << m):
             raise ValueError(f"numerator {j} out of range for resolution {m}")
-        while m > 0 and j % 2 == 0:
-            if j == 0:
-                m = 0
-                break
-            j //= 2
-            m -= 1
+        zeros = (j & -j).bit_length() - 1 if j else m  # trailing zero bits; 0 is 0/2**0
+        j, m = j >> zeros, m - zeros
         object.__setattr__(self, "numerator", j)
         object.__setattr__(self, "resolution", m)
 
@@ -154,9 +152,10 @@ def walsh(n: int, x) -> int:
 
 def _check_grid_exponent(m) -> int:
     """m as an int in [0, GRID_EXPONENT_CAP]; a non-integer raises TypeError."""
-    if isinstance(m, (int, np.integer)) and not isinstance(m, bool) and not 0 <= m <= GRID_EXPONENT_CAP:
+    m = as_int(m, "m")
+    if not 0 <= m <= GRID_EXPONENT_CAP:
         raise ValueError(f"grid exponent m must lie in [0, {GRID_EXPONENT_CAP}], got {m}")
-    return _check_index(m, "m")
+    return m
 
 
 def grid_points(m: int) -> list[DyadicPoint]:
@@ -211,7 +210,8 @@ def hadamard_matrix(m: int) -> np.ndarray:
 
 
 def block_exponent(n: int, what: str = "length") -> int:
-    """m for n = 2**m; any other n raises ValueError naming ``what``."""
+    """m for n = 2**m; a non-integer n raises TypeError and any other n ValueError, naming ``what``."""
+    n = as_int(n, what)
     if n < 1 or n & (n - 1):
         raise ValueError(f"{what} must be a power of two, got {n}")
     return n.bit_length() - 1

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dyadic import fwht, walsh, zero_pad
+from .dyadic import as_int, fwht, walsh, zero_pad
 
 #: relative threshold below which a grid value counts as a zero of the polynomial
 SINGULARITY_RTOL = 1e-9
@@ -66,7 +66,7 @@ class WalshPolynomial:
         return self.coefficients.size
 
     def padded_to(self, length: int) -> "WalshPolynomial":
-        if length < self.length:
+        if as_int(length, "length") < self.length:
             raise ValueError("cannot shrink a polynomial")
         return WalshPolynomial(zero_pad(self.coefficients, length))
 
@@ -90,7 +90,7 @@ class WalshPolynomial:
 
 def unit(length: int = 1) -> WalshPolynomial:
     """The constant polynomial 1 (coefficient vector e_0), the convolution unit."""
-    return WalshPolynomial(zero_pad([1.0], length))
+    return WalshPolynomial(zero_pad([1.0], as_int(length, "length")))
 
 
 def _common(a: WalshPolynomial, b: WalshPolynomial) -> tuple[np.ndarray, np.ndarray]:

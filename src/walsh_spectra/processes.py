@@ -22,13 +22,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 import warnings
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from .curves import CurveExpr, constant, eval_curve, is_constant_zero, parse, serialize
-from .dyadic import INDEX_CAP, block_exponent, block_size
+from .dyadic import INDEX_CAP, as_int, block_exponent, block_size
 # unused here, but kept bound: benchmark/smoke_check.py asserts processes.fwht is dyadic.fwht
 from .dyadic import fwht  # noqa: F401
 from .poly import SINGULARITY_RTOL, grid_ratio
@@ -74,14 +75,22 @@ def _mix64(z: np.ndarray) -> np.ndarray:
 
 def _words(seed: int, counters: np.ndarray) -> np.ndarray:
     """Pseudorandom 64-bit word for each counter, a pure function of (seed, counter)."""
-    base = _mix64_int((int(seed) & _M64) + _GAMMA)
+    base = _mix64_int(seed + _GAMMA)
     state = np.uint64(base) + (counters + np.uint64(1)) * np.uint64(_GAMMA)
     return _mix64(state)
 
 
 def spawn_seed(master: int, index: int) -> int:
     """Derived seed for an independent work unit (replicate, worker, block)."""
-    return _mix64_int((int(master) & _M64) ^ _mix64_int((index + 1) * _GAMMA))
+    master, index = as_int(master, "master"), as_int(index, "index")
+    if not (0 <= master <= _M64 and index >= 0):
+        raise ValueError(f"master must lie in [0, 2**64) and index be >= 0, got {master} and {index}")
+    return _mix64_int(master ^ _mix64_int((index + 1) * _GAMMA))
+
+
+def _is_real(x) -> bool:
+    """An int, float or numpy number that is not a bool: True and "1" are not coerced to 1."""
+    return isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool)
 
 
 @dataclass(frozen=True)
@@ -97,17 +106,14 @@ class InnovationSpec:
             raise ValueError(
                 f"distribution must be one of {DISTRIBUTIONS}, got {self.distribution!r}"
             )
-        sigma, seed = self.sigma, self.seed
-        # a bool or a string is rejected, not coerced: True is not a sigma of 1
-        real = isinstance(sigma, (int, float, np.integer, np.floating)) and not isinstance(sigma, bool)
-        if not (real and 0 < sigma < np.inf):
+        sigma = self.sigma
+        if not (_is_real(sigma) and 0 < sigma < np.inf):
             raise ValueError(f"sigma must be a finite positive number, got {sigma!r}")
-        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
-            raise TypeError(f"seed must be an integer, got {seed!r}")
+        seed = as_int(self.seed, "seed")
         if not 0 <= seed <= _M64:
             raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
         object.__setattr__(self, "sigma", float(sigma))
-        object.__setattr__(self, "seed", int(seed))
+        object.__setattr__(self, "seed", seed)
 
 
 def make_innovations(spec: InnovationSpec, count: int, start: int = 0) -> np.ndarray:
@@ -118,6 +124,7 @@ def make_innovations(spec: InnovationSpec, count: int, start: int = 0) -> np.nda
     range.  That is what makes parallel generation reproduce serial
     output exactly.
     """
+    count, start = as_int(count, "count"), as_int(start, "start")
     if count < 1:
         raise ValueError("count must be >= 1")
     if start < 0 or start + count > INDEX_CAP:
@@ -146,8 +153,7 @@ def _as_curve(c, name: str) -> CurveExpr:
         return c
     if isinstance(c, str):
         return parse(c)
-    # a bool is rejected, not coerced: True is not the curve 1
-    if isinstance(c, (int, float, np.integer, np.floating)) and not isinstance(c, bool):
+    if _is_real(c):
         return constant(float(c))
     raise ValueError(f"{name} must be a curve string or a number, got {c!r}")
 
@@ -237,7 +243,8 @@ def make_process_spec(
             warnings.warn(
                 f"{name} block of length {len(block)} has an identically zero "
                 "upper half; the declared order is inflated",
-                stacklevel=2,
+                # called through `spec_from_dict`, the warning names that function's caller
+                stacklevel=3 if sys._getframe(1).f_code is spec_from_dict.__code__ else 2,
             )
     return ProcessSpec(
         kind=kind,
@@ -303,8 +310,7 @@ class SamplePath:
 
 
 def _check_horizon(T: int, needed: int) -> int:
-    T = int(T)
-    block_exponent(T, "T")
+    T = 1 << block_exponent(T, "T")
     if T < needed:
         raise ValueError(f"T={T} is shorter than the coefficient block length {needed}")
     return T
@@ -362,9 +368,11 @@ def _core_values(spec: ProcessSpec, b_rows, a_rows, eps) -> np.ndarray:
 def _simulate_on(spec: ProcessSpec, T: int, innovations, u0) -> SamplePath:
     """Body of `simulate` (u0 None: u = t/T) and `simulate_frozen` (u = u0 for every t)."""
     T = _check_horizon(T, max(len(spec.ar), len(spec.ma)))
+    if u0 is not None and not _is_real(u0):
+        raise TypeError(f"u0 must be a real number, got {u0!r}")
     eps = make_innovations(spec.innovations, T) if innovations is None else np.asarray(innovations, dtype=np.float64)
-    if eps.size != T:
-        raise ValueError("innovations length must equal T")
+    if innovations is not None and (eps.shape != (T,) or not np.isfinite(eps).all()):
+        raise ValueError(f"innovations must be a one-dimensional array of {T} finite values, got shape {eps.shape}")
     u = np.arange(T) / T if u0 is None else np.full(T, float(u0))
     # the coefficient rows are released before trend and amplitude are
     # evaluated, which keeps them out of the peak memory at large T
@@ -431,6 +439,7 @@ def dma_coefficient_rows(spec: ProcessSpec, u) -> np.ndarray:
 
 def _window(center: int, radius: int, length: int) -> slice:
     """Index window |t - center| <= radius, checked to lie inside a path of the given length."""
+    center, radius = as_int(center, "center"), as_int(radius, "radius")
     if radius < 0:
         raise ValueError("radius must be >= 0")
     lo, hi = center - radius, center + radius
@@ -502,18 +511,21 @@ def decay_experiment(
         raise ValueError(f"mode must be 'frozen' or 'conversion', got {mode!r}")
     if mode == "conversion" and spec.kind in MA_KINDS:
         raise ValueError("conversion mode needs an autoregressive-kind spec")
+    radius, replicates = as_int(radius, "radius"), as_int(replicates, "replicates")
     if replicates < 1:
         raise ValueError(f"replicates must be >= 1, got {replicates}")
-    u0 = float(u0)
+    for name, value in (("u0", u0), ("slack", slack)):
+        if not _is_real(value):
+            raise TypeError(f"{name} must be a real number, got {value!r}")
+    u0, slack = float(u0), float(slack)
     if not (np.isfinite(u0) and 0.0 <= u0 < 1.0):
         raise ValueError(f"u0 must be a finite number in [0, 1), got {u0}")
-    slack = float(slack)
     if not np.isfinite(slack):
         raise ValueError(f"slack must be a finite number, got {slack}")
-    T_values = tuple(int(T) for T in T_values)
+    T_values = tuple(as_int(T, f"T_values[{i}]") for i, T in enumerate(T_values))
     needed = max(len(spec.ar), len(spec.ma))
     # every horizon and window is checked before anything is simulated
-    windows = [_window(int(round(u0 * T)), radius, _check_horizon(T, needed)) for T in T_values]
+    windows = [_window(round(u0 * T), radius, _check_horizon(T, needed)) for T in T_values]
     if len(set(T_values)) < 2:
         raise ValueError(f"a decay slope needs at least two distinct horizons, got {list(T_values)}")
     mean_errors = []
@@ -553,10 +565,10 @@ def decay_experiment(
     return ApproxReport(
         mode=mode,
         u0=u0,
-        radius=int(radius),
+        radius=radius,
         T_values=T_values,
         errors=tuple(mean_errors),
         slope=slope,
         exact=exact,
-        replicates=int(replicates),
+        replicates=replicates,
     )

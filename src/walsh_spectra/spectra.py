@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dyadic import block_exponent, fwht, grid_values, zero_pad
+from .dyadic import as_int, block_exponent, fwht, grid_values, zero_pad
 from .poly import WalshPolynomial
 from .processes import MA_KINDS, ProcessSpec, SamplePath, dma_coefficient_rows
 
@@ -66,8 +66,7 @@ def tv_dyadic_density(spec: ProcessSpec, u_values, m: int) -> SpectralGrid:
     grid coarser than the coefficient block are exact point evaluations,
     computed at the block resolution and subsampled.
     """
-    m = int(m)
-    x = grid_values(m)  # checks m against GRID_EXPONENT_CAP before the grid is allocated
+    x = grid_values(m)  # checks that m is an integer in [0, GRID_EXPONENT_CAP] before the grid is allocated
     u = np.atleast_1d(np.asarray(u_values, dtype=np.float64))
     rows = dma_coefficient_rows(spec, u)
     amps = fwht(zero_pad(rows, max(1 << m, rows.shape[1])))
@@ -101,7 +100,7 @@ def dma_covariance(coeffs, sigma: float, tau: int) -> float:
     cross terms).  Lags at or beyond the coefficient block are exactly 0.
     """
     a = _coeffs(coeffs)
-    tau = int(tau)
+    tau = as_int(tau, "tau")
     if tau < 0:
         raise ValueError("tau must be >= 0")
     if tau >= a.size:
@@ -120,7 +119,7 @@ def covariance_from_density(density_row, tau: int) -> float:
     if g.ndim != 1:
         raise ValueError(f"density row must be one-dimensional, got shape {g.shape}")
     block_exponent(g.size, "density row length")
-    tau = int(tau)
+    tau = as_int(tau, "tau")
     if not 0 <= tau < g.size:
         raise ValueError(f"tau must lie in [0, {g.size}), got {tau}")
     return float(fwht(g)[tau] / g.size)
@@ -135,13 +134,13 @@ def empirical_dyadic_covariance(path, tau: int, segment: tuple[int, int] | None 
     values = path.values if isinstance(path, SamplePath) else np.asarray(path, dtype=np.float64)
     if segment is None:
         segment = (0, values.size)
-    start, n = map(int, segment)
+    start, n = (as_int(v, "segment") for v in segment)
     block_exponent(n, "segment length")
     if start % n != 0:
         raise ValueError(f"segment start {start} is not aligned to length {n}")
     if start < 0 or start + n > values.size:
         raise ValueError("segment leaves the path")
-    tau = int(tau)
+    tau = as_int(tau, "tau")
     if not 0 <= tau < n:
         raise ValueError(f"tau must lie in [0, {n}), got {tau}")
     seg = values[start : start + n]
@@ -151,13 +150,6 @@ def empirical_dyadic_covariance(path, tau: int, segment: tuple[int, int] | None 
 
 # --------------------------------------------------------------------------
 # estimation from data
-
-
-def _size(value, name: str) -> int:
-    """``value`` as an int; a bool, float or string raises TypeError naming ``name``."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise TypeError(f"{name} must be an integer, got {value!r}")
-    return int(value)
 
 
 def periodogram_grid(values, N: int, step: int | None = None) -> SpectralGrid:
@@ -175,11 +167,11 @@ def periodogram_grid(values, N: int, step: int | None = None) -> SpectralGrid:
     if values.ndim != 1:
         raise ValueError(f"periodogram needs a one-dimensional segment, got shape {values.shape}")
     T = values.size
-    N = _size(N, "N")
+    N = as_int(N, "N")
     m = block_exponent(N, "segment length")
     if N > T:
         raise ValueError(f"segment length {N} exceeds the path length {T}")
-    step = N if step is None else _size(step, "step")
+    step = N if step is None else as_int(step, "step")
     if step < 1:
         raise ValueError("step must be >= 1")
     x = grid_values(m)  # built before the transform: allocated after it, it raised the peak memory
@@ -211,7 +203,7 @@ def smooth_periodogram(p: Periodogram | SpectralGrid, half_width: int) -> Period
     is the same dot product over the same 2*w+1 values as a per-row
     ``mode="valid"`` convolution.
     """
-    w = _size(half_width, "half_width")
+    w = as_int(half_width, "half_width")
     if w < 0:
         raise ValueError("half_width must be >= 0")
     if w == 0:

@@ -577,6 +577,16 @@ def test_spec_warning_is_shown_only_when_the_command_succeeds(tmp_path):
     assert out.exists()
 
 
+def test_spec_warning_is_printed_without_a_package_path(tmp_path):
+    spec = write_spec(tmp_path, {"kind": "tvDMA", "ma": ["1", "0"], "seed": 0})
+    passed = fresh_cli(["simulate", "--spec", spec, "--T", "8", "--out", str(tmp_path / "x.csv")])
+    assert passed.returncode == 0
+    assert passed.stderr == (
+        "UserWarning: moving-average block of length 2 has an identically zero upper half; "
+        "the declared order is inflated\n"
+    )
+
+
 def test_verify_frozen_errors_equal_the_mean_library_error(tmp_path):
     # the frozen trend u^3 is evaluated at the scalar u0, the time-varying one on an array
     u0, Ts, radius, reps = 0.38042426988653233, (128, 256, 512), 4, 3

@@ -45,17 +45,25 @@ def test_removed_aliases_are_gone():
     assert not hasattr(cli, "ConfigError")
 
 
-def test_only_dyadic_decides_power_of_two_blocks():
-    # `n & (n - 1)` and `.bit_length(` belong to dyadic.block_exponent and block_size
-    by_hand = re.compile(r"&\s*\([^()]*-\s*1\s*\)|\.bit_length\(")
-    offenders = [
+def outside_dyadic(pattern: str) -> list[str]:
+    """file:line of every line outside dyadic.py that matches the regular expression ``pattern``."""
+    return [
         f"{path.name}:{lineno}"
         for path in sorted(SRC.glob("*.py"))
         if path.name != "dyadic.py"
         for lineno, line in enumerate(path.read_text().splitlines(), 1)
-        if by_hand.search(line)
+        if re.search(pattern, line)
     ]
-    assert offenders == []
+
+
+def test_only_dyadic_decides_power_of_two_blocks():
+    # `n & (n - 1)` and `.bit_length(` belong to dyadic.block_exponent and block_size
+    assert outside_dyadic(r"&\s*\([^()]*-\s*1\s*\)|\.bit_length\(") == []
+
+
+def test_only_dyadic_decides_integer_arguments():
+    # "an int or a numpy integer, not a bool" belongs to dyadic.as_int
+    assert outside_dyadic(re.escape("(int, np.integer)")) == []
 
 
 def test_no_module_imports_another_modules_private_names():

@@ -73,6 +73,15 @@ def test_innovations_seed_sensitivity():
     assert not np.array_equal(base, child)
 
 
+@pytest.mark.parametrize("master, index", [(2**64, 0), (-1, 0), (0, -1), (0, -(2**64))])
+def test_spawn_seed_rejects_arguments_that_would_alias(master, index):
+    # reduced mod 2**64, each of these would repeat the seed of an argument in range
+    with pytest.raises(ValueError) as info:
+        spawn_seed(master, index)
+    assert str(info.value) == f"master must lie in [0, 2**64) and index be >= 0, got {master} and {index}"
+    assert spawn_seed(2**64 - 1, 2**64) != spawn_seed(0, 0)
+
+
 def test_rademacher_support():
     vals = make_innovations(InnovationSpec("rademacher", 1.5, seed=3), 4096)
     assert set(np.unique(vals)) == {-1.5, 1.5}
@@ -128,6 +137,16 @@ def test_degenerate_order_warns():
         make_process_spec("tvDMA", ma=["1", "0.5", "0", "0"])
     with pytest.warns(UserWarning):
         make_process_spec("tvDAR", ar=["1", "u-u"])
+
+
+@pytest.mark.parametrize("build", [
+    lambda: make_process_spec("tvDMA", ma=["1", "0"]),
+    lambda: spec_from_dict({"kind": "tvDMA", "ma": ["1", "0"]}),
+], ids=["make_process_spec", "spec_from_dict"])
+def test_spec_warning_names_the_callers_line(build):
+    with pytest.warns(UserWarning, match="identically zero upper half") as record:
+        build()
+    assert (record[0].filename, record[0].lineno) == (__file__, build.__code__.co_firstlineno)
 
 
 def test_spec_dict_round_trip():
@@ -336,6 +355,17 @@ def test_block_locality():
     scrambled = simulate(spec, T, innovations=eps)
     assert np.allclose(base.values[lo:hi], scrambled.values[lo:hi], atol=1e-12)
     assert not np.allclose(base.values, scrambled.values)
+
+
+@pytest.mark.parametrize("innovations", [np.zeros((2, 4)), np.zeros(4), np.full(8, np.nan), np.r_[np.zeros(7), np.inf]])
+def test_supplied_innovations_must_be_T_finite_values(innovations):
+    spec = make_process_spec("tvDARMA", ar=["1", "0.3"], ma=["1", "0.5"])
+    for run in (lambda: simulate(spec, 8, innovations), lambda: simulate_frozen(spec, 0.5, 8, innovations)):
+        with pytest.raises(ValueError) as info:
+            run()
+        assert str(info.value) == (
+            f"innovations must be a one-dimensional array of 8 finite values, got shape {innovations.shape}"
+        )
 
 
 @pytest.mark.parametrize("distribution", ["rademacher", "uniform"])
