@@ -365,15 +365,24 @@ def _core_values(spec: ProcessSpec, b_rows, a_rows, eps) -> np.ndarray:
     return ma_part if spec.kind in MA_KINDS else _block_solve(b_rows, ma_part)
 
 
+def _check_u0(u0) -> float:
+    """u0 as a float; anything but a finite real number in [0, 1) raises."""
+    if not _is_real(u0):
+        raise TypeError(f"u0 must be a real number, got {u0!r}")
+    u0 = float(u0)
+    if not (np.isfinite(u0) and 0.0 <= u0 < 1.0):
+        raise ValueError(f"u0 must be a finite number in [0, 1), got {u0}")
+    return u0
+
+
 def _simulate_on(spec: ProcessSpec, T: int, innovations, u0) -> SamplePath:
     """Body of `simulate` (u0 None: u = t/T) and `simulate_frozen` (u = u0 for every t)."""
     T = _check_horizon(T, max(len(spec.ar), len(spec.ma)))
-    if u0 is not None and not _is_real(u0):
-        raise TypeError(f"u0 must be a real number, got {u0!r}")
+    u0 = None if u0 is None else _check_u0(u0)
     eps = make_innovations(spec.innovations, T) if innovations is None else np.asarray(innovations, dtype=np.float64)
     if innovations is not None and (eps.shape != (T,) or not np.isfinite(eps).all()):
         raise ValueError(f"innovations must be a one-dimensional array of {T} finite values, got shape {eps.shape}")
-    u = np.arange(T) / T if u0 is None else np.full(T, float(u0))
+    u = np.arange(T) / T if u0 is None else np.full(T, u0)
     # the coefficient rows are released before trend and amplitude are
     # evaluated, which keeps them out of the peak memory at large T
     core = _core_values(spec, *coefficient_rows(spec, u), eps)
@@ -475,12 +484,11 @@ class ApproxReport:
         return asdict(self)
 
 
-def _slack_pattern(T: int, width: int, magnitude: float) -> np.ndarray:
-    # bounded +-magnitude/T perturbation of the coefficient rows; exercises the
-    # general case where rescaled and actual coefficients differ at order 1/T
-    t = np.arange(T)[:, None]
+def _slack_pattern(t: np.ndarray, width: int, scale: float) -> np.ndarray:
+    # bounded +-scale perturbation of the coefficient rows at times t; exercises
+    # the general case where rescaled and actual coefficients differ at order 1/T
     k = np.arange(width)[None, :]
-    return (magnitude / T) * (1.0 - 2.0 * ((t + k) & 1))
+    return scale * (1.0 - 2.0 * ((t[:, None] + k) & 1))
 
 
 def decay_experiment(
@@ -506,6 +514,9 @@ def decay_experiment(
     bounded coefficient perturbation of size slack/T to the time-varying
     side, which makes the error decay exactly at first order even where
     all curves happen to be flat at u0.
+
+    Only the L-aligned hull of each window is simulated: XOR couples t only
+    inside its aligned block, so those values equal the whole path's.
     """
     if mode not in ("frozen", "conversion"):
         raise ValueError(f"mode must be 'frozen' or 'conversion', got {mode!r}")
@@ -514,12 +525,10 @@ def decay_experiment(
     radius, replicates = as_int(radius, "radius"), as_int(replicates, "replicates")
     if replicates < 1:
         raise ValueError(f"replicates must be >= 1, got {replicates}")
-    for name, value in (("u0", u0), ("slack", slack)):
-        if not _is_real(value):
-            raise TypeError(f"{name} must be a real number, got {value!r}")
-    u0, slack = float(u0), float(slack)
-    if not (np.isfinite(u0) and 0.0 <= u0 < 1.0):
-        raise ValueError(f"u0 must be a finite number in [0, 1), got {u0}")
+    u0 = _check_u0(u0)
+    if not _is_real(slack):
+        raise TypeError(f"slack must be a real number, got {slack!r}")
+    slack = float(slack)
     if not np.isfinite(slack):
         raise ValueError(f"slack must be a finite number, got {slack}")
     T_values = tuple(as_int(T, f"T_values[{i}]") for i, T in enumerate(T_values))
@@ -530,31 +539,37 @@ def decay_experiment(
         raise ValueError(f"a decay slope needs at least two distinct horizons, got {list(T_values)}")
     mean_errors = []
     for T, window in zip(T_values, windows):
-        u = np.arange(T) / T
+        lo, hi = window.start // needed * needed, -(-window.stop // needed) * needed
+        t = np.arange(lo, hi)
+        u = t / T
         b_rows, a_rows = coefficient_rows(spec, u)
         if slack:
-            a_rows = a_rows + _slack_pattern(T, a_rows.shape[1], slack)
+            a_rows = a_rows + _slack_pattern(t, a_rows.shape[1], slack / T)
             if spec.kind not in MA_KINDS:
-                b_rows = b_rows + _slack_pattern(T, b_rows.shape[1], slack)
+                b_rows = b_rows + _slack_pattern(t, b_rows.shape[1], slack / T)
         if mode == "frozen":
-            fb_rows, fa_rows = coefficient_rows(spec, np.full(T, float(u0)))
+            fb_rows, fa_rows = coefficient_rows(spec, np.full(hi - lo, u0))
+            fr_trend, fr_amp = eval_curve(spec.trend, u0), eval_curve(spec.amplitude, u0)
         else:
             k_rows = dma_coefficient_rows(spec, u)  # amplitude folded in
         trend_vals = eval_curve(spec.trend, u)
         amp_vals = eval_curve(spec.amplitude, u)
+        read = slice(window.start - lo, window.stop - lo)
         errs = []
         for rep in range(replicates):
-            eps = make_innovations(
-                replace(spec.innovations, seed=spawn_seed(spec.innovations.seed, rep)), T
-            )
-            core_tv = _core_values(spec, b_rows, a_rows, eps)
+            seed = spawn_seed(spec.innovations.seed, rep)
+            eps = make_innovations(replace(spec.innovations, seed=seed), hi - lo, start=lo)
+            try:
+                core_tv = _core_values(spec, b_rows, a_rows, eps)
+            except SingularBlockError as exc:
+                # numbered on the whole path like `simulate`; equal frozen blocks give 0 either way
+                raise SingularBlockError(exc.block_index + lo // len(spec.ar), exc.condition) from None
             x_tv = trend_vals + amp_vals * core_tv
             if mode == "frozen":
-                core_fr = _core_values(spec, fb_rows, fa_rows, eps)
-                x_cmp = eval_curve(spec.trend, u0) + eval_curve(spec.amplitude, u0) * core_fr
+                x_cmp = fr_trend + fr_amp * _core_values(spec, fb_rows, fa_rows, eps)
             else:
                 x_cmp = trend_vals + _dma_combine(k_rows, eps)
-            errs.append(float(np.max(np.abs(x_tv[window] - x_cmp[window]))))
+            errs.append(float(np.max(np.abs(x_tv[read] - x_cmp[read]))))
         mean_errors.append(float(np.mean(errs)))
     exact = max(mean_errors) < 1e-13
     slope = None

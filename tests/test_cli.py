@@ -245,6 +245,32 @@ def test_verify_conversion_mode(tmp_path):
     assert code == 0
 
 
+@pytest.mark.parametrize("u0, code", [("0.3", 0), ("0.75", 3)])
+def test_verify_checks_only_the_windows_it_reads(tmp_path, capsys, u0, code):
+    # the autoregressive polynomial vanishes on the grid at u = 0.75 alone: the
+    # windows around 0.3*T never read that point, the windows around 0.75*T do
+    spec = write_spec(tmp_path, {"kind": "tvDAR", "ar": ["abs(u-0.75)+0.1*u+0.01", "0.1*u+0.01"]})
+    out = tmp_path / "report.json"
+    args = ["verify", "--spec", spec, "--mode", "conversion", "--u0", u0, "--T", "128,256,512", "--out", str(out)]
+    assert main(args) == code
+    if code == 3:
+        err = one_json_line(capsys.readouterr().err)
+        assert err["error"] == "singular-polynomial"
+        assert "(at u=0.75)" in err["message"]
+        assert not out.exists()
+
+
+def test_verify_runs_horizons_too_large_for_a_whole_path(tmp_path):
+    # only the windows are simulated, so no T-length array is ever allocated
+    out = tmp_path / "report.json"
+    code = main([
+        "verify", "--preset", "figure1", "--mode", "frozen", "--T", f"{2**30},{2**31},{2**40}",
+        "--replicates", "2", "--u0", "0.3", "--out", str(out),
+    ])
+    assert code in (0, 4)
+    assert json.loads(out.read_text())["T_values"] == [2**30, 2**31, 2**40]
+
+
 @pytest.mark.parametrize("u0, T_list", [("0.0", "128,256"), ("0.99", "128")])
 def test_verify_window_outside_path_exit_code(tmp_path, capsys, u0, T_list):
     # the window of radius 16 around u0*T must fit in [0, T) for every T

@@ -1,11 +1,20 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from walsh_spectra.curves import parse
+import walsh_spectra.processes as processes
+from walsh_spectra.curves import eval_curve, parse
 from walsh_spectra.poly import SingularPolynomialError
 from walsh_spectra.processes import (
+    MA_KINDS,
     InnovationSpec,
     SingularBlockError,
+    _core_values,
+    _dma_combine,
+    _window,
     approx_error,
     coefficient_rows,
     decay_experiment,
@@ -256,9 +265,18 @@ def test_non_finite_curve_values_raise():
     spec = make_process_spec("tvDMA", ma=["exp(1000*u)"])
     with pytest.raises(CurveDomainError, match=r"exp\(\(1000\.0\*u\)\) is not finite at u="):
         simulate(spec, 64)
+    spec = make_process_spec("tvDMA", ma=["1", "exp(1000*u)"])
+    with pytest.raises(CurveDomainError, match=r"exp\(\(1000\.0\*u\)\) is not finite at u=0\.9"):
+        simulate_frozen(spec, 0.9, 64)
+
+
+@pytest.mark.parametrize("u0", [float("nan"), float("inf"), -float("inf"), 2.0, -5.0, 1.0])
+def test_simulate_frozen_rejects_u0_outside_the_unit_interval(u0):
     spec = make_process_spec("tvDMA", ma=["1", "0.5*u"])
-    with pytest.raises(CurveDomainError, match=r"\(0\.5\*u\) is not finite at u=nan"):
-        simulate_frozen(spec, float("nan"), 64)
+    with pytest.raises(ValueError, match=rf"^u0 must be a finite number in \[0, 1\), got {u0}$"):
+        simulate_frozen(spec, u0, 8)
+    with pytest.raises(ValueError, match=rf"^u0 must be a finite number in \[0, 1\), got {u0}$"):
+        decay_experiment(spec, "frozen", T_values=(8, 16), u0=u0, radius=0)
 
 
 def test_white_noise_is_innovations_plus_trend():
@@ -502,6 +520,130 @@ def test_decay_experiment_validation():
         decay_experiment(spec, "sideways")
     with pytest.raises(ValueError):
         decay_experiment(spec, "conversion")  # needs an AR-kind spec
+
+
+# ------------------------------------------- decay experiments on aligned windows
+
+
+def _full_path_slack_pattern(T, width, magnitude):
+    t = np.arange(T)[:, None]
+    k = np.arange(width)[None, :]
+    return (magnitude / T) * (1.0 - 2.0 * ((t + k) & 1))
+
+
+def full_path_errors(spec, mode, T_values, u0, radius, replicates, slack):
+    """`decay_experiment`'s mean errors computed the earlier way: every replicate simulates all T points."""
+    windows = [_window(round(u0 * T), radius, T) for T in T_values]
+    mean_errors = []
+    for T, window in zip(T_values, windows):
+        u = np.arange(T) / T
+        b_rows, a_rows = coefficient_rows(spec, u)
+        if slack:
+            a_rows = a_rows + _full_path_slack_pattern(T, a_rows.shape[1], slack)
+            if spec.kind not in MA_KINDS:
+                b_rows = b_rows + _full_path_slack_pattern(T, b_rows.shape[1], slack)
+        if mode == "frozen":
+            fb_rows, fa_rows = coefficient_rows(spec, np.full(T, float(u0)))
+        else:
+            k_rows = dma_coefficient_rows(spec, u)  # amplitude folded in
+        trend_vals = eval_curve(spec.trend, u)
+        amp_vals = eval_curve(spec.amplitude, u)
+        errs = []
+        for rep in range(replicates):
+            eps = make_innovations(
+                replace(spec.innovations, seed=spawn_seed(spec.innovations.seed, rep)), T
+            )
+            core_tv = _core_values(spec, b_rows, a_rows, eps)
+            x_tv = trend_vals + amp_vals * core_tv
+            if mode == "frozen":
+                core_fr = _core_values(spec, fb_rows, fa_rows, eps)
+                x_cmp = eval_curve(spec.trend, u0) + eval_curve(spec.amplitude, u0) * core_fr
+            else:
+                x_cmp = trend_vals + _dma_combine(k_rows, eps)
+            errs.append(float(np.max(np.abs(x_tv[window] - x_cmp[window]))))
+        mean_errors.append(float(np.mean(errs)))
+    return tuple(mean_errors)
+
+
+# coefficients of size <= 0.2 keep every autoregressive block, slack included,
+# strictly diagonally dominant for L <= 4 and T >= 16
+_small = st.builds(lambda sign, m: sign * m / 1000, st.sampled_from([-1, 1]), st.integers(10, 100))
+_curve = st.builds(lambda a, b: f"({a})+({b})*sin(3*u)", _small, _small)
+_block = st.sampled_from([1, 2, 4]).flatmap(
+    lambda L: st.lists(_curve, min_size=L - 1, max_size=L - 1).map(lambda rest: ["1", *rest])
+)
+
+
+@st.composite
+def _decay_cases(draw):
+    kind = draw(st.sampled_from(["tvDMA", "tvDAR", "tvDARMA", "modulated"]))
+    spec = make_process_spec(
+        kind,
+        ar=draw(_block) if kind in ("tvDAR", "tvDARMA") else None,
+        ma=draw(_block) if kind != "tvDAR" else None,
+        trend=draw(_curve),
+        amplitude=f"1+({draw(_small)})*u",
+        seed=draw(st.integers(0, 2**64 - 1)),
+    )
+    T_values = tuple(draw(st.lists(st.sampled_from([16, 32, 64, 128]), min_size=2, max_size=3, unique=True)))
+    u0 = draw(st.floats(0.0, 1.0, exclude_max=True))
+    radius = draw(st.integers(0, 5))
+    assume(all(radius <= round(u0 * T) < T - radius for T in T_values))
+    return dict(
+        spec=spec,
+        mode=draw(st.sampled_from(["frozen"] if kind in MA_KINDS else ["frozen", "conversion"])),
+        T_values=T_values,
+        u0=u0,
+        radius=radius,
+        replicates=draw(st.integers(1, 3)),
+        slack=draw(st.sampled_from([0.0, 0.5, 1.0])),
+    )
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(_decay_cases())
+def test_windowed_decay_errors_equal_the_full_path_errors(case):
+    assert decay_experiment(**case).errors == full_path_errors(**case)
+
+
+def test_decay_experiment_draws_only_the_aligned_windows(monkeypatch):
+    counts = []
+    draw = processes.make_innovations
+
+    def counting(spec, count, start=0):
+        counts.append(count)
+        return draw(spec, count, start)
+
+    monkeypatch.setattr(processes, "make_innovations", counting)
+    spec = make_process_spec("tvDARMA", ar=["1", "0.2*u"], ma=["1", "0.1", "0.2*u", "0.1"], seed=5)
+    T_values = (64, 128, 256, 1024)
+    decay_experiment(spec, "conversion", T_values=T_values, u0=0.3, radius=5, replicates=3)
+    # L = 4; the windows [14, 25), [33, 44), [72, 83) and [302, 313) have the
+    # aligned hulls [12, 28), [32, 44), [72, 84) and [300, 316)
+    assert counts == [16] * 3 + [12] * 3 + [12] * 3 + [16] * 3
+    assert not set(counts) & set(T_values)
+
+
+@pytest.mark.parametrize("ma", [None, ["1", "0.1", "0.2", "0.3"]])
+@pytest.mark.parametrize("mode", ["frozen", "conversion"])
+def test_decay_experiment_numbers_singular_blocks_on_the_whole_path(mode, ma):
+    # the curve of test_singular_block_when_curve_crosses; with four MA curves the
+    # window is aligned to 4 while the autoregressive blocks have length 2
+    spec = make_process_spec("tvDAR" if ma is None else "tvDARMA", ar=["1", "exp(u-0.5078125)"], ma=ma, seed=2)
+    with pytest.raises(SingularBlockError) as on_path:
+        simulate(spec, 64)
+    with pytest.raises(SingularBlockError) as in_window:
+        decay_experiment(spec, mode, T_values=(64, 128), u0=0.5, radius=2)
+    assert in_window.value.block_index == on_path.value.block_index == 16
+
+
+def test_decay_experiment_frozen_singular_block_matches_simulate_frozen():
+    spec = make_process_spec("tvDAR", ar=["1", "u+0.5"], seed=2)  # b1(0.5) = 1: every frozen block is singular
+    with pytest.raises(SingularBlockError) as on_path:
+        simulate_frozen(spec, 0.5, 64)
+    with pytest.raises(SingularBlockError) as in_window:
+        decay_experiment(spec, "frozen", T_values=(64, 128), u0=0.5, radius=2)
+    assert in_window.value.block_index == on_path.value.block_index
 
 
 # ------------------------------------------------------- conversion row errors
