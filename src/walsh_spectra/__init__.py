@@ -57,6 +57,7 @@ from .processes import (
     make_process_spec,
     simulate,
     simulate_frozen,
+    simulate_seeds,
     spawn_seed,
     spec_from_dict,
 )

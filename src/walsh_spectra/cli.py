@@ -30,6 +30,7 @@ from .processes import (
     coefficient_rows,
     decay_experiment,
     simulate,
+    simulate_seeds,
     spawn_seed,
     spec_from_dict,
 )
@@ -223,10 +224,9 @@ def _cmd_periodogram(args) -> int:
     reps = args.replicates
     if reps < 1:
         raise ValueError("--replicates must be >= 1")
+    seeds = [spec.innovations.seed] if reps == 1 else (spawn_seed(spec.innovations.seed, r) for r in range(reps))
     total = 0.0
-    for rep in range(reps):
-        seed = spec.innovations.seed if reps == 1 else spawn_seed(spec.innovations.seed, rep)
-        path = simulate(spec.with_seed(seed), T)
+    for path in simulate_seeds(spec, T, seeds):
         grid = smooth_periodogram(periodogram_grid(path.values, N, step), args.smooth)
         total += grid.values
     comment = _provenance(spec, command="periodogram", T=T, N=N, replicates=reps, smooth=args.smooth)

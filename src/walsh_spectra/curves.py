@@ -321,6 +321,12 @@ def constant(value: float) -> CurveExpr:
     return Literal(float(value))
 
 
+def is_constant(expr: CurveExpr) -> bool:
+    """Does the curve not read u?  Decided from its tree, so ``0*u`` counts as varying."""
+    children = (c for c in vars(expr).values() if isinstance(c, CurveExpr))
+    return not isinstance(expr, Variable) and all(map(is_constant, children))
+
+
 def is_constant_zero(expr: CurveExpr) -> bool:
     """Heuristic: does the curve vanish identically on [0, 1]?
 

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import walsh_spectra.processes as processes
 from walsh_spectra.cli import CSV_CHUNK_ROWS, _write_csv, main
 from walsh_spectra.processes import approx_error, simulate, simulate_frozen, spawn_seed, spec_from_dict
 
@@ -204,6 +205,21 @@ def test_verify_exact_constant_spec(tmp_path, capsys):
     assert "exactly zero" in capsys.readouterr().out
 
 
+def test_verify_small_errors_of_varying_curves_are_not_exact(tmp_path, capsys):
+    # at such horizons the frozen errors fall to ~1e-14, but figure1's curves
+    # vary, so the report fits a slope as it does at T = 512-4096 and fails
+    out = tmp_path / "report.json"
+    code = main([
+        "verify", "--preset", "figure1", "--mode", "frozen", "--u0", "0.5",
+        "--T", "1073741824,2147483648", "--out", str(out),
+    ])
+    assert code == 4
+    report = json.loads(out.read_text())
+    assert report["exact"] is False
+    assert max(report["errors"]) < 1e-13
+    assert "FAIL" in capsys.readouterr().out
+
+
 def test_verify_passes_at_generic_point(tmp_path):
     out = tmp_path / "report.json"
     code = main([
@@ -365,6 +381,25 @@ def test_periodogram_rerun_byte_identical(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_periodogram_evaluates_the_curves_once_per_command(tmp_path, monkeypatch):
+    points = []
+    evaluate = processes.eval_curve
+
+    def counting(expr, u):
+        points.append(np.size(u))
+        return evaluate(expr, u)
+
+    monkeypatch.setattr(processes, "eval_curve", counting)
+    per_command = []
+    for reps in ("1", "5"):
+        points.clear()
+        out = tmp_path / f"pgram{reps}.csv"
+        args = ["periodogram", "--preset", "figure2", "--T", "256", "--segments", "64", "--replicates", reps]
+        assert main(args + ["--out", str(out)]) == 0
+        per_command.append(list(points))
+    assert per_command[0] and per_command[0] == per_command[1]
+
+
 def test_periodogram_segment_too_long(tmp_path, capsys):
     spec = write_spec(tmp_path, WHITE_NOISE)
     assert main([
@@ -386,7 +421,7 @@ def test_periodogram_bad_argument_exit_code(tmp_path, capsys, monkeypatch, flag,
     def fail(*args, **kwargs):
         raise AssertionError("simulated before checking the flags")
 
-    monkeypatch.setattr("walsh_spectra.cli.simulate", fail)
+    monkeypatch.setattr("walsh_spectra.cli.simulate_seeds", fail)
     spec = write_spec(tmp_path, WHITE_NOISE)
     out = tmp_path / "x.csv"
     # the flag under test comes last, so it overrides the default --segments 16

@@ -13,6 +13,7 @@ from walsh_spectra.curves import (
     Variable,
     constant,
     eval_curve,
+    is_constant,
     is_constant_zero,
     parse,
     serialize,
@@ -191,3 +192,10 @@ def test_is_constant_zero():
     assert is_constant_zero(parse("u-u"))
     assert not is_constant_zero(parse("u"))
     assert not is_constant_zero(constant(0.3))
+
+
+def test_is_constant_reads_the_tree():
+    assert is_constant(parse("0.3*cos(pi)+2^3"))
+    assert is_constant(constant(1.0))
+    assert not is_constant(parse("u"))
+    assert not is_constant(parse("1+0*exp(-u)"))

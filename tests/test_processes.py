@@ -9,6 +9,8 @@ import walsh_spectra.processes as processes
 from walsh_spectra.curves import eval_curve, parse
 from walsh_spectra.poly import SingularPolynomialError
 from walsh_spectra.processes import (
+    DISTRIBUTIONS,
+    KINDS,
     MA_KINDS,
     InnovationSpec,
     SingularBlockError,
@@ -24,6 +26,7 @@ from walsh_spectra.processes import (
     make_process_spec,
     simulate,
     simulate_frozen,
+    simulate_seeds,
     spawn_seed,
     spec_from_dict,
 )
@@ -358,6 +361,37 @@ def test_singular_block_when_curve_crosses():
     assert excinfo.value.condition > 1e9
 
 
+@settings(max_examples=40, deadline=None, database=None)
+@given(
+    kind=st.sampled_from(KINDS),
+    distribution=st.sampled_from(DISTRIBUTIONS),
+    b1=st.floats(-0.9, 0.8),
+    extra_seeds=st.lists(st.integers(0, 2**64 - 1), max_size=2),
+    m=st.integers(2, 6),
+)
+def test_simulate_seeds_equals_simulate_per_seed(kind, distribution, b1, extra_seeds, m):
+    spec = make_process_spec(
+        kind, ar=["1", f"0.1+{b1}*u"], ma=["1", "0.5*cos(2*pi*u)", "0.2"], trend="u", amplitude="1+u",
+        distribution=distribution, sigma=1.5, seed=3,
+    )
+    T, seeds = 1 << m, [0, 2**64 - 1, *extra_seeds]
+    paths = list(simulate_seeds(spec, T, iter(seeds)))
+    for seed, path in zip(seeds, paths, strict=True):
+        expect = simulate(spec.with_seed(seed), T)
+        assert np.array_equal(path.values, expect.values)
+        assert np.array_equal(path.innovations, expect.innovations)
+
+
+def test_simulate_seeds_raises_the_singular_block_simulate_raises():
+    # the curve of test_singular_block_when_curve_crosses
+    spec = make_process_spec("tvDAR", ar=["1", "exp(u-0.5078125)"], seed=2)
+    with pytest.raises(SingularBlockError) as direct:
+        simulate(spec.with_seed(7), 64)
+    with pytest.raises(SingularBlockError) as batched:
+        next(simulate_seeds(spec, 64, [7]))
+    assert batched.value.block_index == direct.value.block_index == 16
+
+
 def test_block_locality():
     # innovations outside an aligned block do not influence the block:
     # scramble everything outside and compare inside
@@ -462,6 +496,18 @@ def test_decay_exact_for_constant_curves():
     assert report.errors == (0.0, 0.0, 0.0)
     report = decay_experiment(spec, "conversion", T_values=(64, 128), replicates=2)
     assert report.exact
+
+
+def test_decay_exact_is_decided_from_the_curves():
+    # at radius 0 and u0*T an integer the one window point has t/T = u0, so the
+    # frozen errors are exactly zero, yet the curves vary: not exact, no slope
+    spec = make_process_spec("tvDMA", ma=["1", "0.5*u"], seed=4)
+    report = decay_experiment(spec, "frozen", T_values=(64, 128), u0=0.5, radius=0, replicates=2)
+    assert report.errors == (0.0, 0.0)
+    assert not report.exact and report.slope is None
+    # modulated reads its MA curves at u = 0 alone, so those may vary
+    spec = make_process_spec("modulated", ma=["1", "0.5*u"], seed=4)
+    assert decay_experiment(spec, "frozen", T_values=(64, 128), replicates=2).exact
 
 
 def test_decay_first_order_at_generic_point():
