@@ -198,7 +198,7 @@ def _cmd_verify(args) -> int:
     passed = report.exact or (report.slope is not None and lo <= report.slope <= hi)
     _write_json(args.out, spec, {**report.to_dict(), "slope_range": [lo, hi], "passed": passed})
     if report.exact:
-        print("verify: errors are exactly zero (constant curves)")
+        print("verify: the approximation is exact (constant curves)")
         return EXIT_OK
     if report.slope is None:
         print("verify: no slope fit (some horizons had zero error)")

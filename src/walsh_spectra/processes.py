@@ -41,6 +41,7 @@ DISTRIBUTIONS = ("gaussian", "rademacher", "uniform")
 
 _M64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
+_MIX1, _MIX2 = 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
 
 
 class SingularBlockError(ValueError):
@@ -61,23 +62,26 @@ class SingularBlockError(ValueError):
 
 def _mix64_int(z: int) -> int:
     z &= _M64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _M64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
+    z = ((z ^ (z >> 30)) * _MIX1) & _M64
+    z = ((z ^ (z >> 27)) * _MIX2) & _M64
     return z ^ (z >> 31)
 
 
-def _mix64(z: np.ndarray) -> np.ndarray:
-    # uint64 arithmetic wraps mod 2**64, which is exactly what we want
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
+def _words(seed: int, lo: int, hi: int) -> np.ndarray:
+    """Pseudorandom 64-bit word for each counter in [lo, hi), a pure function of (seed, counter).
 
-
-def _words(seed: int, counters: np.ndarray) -> np.ndarray:
-    """Pseudorandom 64-bit word for each counter, a pure function of (seed, counter)."""
-    base = _mix64_int(seed + _GAMMA)
-    state = np.uint64(base) + (counters + np.uint64(1)) * np.uint64(_GAMMA)
-    return _mix64(state)
+    SplitMix64: state (counter + 1) * gamma + mix(seed + gamma), mixed in place
+    (uint64 arithmetic wraps mod 2**64, which is exactly what we want).
+    """
+    z = np.arange(lo, hi, dtype=np.uint64)
+    z *= np.uint64(_GAMMA)
+    z += np.uint64((_mix64_int(seed + _GAMMA) + _GAMMA) & _M64)
+    shifted = np.empty_like(z)
+    for shift, mult in ((30, _MIX1), (27, _MIX2)):
+        z ^= np.right_shift(z, np.uint64(shift), out=shifted)
+        z *= np.uint64(mult)
+    z ^= np.right_shift(z, np.uint64(31), out=shifted)
+    return z
 
 
 def spawn_seed(master: int, index: int) -> int:
@@ -129,15 +133,21 @@ def make_innovations(spec: InnovationSpec, count: int, start: int = 0) -> np.nda
         raise ValueError("count must be >= 1")
     if start < 0 or start + count > INDEX_CAP:
         raise ValueError(f"innovation indices [{start}, {start + count}) leave [0, 2**62)")
-    idx = np.arange(start, start + count, dtype=np.uint64)
     if spec.distribution == "gaussian":
-        w1 = _words(spec.seed, idx * np.uint64(2))
-        w2 = _words(spec.seed, idx * np.uint64(2) + np.uint64(1))
-        u1 = ((w1 >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0**-53  # (0, 1]
-        u2 = (w2 >> np.uint64(11)).astype(np.float64) * 2.0**-53  # [0, 1)
-        z = np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
-        return spec.sigma * z
-    w = _words(spec.seed, idx)
+        # counters 2i and 2i+1 drive value i: one interleaved pass gives both words
+        w = _words(spec.seed, 2 * start, 2 * (start + count))
+        w >>= np.uint64(11)
+        u = w.reshape(count, 2).T.astype(np.float64, order="C")
+        del w
+        u[0] += 1.0
+        u *= 2.0**-53  # u[0] in (0, 1], u[1] in [0, 1)
+        z = np.log(u[0])
+        z *= -2.0
+        np.sqrt(z, out=z)
+        z *= np.cos(np.multiply(u[1], 2.0 * np.pi, out=u[1]), out=u[1])
+        z *= spec.sigma
+        return z
+    w = _words(spec.seed, start, start + count)
     if spec.distribution == "rademacher":
         return spec.sigma * (1.0 - 2.0 * (w >> np.uint64(63)).astype(np.float64))
     u = (w >> np.uint64(11)).astype(np.float64) * 2.0**-53
@@ -317,12 +327,22 @@ def _check_horizon(T: int, needed: int) -> int:
 
 
 def _dma_combine(coef: np.ndarray, eps: np.ndarray) -> np.ndarray:
-    """out[t] = sum_k coef[t, k] * eps[t XOR k] for (T, L) coefficient rows."""
-    t = np.arange(eps.size)
-    out = np.zeros(eps.size)
-    for k in range(coef.shape[1]):
-        out += coef[:, k] * eps[t ^ k]
-    return out
+    """out[t] = sum_k coef[t, k] * eps[t XOR k] for (T, L) coefficient rows.
+
+    Each aligned block of L = 2**m values is viewed as m binary axes, most
+    significant bit first; XOR with k reverses the axes of k's set bits, a
+    strided view rather than an index gather.
+    """
+    T, L = coef.shape
+    m = block_exponent(L)
+    shape = (T // L,) + (2,) * m
+    e = eps.reshape(shape)
+    c = coef.reshape(shape + (L,))
+    out = np.zeros(shape)
+    for k in range(L):
+        flip = tuple(slice(None, None, -1) if k >> (m - 1 - axis) & 1 else slice(None) for axis in range(m))
+        out += c[..., k] * e[(slice(None), *flip)]
+    return out.reshape(T)
 
 
 def _block_solve(b_rows: np.ndarray, rhs: np.ndarray) -> np.ndarray:

@@ -18,6 +18,7 @@ power-of-two blocks to track a time-varying spectrum as a `SpectralGrid`.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -192,6 +193,21 @@ def walsh_periodogram(data) -> Periodogram:
     return Periodogram(segment_start=0, size=x.size, u0=0.5, x_values=grid.x_values, values=grid.values[0])
 
 
+@functools.lru_cache(maxsize=16)
+def _reflection(n: int, w: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gather index of ``np.pad(row, w, mode="symmetric")`` for rows of length n, and the 2*w+1 box kernel.
+
+    Both are read-only and kept for the 16 most recent (n, w), because a
+    segmented estimate smooths thousands of rows of one shape one
+    `Periodogram` at a time.
+    """
+    idx = np.arange(-w, n + w) % (2 * n)
+    idx = np.minimum(idx, 2 * n - 1 - idx)
+    kernel = np.full(2 * w + 1, 1.0 / (2 * w + 1))
+    idx.flags.writeable = kernel.flags.writeable = False
+    return idx, kernel
+
+
 def smooth_periodogram(p: Periodogram | SpectralGrid, half_width: int) -> Periodogram | SpectralGrid:
     """Moving average of each row over 2*half_width+1 adjacent bins, reflecting at the ends.
 
@@ -210,10 +226,8 @@ def smooth_periodogram(p: Periodogram | SpectralGrid, half_width: int) -> Period
         return p
     values = np.atleast_2d(p.values)
     rows, n = values.shape
-    idx = np.arange(-w, n + w) % (2 * n)
-    padded = values[:, np.minimum(idx, 2 * n - 1 - idx)]
-    kernel = np.full(2 * w + 1, 1.0 / (2 * w + 1))
-    full = np.convolve(padded.reshape(-1), kernel)  # "full": 2*w partial outputs lead
+    idx, kernel = _reflection(n, w)
+    full = np.convolve(values[:, idx].reshape(-1), kernel)  # "full": 2*w partial outputs lead
     return replace(p, values=full[2 * w :].reshape(rows, n + 2 * w)[:, :n].reshape(p.values.shape))
 
 

@@ -4,7 +4,12 @@ Everything here is written directly from the defining formulas, without
 calling into the package, so the tests compare two separate code paths.
 """
 
+import math
+
 import numpy as np
+
+M64 = (1 << 64) - 1
+GOLDEN_GAMMA = 0x9E3779B97F4A7C15
 
 
 def oracle_walsh(n: int, j: int, m: int) -> int:
@@ -47,6 +52,45 @@ def oracle_xor_convolve(a, b) -> np.ndarray:
         for j in range(a.size):
             out[h] += a[j] * b[j ^ h]
     return out
+
+
+def oracle_xor_combine(coef, eps) -> np.ndarray:
+    """Loop over t and k: out[t] = sum_k coef[t][k] * eps[t XOR k], summed for k = 0, 1, ... from +0.0."""
+    coef = np.asarray(coef, dtype=np.float64)
+    eps = np.asarray(eps, dtype=np.float64)
+    T, L = coef.shape
+    out = np.zeros(T)
+    for t in range(T):
+        acc = 0.0
+        for k in range(L):
+            acc += float(coef[t, k]) * float(eps[t ^ k])
+        out[t] = acc
+    return out
+
+
+def oracle_mix64(z: int) -> int:
+    """SplitMix64 finalizer (Steele, Lea & Flood, OOPSLA 2014) on Python integers."""
+    z &= M64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & M64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & M64
+    return z ^ (z >> 31)
+
+
+def oracle_word(seed: int, counter: int) -> int:
+    """Word ``counter`` of the stream keyed by seed: mix((counter + 1) * gamma + mix(seed + gamma))."""
+    return oracle_mix64((counter + 1) * GOLDEN_GAMMA + oracle_mix64(seed + GOLDEN_GAMMA))
+
+
+def oracle_innovation(distribution: str, sigma: float, seed: int, i: int) -> float:
+    """Innovation i, one value at a time: Box-Muller on words 2i and 2i+1, or a transform of word i."""
+    if distribution == "gaussian":
+        u1 = ((oracle_word(seed, 2 * i) >> 11) + 1) * 2.0**-53  # (0, 1]
+        u2 = (oracle_word(seed, 2 * i + 1) >> 11) * 2.0**-53  # [0, 1)
+        return sigma * (math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2))
+    w = oracle_word(seed, i)
+    if distribution == "rademacher":
+        return sigma * (1.0 - 2.0 * (w >> 63))
+    return sigma * math.sqrt(3.0) * (2.0 * ((w >> 11) * 2.0**-53) - 1.0)
 
 
 def bareiss_determinant(matrix) -> int:

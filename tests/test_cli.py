@@ -202,7 +202,24 @@ def test_verify_exact_constant_spec(tmp_path, capsys):
     report = json.loads(out.read_text())
     assert report["exact"] is True
     assert report["passed"] is True
-    assert "exactly zero" in capsys.readouterr().out
+    assert "the approximation is exact" in capsys.readouterr().out
+
+
+def test_verify_exact_constant_spec_in_conversion_mode(tmp_path, capsys):
+    # the conversion side goes through grid_ratio, so the errors are round-off,
+    # not zero: the message claims an exact approximation, not zero errors
+    spec = write_spec(tmp_path, {"kind": "tvDARMA", "ar": ["1", "0.4"], "ma": ["1", "0.3"], "seed": 14})
+    out = tmp_path / "report.json"
+    code = main([
+        "verify", "--spec", spec, "--mode", "conversion", "--T", "64,128",
+        "--replicates", "2", "--out", str(out),
+    ])
+    assert code == 0
+    report = json.loads(out.read_text())
+    assert report["exact"] is True and report["passed"] is True
+    assert 0 < max(report["errors"]) < 1e-14
+    printed = capsys.readouterr().out
+    assert "the approximation is exact" in printed and "zero" not in printed
 
 
 def test_verify_small_errors_of_varying_curves_are_not_exact(tmp_path, capsys):

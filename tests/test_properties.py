@@ -22,9 +22,24 @@ from walsh_spectra.cli import main
 from walsh_spectra.curves import Binary, Call, Literal, Negate, Pi, Variable, parse, serialize
 from walsh_spectra.dyadic import INDEX_CAP, block_exponent, block_size, fwht, zero_pad
 from walsh_spectra.poly import grid_ratio
-from walsh_spectra.processes import DISTRIBUTIONS, InnovationSpec, _block_solve, make_innovations
+from walsh_spectra.processes import (
+    DISTRIBUTIONS,
+    InnovationSpec,
+    _block_solve,
+    _dma_combine,
+    _mix64_int,
+    _words,
+    make_innovations,
+)
 
-from oracles import oracle_transform, oracle_xor_convolve
+from oracles import (
+    oracle_innovation,
+    oracle_mix64,
+    oracle_transform,
+    oracle_word,
+    oracle_xor_combine,
+    oracle_xor_convolve,
+)
 
 SETTINGS = settings(max_examples=60, deadline=None, database=None)
 
@@ -92,6 +107,48 @@ def test_windowed_innovations_equal_the_full_stream(distribution, seed, length, 
     spec = InnovationSpec(distribution, seed=seed)
     full = make_innovations(spec, length, start=base)
     assert np.array_equal(make_innovations(spec, count, start=base + offset), full[offset : offset + count])
+
+
+@SETTINGS
+@given(
+    st.integers(0, (1 << 64) - 1),
+    st.one_of(st.integers(0, INDEX_CAP - 1), st.integers(INDEX_CAP - 40, INDEX_CAP - 1)),
+    st.integers(1, 24),
+    st.floats(1e-3, 1e3),
+)
+def test_innovations_match_the_scalar_splitmix64_reference(seed, start, count, sigma):
+    count = min(count, INDEX_CAP - start)
+    counters = range(start, start + count)
+    assert [int(w) for w in _words(seed, start, start + count)] == [oracle_word(seed, c) for c in counters]
+    assert _mix64_int(seed) == oracle_mix64(seed)
+    for distribution in DISTRIBUTIONS:
+        got = make_innovations(InnovationSpec(distribution, sigma, seed), count, start=start)
+        ref = np.array([oracle_innovation(distribution, sigma, seed, i) for i in counters])
+        if distribution == "gaussian":
+            # numpy's log and cos need not round as libm's do
+            assert np.all(np.abs(got - ref) <= 4 * np.spacing(np.abs(ref)))
+        else:
+            assert np.array_equal(got, ref)
+
+
+# signed zeros too: the combine must reproduce the sign of every zero sum
+signed = st.one_of(st.just(-0.0), finite)
+
+
+@SETTINGS
+@given(
+    st.integers(0, 4).flatmap(
+        lambda m: st.integers(1, 4).flatmap(
+            lambda n: st.tuples(
+                arrays(np.float64, (n << m, 1 << m), elements=signed), arrays(np.float64, n << m, elements=signed)
+            )
+        )
+    )
+)
+def test_xor_combine_equals_the_loop_reference_bit_for_bit(system):
+    coef, eps = system
+    out, ref = _dma_combine(coef, eps), oracle_xor_combine(coef, eps)
+    assert np.array_equal(out, ref) and np.array_equal(np.signbit(out), np.signbit(ref))
 
 
 def nonsingular(c):

@@ -15,6 +15,7 @@ from walsh_spectra.processes import (
 )
 from walsh_spectra.spectra import (
     SpectralGrid,
+    _reflection,
     covariance_from_density,
     dma_covariance,
     empirical_dyadic_covariance,
@@ -340,6 +341,23 @@ def test_smooth_rows_match_per_row_convolution(N, w):
     assert all(np.array_equal(o, e) for o, e in zip(out, expected))
     p = walsh_periodogram(np.zeros(N))
     assert np.array_equal(smooth_periodogram(replace(p, values=rows[2]), w).values, expected[2])
+
+
+def test_smoothing_keeps_no_state_between_calls():
+    # alternating shapes and widths (w > n and w = 0 too) reuse the cached
+    # reflection index and kernel; each result must still be the per-row reference
+    rng = np.random.default_rng(3)
+    for n, w in [(16, 2), (4, 9), (16, 0), (1, 3), (16, 2), (8, 8), (4, 9), (8, 1), (16, 2)] * 2:
+        row = rng.exponential(size=n) * 1e3
+        kernel = np.full(2 * w + 1, 1.0 / (2 * w + 1))
+        expected = row if w == 0 else np.convolve(np.pad(row, w, mode="symmetric"), kernel, mode="valid")
+        out = smooth_periodogram(replace(walsh_periodogram(np.zeros(n)), values=row), w).values
+        assert np.array_equal(out, expected)
+        out[:] = np.nan  # a caller owns its result: writing to it reaches no later call
+        if w:
+            for reused in _reflection(n, w):
+                with pytest.raises(ValueError, match="read-only"):
+                    reused[0] = 0
 
 
 @pytest.mark.parametrize("call, error, message", [
