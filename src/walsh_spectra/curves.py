@@ -277,10 +277,15 @@ def eval_curve(expr: CurveExpr, u):
     scalar = np.ndim(u) == 0
     # a scalar runs as a 1-element array: numpy rounds integer powers of 0-d
     # values differently, and u must give the same bits alone as in an array
-    clamped = np.clip(np.reshape(u, 1) if scalar else u, 0.0, 1.0)
+    points = np.reshape(u, 1) if scalar else u
     # an overflow or NaN is reported once, by the isfinite check below
     with np.errstate(over="ignore", invalid="ignore"):
-        out = np.asarray(_eval(expr, clamped), dtype=np.float64) + np.zeros_like(clamped, dtype=np.float64)
+        if is_constant(expr):
+            # one value, filled: + 0.0 turns a -0.0 into +0.0 as adding zeros to it does
+            out = np.full(np.shape(points), np.float64(_eval(expr, None)) + 0.0)
+        else:
+            clamped = np.clip(points, 0.0, 1.0)
+            out = np.asarray(_eval(expr, clamped), dtype=np.float64) + np.zeros_like(clamped, dtype=np.float64)
     if not np.isfinite(out).all():
         bad_u = np.ravel(u)[np.argmin(np.isfinite(out))]
         raise CurveDomainError(f"curve {serialize(expr)} is not finite at u={float(bad_u)!r}")

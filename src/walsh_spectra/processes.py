@@ -345,13 +345,51 @@ def _dma_combine(coef: np.ndarray, eps: np.ndarray) -> np.ndarray:
     return out.reshape(T)
 
 
+def _block_matrices(b_rows: np.ndarray) -> np.ndarray:
+    """Dense L x L matrix of each aligned block: row i holds b_{i XOR j} at column j."""
+    T, L = b_rows.shape
+    r = np.arange(L)
+    return b_rows.reshape(T // L, L, L)[:, r[:, None], r[:, None] ^ r[None, :]]
+
+
+def _solve2(b_rows: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Every 2 x 2 block by Gaussian elimination with partial pivoting, in closed form.
+
+    The steps are LAPACK's (getf2/getrs): pivot on the larger |column 0|
+    entry, the first of equal magnitudes; l = q00 * (1/p00), u11 = q01 - l*p01,
+    x1 = (y1 - l*y0)/u11, x0 = (y0 - x1*p01)/p00.  Plain ufuncs never fuse a
+    multiply-add, so the bits do not depend on the BLAS kernel.  A zero pivot
+    gives inf or nan, left to the residual check.
+    """
+    n = b_rows.shape[0] // 2
+    b, z = b_rows.reshape(n, 2, 2), rhs.reshape(n, 2)
+    r0, r1 = (b[:, 0, 0], b[:, 0, 1], z[:, 0]), (b[:, 1, 1], b[:, 1, 0], z[:, 1])
+    swap = np.abs(r1[0]) > np.abs(r0[0])
+    if swap.any():  # swapped copies only where some block pivots
+        r0, r1 = [np.where(swap, q, p) for p, q in zip(r0, r1)], [np.where(swap, p, q) for p, q in zip(r0, r1)]
+    (p0, p1, y0), (q0, q1, y1) = r0, r1
+    x = np.empty((n, 2))
+    l = np.divide(1.0, p0)
+    l *= q0
+    u = np.multiply(l, p1)
+    np.subtract(q1, u, out=u)
+    np.multiply(l, y0, out=l)
+    np.subtract(y1, l, out=l)
+    np.divide(l, u, out=x[:, 1])
+    np.multiply(x[:, 1], p1, out=u)
+    np.subtract(y0, u, out=u)
+    np.divide(u, p0, out=x[:, 0])
+    return x.reshape(2 * n)
+
+
 def _block_solve(b_rows: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve the XOR recursion sum_k b_k(t/T) X_{t XOR k} = rhs_t exactly.
 
     Row t of the system couples X only within t's aligned block of length
     L = number of autoregressive coefficients, so the global system is
     block diagonal with dense L x L blocks (rows vary with t, so the
-    blocks are not XOR-circulant and are LU-solved).
+    blocks are not XOR-circulant and are LU-solved: in closed form for
+    L = 2, by LAPACK for L >= 4).
     """
     T, L = b_rows.shape
     if L == 1:
@@ -361,23 +399,24 @@ def _block_solve(b_rows: np.ndarray, rhs: np.ndarray) -> np.ndarray:
             t = int(np.argmax(bad))
             raise SingularBlockError(t, np.inf)
         return rhs / diag
-    n_blocks = T // L
-    r = np.arange(L)
-    mats = b_rows.reshape(n_blocks, L, L)[:, r[:, None], r[:, None] ^ r[None, :]]
-    try:
-        x = np.linalg.solve(mats, rhs.reshape(n_blocks, L, 1)).reshape(T)
-    except np.linalg.LinAlgError:
-        x = None
-    # tolerance deliberately ignores |x|: a near-singular block inflates x and
-    # the residual with it, which is exactly what should be flagged
-    tol = 1e-9 * max(1.0, float(np.max(np.abs(rhs))))
-    if x is None or not np.max(np.abs(_dma_combine(b_rows, x) - rhs)) <= tol:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            conds = np.linalg.cond(mats)
-        conds = np.where(np.isfinite(conds), conds, np.inf)
-        worst = int(np.argmax(conds))
-        raise SingularBlockError(worst, float(conds[worst]))
-    return x
+    # a singular block ends in SingularBlockError below, not in a warning
+    with np.errstate(all="ignore"):
+        if L == 2:
+            x = _solve2(b_rows, rhs)
+        else:
+            try:
+                x = np.linalg.solve(_block_matrices(b_rows), rhs.reshape(T // L, L, 1)).reshape(T)
+            except np.linalg.LinAlgError:
+                x = None
+        # tolerance deliberately ignores |x|: a near-singular block inflates x and
+        # the residual with it, which is exactly what should be flagged
+        tol = 1e-9 * max(1.0, float(np.max(np.abs(rhs))))
+        if x is not None and np.max(np.abs(_dma_combine(b_rows, x) - rhs)) <= tol:
+            return x
+        conds = np.linalg.cond(_block_matrices(b_rows))
+    conds = np.where(np.isfinite(conds), conds, np.inf)
+    worst = int(np.argmax(conds))
+    raise SingularBlockError(worst, float(conds[worst]))
 
 
 def _core_values(spec: ProcessSpec, b_rows, a_rows, eps) -> np.ndarray:

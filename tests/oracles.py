@@ -93,6 +93,38 @@ def oracle_innovation(distribution: str, sigma: float, seed: int, i: int) -> flo
     return sigma * math.sqrt(3.0) * (2.0 * ((w >> 11) * 2.0**-53) - 1.0)
 
 
+def oracle_solve2(a, z) -> tuple[float, float]:
+    """Solve the 2 x 2 system a x = z one float at a time, as LAPACK's getf2/getrs do.
+
+    Partial pivoting on the larger |column 0| entry (the first of equal
+    magnitudes), the multiplier through the reciprocal pivot, and no fused
+    multiply-add: Python rounds every product and sum on its own.
+    """
+    (p0, p1), (q0, q1) = ((float(v) for v in row) for row in a)
+    y0, y1 = (float(v) for v in z)
+    if abs(q0) > abs(p0):
+        p0, p1, y0, q0, q1, y1 = q0, q1, y1, p0, p1, y0
+    l = q0 * (1.0 / p0)
+    u11 = q1 - l * p1
+    x1 = (y1 - l * y0) / u11
+    return (y0 - x1 * p1) / p0, x1
+
+
+def lapack_block_solve(b_rows, rhs) -> np.ndarray:
+    """The XOR recursion sum_k b_rows[t, k] x[t XOR k] = rhs[t] solved by LAPACK on each dense aligned block.
+
+    This is the route the library took for every block length before 2 x 2
+    blocks got their closed form; the golden tests swap it in as the reference.
+    """
+    b_rows = np.asarray(b_rows, dtype=np.float64)
+    T, L = b_rows.shape
+    if L == 1:
+        return rhs / b_rows[:, 0]
+    r = np.arange(L)
+    mats = b_rows.reshape(T // L, L, L)[:, r[:, None], r[:, None] ^ r[None, :]]
+    return np.linalg.solve(mats, np.reshape(rhs, (T // L, L, 1))).reshape(T)
+
+
 def bareiss_determinant(matrix) -> int:
     """Exact integer determinant (fraction-free Gaussian elimination)."""
     a = [[int(x) for x in row] for row in matrix]

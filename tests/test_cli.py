@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
 import warnings
@@ -67,7 +68,9 @@ def test_simulate_singular_block_exit_code(tmp_path, capsys):
     spec = write_spec(tmp_path, SINGULAR_DAR)
     out = tmp_path / "path.csv"
     assert main(["simulate", "--spec", spec, "--T", "64", "--out", str(out)]) == 3
-    err = json.loads(capsys.readouterr().err.strip())
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1  # no RuntimeWarning from the zero pivot
+    err = json.loads(lines[0])
     assert err["error"] == "singular-block"
     assert "block 0" in err["message"]
 
@@ -480,11 +483,39 @@ def one_json_line(stderr):
     return json.loads(stderr)
 
 
-def fresh_cli(argv):
-    """Run the CLI in a fresh interpreter, which shows warnings on stderr where pytest would capture them."""
+def fresh_cli(argv, **env_vars):
+    """Run the CLI in a fresh interpreter, which shows warnings on stderr where pytest would capture them.
+
+    Keyword arguments set environment variables for that interpreter; None unsets one.
+    """
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env.update(env_vars)
+    env = {k: v for k, v in env.items() if v is not None}
     return subprocess.run([sys.executable, "-m", "walsh_spectra", *argv], env=env, capture_output=True, text=True)
+
+
+def dynamic_arch_openblas() -> bool:
+    """Is numpy's BLAS an OpenBLAS that picks its kernel at run time (so OPENBLAS_CORETYPE can change it)?"""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return "openblas" in blas.get("name", "") and "DYNAMIC_ARCH" in blas.get("openblas configuration", "")
+
+
+@pytest.mark.skipif(
+    platform.machine().lower() not in ("x86_64", "amd64") or not dynamic_arch_openblas(),
+    reason="needs an x86-64 DYNAMIC_ARCH OpenBLAS to switch kernels",
+)
+def test_autoregressive_simulate_does_not_depend_on_the_blas_kernel(tmp_path):
+    # b1(t+1) outweighs b0(t) for u < 0.47, so blocks pivot in the first half and not in the
+    # second; the Nehalem kernels have no fused multiply-add, the default on newer CPUs may
+    spec = write_spec(tmp_path, {"kind": "tvDAR", "ar": ["0.3+u", "1-0.5*u"], "seed": 9})
+    paths = []
+    for coretype in (None, "Nehalem"):
+        out = tmp_path / f"{coretype}.csv"
+        run = fresh_cli(["simulate", "--spec", spec, "--T", "4096", "--out", str(out)], OPENBLAS_CORETYPE=coretype)
+        assert run.returncode == 0, run.stderr
+        paths.append(out.read_bytes())
+    assert paths[0] == paths[1]
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

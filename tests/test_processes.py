@@ -342,14 +342,24 @@ def test_residual_refuses_zero_amplitude():
         defining_equation_residual(spec, path)
 
 
+def block_condition(spec, T, block):
+    """np.linalg.cond of one aligned 2 x 2 block matrix [[b0(t), b1(t)], [b1(t+1), b0(t+1)]] of the recursion."""
+    b_rows, _ = coefficient_rows(spec, np.arange(2 * block, 2 * block + 2) / T)
+    with np.errstate(divide="ignore"):
+        return float(np.linalg.cond(np.array([b_rows[0], b_rows[1][::-1]])))
+
+
+@pytest.mark.filterwarnings("error")
 def test_singular_block_reported():
     spec = make_process_spec("tvDAR", ar=["1", "1"], seed=1)
     with pytest.raises(SingularBlockError) as excinfo:
         simulate(spec, 64)
     assert excinfo.value.block_index == 0
     assert excinfo.value.condition > 1e12
+    assert excinfo.value.condition == block_condition(spec, 64, 0)
 
 
+@pytest.mark.filterwarnings("error")
 def test_singular_block_when_curve_crosses():
     # b1 = exp(u - 33/64 + 1/128) crosses the singular value 1 inside the
     # block at t = 32, 33 (T = 64), placed so that b1(u_32) * b1(u_33) = 1
@@ -359,6 +369,18 @@ def test_singular_block_when_curve_crosses():
         simulate(spec, 64)
     assert excinfo.value.block_index == 16
     assert excinfo.value.condition > 1e9
+    assert excinfo.value.condition == block_condition(spec, 64, 16)
+
+
+@pytest.mark.filterwarnings("error")
+def test_singular_block_with_a_zero_pivot_column():
+    # b0 = u - 0.5 vanishes at t = 32 and b1 = u - 33/64 at t = 33: column 0
+    # of block 16 is all zero, so the elimination has no pivot at all
+    spec = make_process_spec("tvDAR", ar=["u-0.5", "u-0.515625"], seed=3)
+    with pytest.raises(SingularBlockError) as excinfo:
+        simulate(spec, 64)
+    assert excinfo.value.block_index == 16
+    assert excinfo.value.condition == np.inf
 
 
 @settings(max_examples=40, deadline=None, database=None)

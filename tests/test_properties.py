@@ -1,15 +1,17 @@
 """Property tests: laws that hold for every input, not just the worked examples.
 
 Examples are small and drawn single-threaded with a fixed budget, so the
-file adds about four seconds to the suite.
+file adds about five seconds to the suite.
 """
 
 import contextlib
 import io
 import json
+import math
 import sys
 import tempfile
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +21,19 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from walsh_spectra.cli import main
-from walsh_spectra.curves import Binary, Call, Literal, Negate, Pi, Variable, parse, serialize
+from walsh_spectra.curves import (
+    Binary,
+    Call,
+    CurveDomainError,
+    Literal,
+    Negate,
+    Pi,
+    Variable,
+    _eval,
+    eval_curve,
+    parse,
+    serialize,
+)
 from walsh_spectra.dyadic import INDEX_CAP, block_exponent, block_size, fwht, zero_pad
 from walsh_spectra.poly import grid_ratio
 from walsh_spectra.processes import (
@@ -35,6 +49,7 @@ from walsh_spectra.processes import (
 from oracles import (
     oracle_innovation,
     oracle_mix64,
+    oracle_solve2,
     oracle_transform,
     oracle_word,
     oracle_xor_combine,
@@ -73,22 +88,56 @@ exponents = st.recursive(
     ),
     max_leaves=3,
 )
-curves = st.recursive(
-    st.one_of(literals, st.just(Variable()), st.just(Pi())),
-    lambda inner: st.one_of(
-        inner.map(Negate),
-        st.tuples(st.sampled_from("+-*/"), inner, inner).map(lambda p: Binary(*p)),
-        st.tuples(inner, exponents).map(lambda p: Binary("^", *p)),
-        st.tuples(st.sampled_from(("cos", "sin", "exp", "abs")), inner).map(lambda p: Call(*p)),
-    ),
-    max_leaves=12,
-)
+
+
+def curve_trees(leaves):
+    return st.recursive(
+        leaves,
+        lambda inner: st.one_of(
+            inner.map(Negate),
+            st.tuples(st.sampled_from("+-*/"), inner, inner).map(lambda p: Binary(*p)),
+            st.tuples(inner, exponents).map(lambda p: Binary("^", *p)),
+            st.tuples(st.sampled_from(("cos", "sin", "exp", "abs")), inner).map(lambda p: Call(*p)),
+        ),
+        max_leaves=12,
+    )
+
+
+curves = curve_trees(st.one_of(literals, st.just(Variable()), st.just(Pi())))
+# trees that never read u, with a -0.0 literal the parser does not build
+constant_curves = curve_trees(st.one_of(literals, st.just(Pi()), st.just(Literal(-0.0))))
 
 
 @SETTINGS
 @given(curves)
 def test_parse_inverts_serialize(expr):
     assert parse(serialize(expr)) == expr
+
+
+def clip_and_add(expr, u):
+    """Every curve's values as eval_curve computed them before constant curves were filled."""
+    clamped = np.clip(u, 0.0, 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.asarray(_eval(expr, clamped), dtype=np.float64) + np.zeros_like(clamped, dtype=np.float64)
+
+
+@SETTINGS
+@given(
+    st.one_of(curves, constant_curves),
+    arrays(np.float64, st.integers(0, 6), elements=st.one_of(st.floats(-0.5, 1.5), st.just(-0.0), st.just(np.nan))),
+)
+def test_eval_curve_equals_clip_and_add_bit_for_bit(expr, u):
+    try:
+        ref = clip_and_add(expr, u)
+    except CurveDomainError:
+        ref = None
+    for points, want in ((u, ref), *((ui, None if ref is None else ref[i : i + 1]) for i, ui in enumerate(u))):
+        if want is None or not np.isfinite(want).all():
+            with pytest.raises(CurveDomainError):
+                eval_curve(expr, points)
+            continue
+        got = np.atleast_1d(eval_curve(expr, points))
+        assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
 
 
 @SETTINGS
@@ -190,6 +239,53 @@ def test_diagonally_dominant_blocks_solve_to_a_small_residual(system, margin):
         for k in range(L):
             dense[t, t ^ k] = b_rows[t, k]
     assert np.max(np.abs(dense @ x - rhs)) <= 1e-9 * max(1.0, float(np.max(np.abs(rhs))))
+
+
+@st.composite
+def blocks_2x2(draw):
+    """A 2 x 2 system ([[a00, a01], [a10, a11]], (z0, z1)) far from singular, scaled by a power of two."""
+    a00, a01, a10, a11 = (draw(signed) for _ in range(4))
+    if draw(st.booleans()):  # equal |column 0| entries: the pivot stays in row 0
+        a10 = math.copysign(a00, draw(st.sampled_from((1.0, -1.0))))
+    top = max(abs(a00), abs(a01), abs(a10), abs(a11)) or 1.0
+    if abs(Fraction(a00) * Fraction(a11) - Fraction(a01) * Fraction(a10)) <= Fraction(top) ** 2 / 1000:
+        # nearly singular: a diagonal shift of 3 * top gives |det| >= 3 top**2 against a largest entry 4 top
+        a00, a11 = a00 + 3 * top, a11 + 3 * top
+    scale = 2.0 ** draw(st.integers(-60, 60))
+    return ((a00 * scale, a01 * scale), (a10 * scale, a11 * scale)), (draw(signed), draw(signed))
+
+
+def solve_blocks(systems):
+    """_block_solve on the L = 2 recursion whose aligned blocks are the given systems."""
+    # row i of a block matrix holds b_{i XOR j} at column j: b_rows[2i] = (a00, a01), b_rows[2i+1] = (a11, a10)
+    b_rows = np.array([row for a, _ in systems for row in (a[0], a[1][::-1])])
+    return _block_solve(b_rows, np.array([v for _, z in systems for v in z])).reshape(-1, 2)
+
+
+block_systems = st.integers(0, 4).flatmap(lambda m: st.lists(blocks_2x2(), min_size=1 << m, max_size=1 << m))
+
+
+@SETTINGS
+@given(block_systems)
+def test_2x2_blocks_solve_as_the_scalar_oracle_bit_for_bit(systems):
+    x = solve_blocks(systems)
+    ref = np.array([oracle_solve2(a, z) for a, z in systems])
+    assert np.array_equal(x, ref) and np.array_equal(np.signbit(x), np.signbit(ref))
+
+
+@SETTINGS
+@given(block_systems)
+def test_2x2_blocks_solve_within_the_condition_bound(systems):
+    eps = Fraction(np.finfo(float).eps)
+    for (a, z), x in zip(systems, solve_blocks(systems)):
+        (a00, a01), (a10, a11) = ((Fraction(v) for v in row) for row in a)
+        z0, z1 = map(Fraction, z)
+        det = a00 * a11 - a01 * a10
+        exact = ((a11 * z0 - a01 * z1) / det, (a00 * z1 - a10 * z0) / det)
+        # infinity-norm condition number; partial pivoting keeps a 2 x 2 backward error near eps
+        kappa = max(abs(a00) + abs(a01), abs(a10) + abs(a11)) * max(abs(a11) + abs(a01), abs(a10) + abs(a00)) / abs(det)
+        bound = 16 * eps * kappa * max(map(abs, exact))
+        assert all(abs(Fraction(float(xi)) - e) <= bound for xi, e in zip(x, exact))
 
 
 near_powers = st.tuples(st.integers(0, 80), st.integers(-1, 1)).map(lambda p: (1 << p[0]) + p[1])
