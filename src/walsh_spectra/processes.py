@@ -434,6 +434,27 @@ def _check_u0(u0) -> float:
     return u0
 
 
+def _cores(spec: ProcessSpec, T: int, lo: int, hi: int, u0=None, slack: float = 0.0):
+    """u = t/T (or u0) on an aligned window lo <= t < hi and ``core(eps)``, the centred values there.
+
+    XOR couples t only inside its aligned block, so they equal the whole path's, and a
+    singular block is numbered on the whole path (equal frozen blocks report the first).
+    """
+    u = np.arange(lo, hi) / T if u0 is None else np.full(hi - lo, u0)
+    b_rows, a_rows = coefficient_rows(spec, u)
+    if slack:  # +-slack/T on the rows: rescaled and actual coefficients then differ at order 1/T
+        for rows in (b_rows, a_rows):
+            rows += slack / T * (1.0 - 2.0 * ((np.arange(lo, hi)[:, None] + np.arange(rows.shape[1])) & 1))
+    offset = lo // len(spec.ar) if u0 is None else 0
+
+    def core(eps: np.ndarray) -> np.ndarray:
+        try:
+            return _core_values(spec, b_rows, a_rows, eps)
+        except SingularBlockError as exc:
+            raise SingularBlockError(exc.block_index + offset, exc.condition) from None
+    return u, core
+
+
 def _simulate_on(spec: ProcessSpec, T: int, innovations, u0) -> SamplePath:
     """Body of `simulate` (u0 None: u = t/T) and `simulate_frozen` (u = u0 for every t)."""
     T = _check_horizon(T, max(len(spec.ar), len(spec.ma)))
@@ -441,10 +462,9 @@ def _simulate_on(spec: ProcessSpec, T: int, innovations, u0) -> SamplePath:
     eps = make_innovations(spec.innovations, T) if innovations is None else np.asarray(innovations, dtype=np.float64)
     if innovations is not None and (eps.shape != (T,) or not np.isfinite(eps).all()):
         raise ValueError(f"innovations must be a one-dimensional array of {T} finite values, got shape {eps.shape}")
-    u = np.arange(T) / T if u0 is None else np.full(T, u0)
-    # the coefficient rows are released before trend and amplitude are
-    # evaluated, which keeps them out of the peak memory at large T
-    core = _core_values(spec, *coefficient_rows(spec, u), eps)
+    u, core = _cores(spec, T, 0, T, u0)
+    # rebinding `core` frees its rows before trend and amplitude: they stay out of the peak memory
+    core = core(eps)
     values = eval_curve(spec.trend, u) + eval_curve(spec.amplitude, u) * core
     return SamplePath(values=values, innovations=eps)
 
@@ -470,15 +490,14 @@ def simulate_frozen(spec: ProcessSpec, u0: float, T: int, innovations=None) -> S
 def simulate_seeds(spec: ProcessSpec, T: int, seeds):
     """Yield ``simulate(spec.with_seed(s), T)`` for each seed s, bit for bit, evaluating the curves once.
 
-    Holds (len(ar) + len(ma) + 2)·T floats throughout, so `simulate`, which frees its rows early, does not use it.
+    Holds (len(ar) + len(ma) + 3)·T floats throughout: u, the rows, trend and amplitude.
     """
     T = _check_horizon(T, max(len(spec.ar), len(spec.ma)))
-    u = np.arange(T) / T
-    b_rows, a_rows = coefficient_rows(spec, u)
+    u, core = _cores(spec, T, 0, T)
     trend, amp = eval_curve(spec.trend, u), eval_curve(spec.amplitude, u)
     for seed in seeds:
         eps = make_innovations(replace(spec.innovations, seed=seed), T)
-        yield SamplePath(values=trend + amp * _core_values(spec, b_rows, a_rows, eps), innovations=eps)
+        yield SamplePath(values=trend + amp * core(eps), innovations=eps)
 
 
 def defining_equation_residual(spec: ProcessSpec, path: SamplePath) -> float:
@@ -557,13 +576,6 @@ class ApproxReport:
         return asdict(self)
 
 
-def _slack_pattern(t: np.ndarray, width: int, scale: float) -> np.ndarray:
-    # bounded +-scale perturbation of the coefficient rows at times t; exercises
-    # the general case where rescaled and actual coefficients differ at order 1/T
-    k = np.arange(width)[None, :]
-    return scale * (1.0 - 2.0 * ((t[:, None] + k) & 1))
-
-
 def decay_experiment(
     spec: ProcessSpec,
     mode: str,
@@ -588,8 +600,7 @@ def decay_experiment(
     side, which makes the error decay exactly at first order even where
     all curves happen to be flat at u0.
 
-    Only the L-aligned hull of each window is simulated: XOR couples t only
-    inside its aligned block, so those values equal the whole path's.
+    Only the L-aligned hull of each window is simulated (see `_cores`).
     """
     if mode not in ("frozen", "conversion"):
         raise ValueError(f"mode must be 'frozen' or 'conversion', got {mode!r}")
@@ -613,15 +624,9 @@ def decay_experiment(
     mean_errors = []
     for T, window in zip(T_values, windows):
         lo, hi = window.start // needed * needed, -(-window.stop // needed) * needed
-        t = np.arange(lo, hi)
-        u = t / T
-        b_rows, a_rows = coefficient_rows(spec, u)
-        if slack:
-            a_rows = a_rows + _slack_pattern(t, a_rows.shape[1], slack / T)
-            if spec.kind not in MA_KINDS:
-                b_rows = b_rows + _slack_pattern(t, b_rows.shape[1], slack / T)
+        u, core_tv = _cores(spec, T, lo, hi, slack=slack)
         if mode == "frozen":
-            fb_rows, fa_rows = coefficient_rows(spec, np.full(hi - lo, u0))
+            core_fr = _cores(spec, T, lo, hi, u0)[1]
             fr_trend, fr_amp = eval_curve(spec.trend, u0), eval_curve(spec.amplitude, u0)
         else:
             k_rows = dma_coefficient_rows(spec, u)  # amplitude folded in
@@ -632,14 +637,9 @@ def decay_experiment(
         for rep in range(replicates):
             seed = spawn_seed(spec.innovations.seed, rep)
             eps = make_innovations(replace(spec.innovations, seed=seed), hi - lo, start=lo)
-            try:
-                core_tv = _core_values(spec, b_rows, a_rows, eps)
-            except SingularBlockError as exc:
-                # numbered on the whole path like `simulate`; equal frozen blocks give 0 either way
-                raise SingularBlockError(exc.block_index + lo // len(spec.ar), exc.condition) from None
-            x_tv = trend_vals + amp_vals * core_tv
+            x_tv = trend_vals + amp_vals * core_tv(eps)
             if mode == "frozen":
-                x_cmp = fr_trend + fr_amp * _core_values(spec, fb_rows, fa_rows, eps)
+                x_cmp = fr_trend + fr_amp * core_fr(eps)
             else:
                 x_cmp = trend_vals + _dma_combine(k_rows, eps)
             errs.append(float(np.max(np.abs(x_tv[read] - x_cmp[read]))))

@@ -66,6 +66,22 @@ def test_only_dyadic_decides_integer_arguments():
     assert outside_dyadic(re.escape("(int, np.integer)")) == []
 
 
+def test_only_cores_calls_core_values():
+    # rows at u, slack, the XOR core and whole-path block numbering belong to processes._cores
+    def calls(tree):
+        return [
+            node.lineno
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and "_core_values" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+        ]
+
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    everywhere = [(name, lineno) for name, tree in trees.items() for lineno in calls(tree)]
+    (cores,) = [node for node in trees["processes.py"].body if isinstance(node, ast.FunctionDef) and node.name == "_cores"]
+    assert len(everywhere) == 1
+    assert everywhere == [("processes.py", lineno) for lineno in calls(cores)]
+
+
 def test_no_module_imports_another_modules_private_names():
     # a `_` name is private to its module; dunders such as __version__ are not
     offenders = [

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -7,7 +8,9 @@ from hypothesis import strategies as st
 
 import walsh_spectra.processes as processes
 from walsh_spectra.curves import eval_curve, parse
+from walsh_spectra.dyadic import block_exponent
 from walsh_spectra.poly import SingularPolynomialError
+from walsh_spectra.presets import preset_spec
 from walsh_spectra.processes import (
     DISTRIBUTIONS,
     KINDS,
@@ -15,6 +18,7 @@ from walsh_spectra.processes import (
     InnovationSpec,
     SingularBlockError,
     _core_values,
+    _cores,
     _dma_combine,
     _window,
     approx_error,
@@ -712,6 +716,75 @@ def test_decay_experiment_frozen_singular_block_matches_simulate_frozen():
     with pytest.raises(SingularBlockError) as in_window:
         decay_experiment(spec, "frozen", T_values=(64, 128), u0=0.5, radius=2)
     assert in_window.value.block_index == on_path.value.block_index
+
+
+# ------------------------------------------------------------ windowed core
+
+
+@st.composite
+def _window_cases(draw):
+    kind = draw(st.sampled_from(KINDS))
+    spec = make_process_spec(
+        kind,
+        ar=draw(_block) if kind in ("tvDAR", "tvDARMA") else None,
+        ma=draw(_block) if kind != "tvDAR" else None,
+        trend=draw(_curve),
+        amplitude=f"1+({draw(_small)})*u",
+        distribution=draw(st.sampled_from(DISTRIBUTIONS)),
+        seed=draw(st.integers(0, 2**64 - 1)),
+    )
+    L = max(len(spec.ar), len(spec.ma))
+    T = 1 << draw(st.integers(block_exponent(L), 8))
+    lo = draw(st.integers(0, T // L - 1))
+    hi = draw(st.integers(lo + 1, T // L))
+    return spec, T, lo * L, hi * L, draw(st.none() | st.floats(0.0, 1.0, exclude_max=True))
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(_window_cases())
+def test_windowed_core_equals_the_whole_path_slice(case):
+    spec, T, lo, hi, u0 = case
+    u, core = _cores(spec, T, lo, hi, u0)
+    got = eval_curve(spec.trend, u) + eval_curve(spec.amplitude, u) * core(
+        make_innovations(spec.innovations, hi - lo, start=lo)
+    )
+    want = (simulate(spec, T) if u0 is None else simulate_frozen(spec, u0, T)).values[lo:hi]
+    assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@settings(max_examples=20, deadline=None, database=None)
+@given(ma=st.sampled_from([None, ["1", "0.1", "0.2", "0.3"]]), data=st.data())
+def test_windowed_core_numbers_a_singular_block_like_simulate(ma, data):
+    # the curve of test_singular_block_when_curve_crosses: block 16 holds t = 32, 33
+    spec = make_process_spec("tvDAR" if ma is None else "tvDARMA", ar=["1", "exp(u-0.5078125)"], ma=ma, seed=2)
+    with pytest.raises(SingularBlockError) as on_path:
+        simulate(spec, 64)
+    L = max(len(spec.ar), len(spec.ma))
+    lo = L * data.draw(st.integers(0, 32 // L))
+    hi = L * data.draw(st.integers(-(-34 // L), 64 // L))
+    _, core = _cores(spec, 64, lo, hi)
+    with pytest.raises(SingularBlockError) as in_window:
+        core(make_innovations(spec.innovations, hi - lo, start=lo))
+    assert in_window.value.block_index == on_path.value.block_index == 16
+
+
+@pytest.mark.parametrize("name, floats_per_row", [("tvDARMA", 10.5), ("figure1", 8.5)])
+def test_simulate_frees_its_rows_before_trend_and_amplitude(name, floats_per_row):
+    # a core that still holds its coefficient rows while trend and amplitude are
+    # evaluated reads about 12 floats per row on the tvDARMA spec and 9 on figure1
+    if name == "figure1":
+        spec = preset_spec("figure1")
+    else:
+        spec = make_process_spec("tvDARMA", ar=["1", "-0.2+0.5*u"], ma=["1", "0.25+0.3*u"], trend="u", amplitude="1+u")
+    T = 1 << 16
+    simulate(spec, T)
+    tracemalloc.start()
+    try:
+        simulate(spec, T)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= floats_per_row * 8 * T
 
 
 # ------------------------------------------------------- conversion row errors

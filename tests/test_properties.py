@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -126,12 +126,18 @@ def clip_and_add(expr, u):
     st.one_of(curves, constant_curves),
     arrays(np.float64, st.integers(0, 6), elements=st.one_of(st.floats(-0.5, 1.5), st.just(-0.0), st.just(np.nan))),
 )
+@example(parse("1/u"), np.array([0.5, 0.0]))
 def test_eval_curve_equals_clip_and_add_bit_for_bit(expr, u):
-    try:
-        ref = clip_and_add(expr, u)
-    except CurveDomainError:
-        ref = None
-    for points, want in ((u, ref), *((ui, None if ref is None else ref[i : i + 1]) for i, ui in enumerate(u))):
+    def reference(points):
+        try:
+            return clip_and_add(expr, points)
+        except CurveDomainError:
+            return None
+
+    ref = reference(u)
+    # one point that divides by zero fails the whole array, not the other points
+    singles = [reference(u[i : i + 1]) if ref is None else ref[i : i + 1] for i in range(u.size)]
+    for points, want in ((u, ref), *zip(u, singles)):
         if want is None or not np.isfinite(want).all():
             with pytest.raises(CurveDomainError):
                 eval_curve(expr, points)
