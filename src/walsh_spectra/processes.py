@@ -38,6 +38,8 @@ KINDS = ("tvDMA", "tvDAR", "tvDARMA", "modulated")
 #: kinds with a unit autoregressive block: the core is a finite XOR-lag sum of innovations
 MA_KINDS = ("tvDMA", "modulated")
 DISTRIBUTIONS = ("gaussian", "rademacher", "uniform")
+#: replicates `decay_experiment` draws and solves as one block: memory is bounded by this many windows
+_REPLICATE_CHUNK = 1024
 
 _M64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -67,15 +69,18 @@ def _mix64_int(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def _words(seed: int, lo: int, hi: int) -> np.ndarray:
+def _words(seeds, lo: int, hi: int) -> np.ndarray:
     """Pseudorandom 64-bit word for each counter in [lo, hi), a pure function of (seed, counter).
 
     SplitMix64: state (counter + 1) * gamma + mix(seed + gamma), mixed in place
-    (uint64 arithmetic wraps mod 2**64, which is exactly what we want).
+    (uint64 arithmetic wraps mod 2**64, which is exactly what we want).  A list
+    of seeds gives one row per seed: a seed only enters as the additive constant.
     """
+    rows = seeds if isinstance(seeds, list) else [seeds]
     z = np.arange(lo, hi, dtype=np.uint64)
     z *= np.uint64(_GAMMA)
-    z += np.uint64((_mix64_int(seed + _GAMMA) + _GAMMA) & _M64)
+    offsets = np.array([(_mix64_int(s + _GAMMA) + _GAMMA) & _M64 for s in rows], dtype=np.uint64)
+    z = z + offsets[:, None] if rows is seeds else np.add(z, offsets, out=z)
     shifted = np.empty_like(z)
     for shift, mult in ((30, _MIX1), (27, _MIX2)):
         z ^= np.right_shift(z, np.uint64(shift), out=shifted)
@@ -133,11 +138,16 @@ def make_innovations(spec: InnovationSpec, count: int, start: int = 0) -> np.nda
         raise ValueError("count must be >= 1")
     if start < 0 or start + count > INDEX_CAP:
         raise ValueError(f"innovation indices [{start}, {start + count}) leave [0, 2**62)")
+    return _draw(spec, spec.seed, count, start)
+
+
+def _draw(spec: InnovationSpec, seeds, count: int, start: int) -> np.ndarray:
+    """Body of `make_innovations` for spec's law; a list of seeds gives one row per seed."""
     if spec.distribution == "gaussian":
         # counters 2i and 2i+1 drive value i: one interleaved pass gives both words
-        w = _words(spec.seed, 2 * start, 2 * (start + count))
+        w = _words(seeds, 2 * start, 2 * (start + count))
         w >>= np.uint64(11)
-        u = w.reshape(count, 2).T.astype(np.float64, order="C")
+        u = np.moveaxis(w.reshape(*w.shape[:-1], count, 2), -1, 0).astype(np.float64, order="C")
         del w
         u[0] += 1.0
         u *= 2.0**-53  # u[0] in (0, 1], u[1] in [0, 1)
@@ -147,7 +157,7 @@ def make_innovations(spec: InnovationSpec, count: int, start: int = 0) -> np.nda
         z *= np.cos(np.multiply(u[1], 2.0 * np.pi, out=u[1]), out=u[1])
         z *= spec.sigma
         return z
-    w = _words(spec.seed, start, start + count)
+    w = _words(seeds, start, start + count)
     if spec.distribution == "rademacher":
         return spec.sigma * (1.0 - 2.0 * (w >> np.uint64(63)).astype(np.float64))
     u = (w >> np.uint64(11)).astype(np.float64) * 2.0**-53
@@ -327,22 +337,23 @@ def _check_horizon(T: int, needed: int) -> int:
 
 
 def _dma_combine(coef: np.ndarray, eps: np.ndarray) -> np.ndarray:
-    """out[t] = sum_k coef[t, k] * eps[t XOR k] for (T, L) coefficient rows.
+    """out[..., t] = sum_k coef[t, k] * eps[..., t XOR k] for (T, L) coefficient rows.
 
-    Each aligned block of L = 2**m values is viewed as m binary axes, most
-    significant bit first; XOR with k reverses the axes of k's set bits, a
-    strided view rather than an index gather.
+    Leading axes of eps are replicates sharing the rows.  Each aligned block
+    of L = 2**m values is viewed as m binary axes, most significant bit
+    first; XOR with k reverses the axes of k's set bits, a strided view
+    rather than an index gather.
     """
     T, L = coef.shape
     m = block_exponent(L)
     shape = (T // L,) + (2,) * m
-    e = eps.reshape(shape)
+    e = eps.reshape(eps.shape[:-1] + shape)
     c = coef.reshape(shape + (L,))
-    out = np.zeros(shape)
+    out = np.zeros(e.shape)
     for k in range(L):
         flip = tuple(slice(None, None, -1) if k >> (m - 1 - axis) & 1 else slice(None) for axis in range(m))
-        out += c[..., k] * e[(slice(None), *flip)]
-    return out.reshape(T)
+        out += c[..., k] * e[(..., slice(None), *flip)]
+    return out.reshape(eps.shape)
 
 
 def _block_matrices(b_rows: np.ndarray) -> np.ndarray:
@@ -359,27 +370,28 @@ def _solve2(b_rows: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     entry, the first of equal magnitudes; l = q00 * (1/p00), u11 = q01 - l*p01,
     x1 = (y1 - l*y0)/u11, x0 = (y0 - x1*p01)/p00.  Plain ufuncs never fuse a
     multiply-add, so the bits do not depend on the BLAS kernel.  A zero pivot
-    gives inf or nan, left to the residual check.
+    gives inf or nan, left to the residual check.  Leading axes of rhs are
+    replicates sharing the rows.
     """
     n = b_rows.shape[0] // 2
-    b, z = b_rows.reshape(n, 2, 2), rhs.reshape(n, 2)
-    r0, r1 = (b[:, 0, 0], b[:, 0, 1], z[:, 0]), (b[:, 1, 1], b[:, 1, 0], z[:, 1])
+    b, z = b_rows.reshape(n, 2, 2), rhs.reshape(*rhs.shape[:-1], n, 2)
+    r0, r1 = (b[:, 0, 0], b[:, 0, 1], z[..., 0]), (b[:, 1, 1], b[:, 1, 0], z[..., 1])
     swap = np.abs(r1[0]) > np.abs(r0[0])
     if swap.any():  # swapped copies only where some block pivots
         r0, r1 = [np.where(swap, q, p) for p, q in zip(r0, r1)], [np.where(swap, p, q) for p, q in zip(r0, r1)]
     (p0, p1, y0), (q0, q1, y1) = r0, r1
-    x = np.empty((n, 2))
+    x = np.empty(z.shape)
     l = np.divide(1.0, p0)
     l *= q0
     u = np.multiply(l, p1)
     np.subtract(q1, u, out=u)
-    np.multiply(l, y0, out=l)
-    np.subtract(y1, l, out=l)
-    np.divide(l, u, out=x[:, 1])
-    np.multiply(x[:, 1], p1, out=u)
-    np.subtract(y0, u, out=u)
-    np.divide(u, p0, out=x[:, 0])
-    return x.reshape(2 * n)
+    y = np.multiply(l, y0, out=l if rhs.ndim == 1 else None)  # in place for a single right-hand side
+    np.subtract(y1, y, out=y)
+    np.divide(y, u, out=x[..., 1])
+    np.multiply(x[..., 1], p1, out=y)
+    np.subtract(y0, y, out=y)
+    np.divide(y, p0, out=x[..., 0])
+    return x.reshape(rhs.shape)
 
 
 def _block_solve(b_rows: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -389,7 +401,8 @@ def _block_solve(b_rows: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     L = number of autoregressive coefficients, so the global system is
     block diagonal with dense L x L blocks (rows vary with t, so the
     blocks are not XOR-circulant and are LU-solved: in closed form for
-    L = 2, by LAPACK for L >= 4).
+    L = 2, by LAPACK for L >= 4).  Leading axes of rhs are replicates sharing
+    the rows; each is checked against its own residual tolerance.
     """
     T, L = b_rows.shape
     if L == 1:
@@ -405,13 +418,14 @@ def _block_solve(b_rows: np.ndarray, rhs: np.ndarray) -> np.ndarray:
             x = _solve2(b_rows, rhs)
         else:
             try:
-                x = np.linalg.solve(_block_matrices(b_rows), rhs.reshape(T // L, L, 1)).reshape(T)
+                z = rhs.reshape(*rhs.shape[:-1], T // L, L, 1)
+                x = np.linalg.solve(_block_matrices(b_rows), z).reshape(rhs.shape)
             except np.linalg.LinAlgError:
                 x = None
         # tolerance deliberately ignores |x|: a near-singular block inflates x and
         # the residual with it, which is exactly what should be flagged
-        tol = 1e-9 * max(1.0, float(np.max(np.abs(rhs))))
-        if x is not None and np.max(np.abs(_dma_combine(b_rows, x) - rhs)) <= tol:
+        tol = 1e-9 * np.maximum(1.0, np.max(np.abs(rhs), axis=-1))
+        if x is not None and np.all(np.max(np.abs(_dma_combine(b_rows, x) - rhs), axis=-1) <= tol):
             return x
         conds = np.linalg.cond(_block_matrices(b_rows))
     conds = np.where(np.isfinite(conds), conds, np.inf)
@@ -600,7 +614,9 @@ def decay_experiment(
     side, which makes the error decay exactly at first order even where
     all curves happen to be flat at u0.
 
-    Only the L-aligned hull of each window is simulated (see `_cores`).
+    Only the L-aligned hull of each window is simulated (see `_cores`), and
+    a horizon's replicates are drawn and solved as one block of up to
+    `_REPLICATE_CHUNK` rows; each replicate's error equals its own path's bit for bit.
     """
     if mode not in ("frozen", "conversion"):
         raise ValueError(f"mode must be 'frozen' or 'conversion', got {mode!r}")
@@ -621,29 +637,29 @@ def decay_experiment(
     windows = [_window(round(u0 * T), radius, _check_horizon(T, needed)) for T in T_values]
     if len(set(T_values)) < 2:
         raise ValueError(f"a decay slope needs at least two distinct horizons, got {list(T_values)}")
-    mean_errors = []
-    for T, window in zip(T_values, windows):
-        lo, hi = window.start // needed * needed, -(-window.stop // needed) * needed
-        u, core_tv = _cores(spec, T, lo, hi, slack=slack)
-        if mode == "frozen":
-            core_fr = _cores(spec, T, lo, hi, u0)[1]
-            fr_trend, fr_amp = eval_curve(spec.trend, u0), eval_curve(spec.amplitude, u0)
-        else:
-            k_rows = dma_coefficient_rows(spec, u)  # amplitude folded in
-        trend_vals = eval_curve(spec.trend, u)
-        amp_vals = eval_curve(spec.amplitude, u)
-        read = slice(window.start - lo, window.stop - lo)
-        errs = []
-        for rep in range(replicates):
-            seed = spawn_seed(spec.innovations.seed, rep)
-            eps = make_innovations(replace(spec.innovations, seed=seed), hi - lo, start=lo)
+    errors = np.empty((len(T_values), replicates))  # row h: the sup-error of each replicate at T_values[h]
+    for first in range(0, replicates, _REPLICATE_CHUNK):
+        reps = range(first, min(first + _REPLICATE_CHUNK, replicates))
+        seeds = [spawn_seed(spec.innovations.seed, rep) for rep in reps]
+        for T, window, row in zip(T_values, windows, errors):
+            lo, hi = window.start // needed * needed, -(-window.stop // needed) * needed
+            u, core_tv = _cores(spec, T, lo, hi, slack=slack)
+            if mode == "frozen":
+                core_fr = _cores(spec, T, lo, hi, u0)[1]
+                fr_trend, fr_amp = eval_curve(spec.trend, u0), eval_curve(spec.amplitude, u0)
+            else:
+                k_rows = dma_coefficient_rows(spec, u)  # amplitude folded in
+            trend_vals = eval_curve(spec.trend, u)
+            amp_vals = eval_curve(spec.amplitude, u)
+            read = slice(window.start - lo, window.stop - lo)
+            eps = _draw(spec.innovations, seeds, hi - lo, lo)  # one row per replicate
             x_tv = trend_vals + amp_vals * core_tv(eps)
             if mode == "frozen":
                 x_cmp = fr_trend + fr_amp * core_fr(eps)
             else:
                 x_cmp = trend_vals + _dma_combine(k_rows, eps)
-            errs.append(float(np.max(np.abs(x_tv[read] - x_cmp[read]))))
-        mean_errors.append(float(np.mean(errs)))
+            row[reps.start : reps.stop] = np.max(np.abs(x_tv[:, read] - x_cmp[:, read]), axis=1)
+    mean_errors = [float(np.mean(row)) for row in errors]
     read_curves = (*spec.ar, *(() if spec.kind == "modulated" else spec.ma), spec.trend, spec.amplitude)
     exact = not slack and all(map(is_constant, read_curves))  # from the spec: small errors are not exact
     slope = None

@@ -115,6 +115,7 @@ def lapack_block_solve(b_rows, rhs) -> np.ndarray:
 
     This is the route the library took for every block length before 2 x 2
     blocks got their closed form; the golden tests swap it in as the reference.
+    Leading axes of rhs are replicates sharing the rows, each solved block by block.
     """
     b_rows = np.asarray(b_rows, dtype=np.float64)
     T, L = b_rows.shape
@@ -122,7 +123,7 @@ def lapack_block_solve(b_rows, rhs) -> np.ndarray:
         return rhs / b_rows[:, 0]
     r = np.arange(L)
     mats = b_rows.reshape(T // L, L, L)[:, r[:, None], r[:, None] ^ r[None, :]]
-    return np.linalg.solve(mats, np.reshape(rhs, (T // L, L, 1))).reshape(T)
+    return np.linalg.solve(mats, np.reshape(rhs, np.shape(rhs)[:-1] + (T // L, L, 1))).reshape(np.shape(rhs))
 
 
 def bareiss_determinant(matrix) -> int:

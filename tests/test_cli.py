@@ -351,7 +351,7 @@ def test_verify_needs_two_horizons(tmp_path, capsys, monkeypatch, T_list):
     def fail(*args, **kwargs):
         raise AssertionError("simulated before checking the horizons")
 
-    monkeypatch.setattr("walsh_spectra.processes.make_innovations", fail)
+    monkeypatch.setattr("walsh_spectra.processes._draw", fail)
     out = tmp_path / "report.json"
     code = main([
         "verify", "--preset", "figure1", "--mode", "frozen", "--T", T_list,

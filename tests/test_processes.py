@@ -679,21 +679,60 @@ def test_windowed_decay_errors_equal_the_full_path_errors(case):
 
 
 def test_decay_experiment_draws_only_the_aligned_windows(monkeypatch):
-    counts = []
-    draw = processes.make_innovations
+    shapes = []
+    draw = processes._draw
 
-    def counting(spec, count, start=0):
-        counts.append(count)
-        return draw(spec, count, start)
+    def counting(spec, seeds, count, start):
+        eps = draw(spec, seeds, count, start)
+        shapes.append(eps.shape)
+        return eps
 
-    monkeypatch.setattr(processes, "make_innovations", counting)
+    monkeypatch.setattr(processes, "_draw", counting)
     spec = make_process_spec("tvDARMA", ar=["1", "0.2*u"], ma=["1", "0.1", "0.2*u", "0.1"], seed=5)
     T_values = (64, 128, 256, 1024)
     decay_experiment(spec, "conversion", T_values=T_values, u0=0.3, radius=5, replicates=3)
     # L = 4; the windows [14, 25), [33, 44), [72, 83) and [302, 313) have the
-    # aligned hulls [12, 28), [32, 44), [72, 84) and [300, 316)
-    assert counts == [16] * 3 + [12] * 3 + [12] * 3 + [16] * 3
-    assert not set(counts) & set(T_values)
+    # aligned hulls [12, 28), [32, 44), [72, 84) and [300, 316): one draw per T, a row per replicate
+    assert shapes == [(3, 16), (3, 12), (3, 12), (3, 16)]
+    assert not {n for _, n in shapes} & set(T_values)
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        dict(spec=preset_spec("figure1", seed=3), mode="frozen", u0=0.3, slack=0.0),
+        dict(
+            spec=make_process_spec("tvDARMA", ar=["1", "0.2*u"], ma=["1", "0.1", "0.2*u", "0.1"], trend="u", seed=2**64 - 1),
+            mode="conversion",
+            u0=0.71,
+            slack=0.5,
+        ),
+    ],
+)
+def test_decay_experiment_chunks_equal_the_full_path_errors(monkeypatch, case):
+    # 11 replicates in chunks of 4: two full chunks and a partial one
+    monkeypatch.setattr(processes, "_REPLICATE_CHUNK", 4)
+    args = dict(case, T_values=(64, 128, 256), radius=5, replicates=11)
+    assert decay_experiment(**args).errors == full_path_errors(**args)
+
+
+def test_decay_experiment_memory_is_bounded_by_one_chunk():
+    spec = make_process_spec("tvDARMA", ar=["1", "0.2*u", "0.1", "-0.1*u"], ma=["1", "0.1", "0.2*u", "0.1"], seed=5)
+    # u0 = 0.3, radius 16: both windows have an aligned hull of 36 values
+    hull_floats = processes._REPLICATE_CHUNK * 36
+
+    def peak(replicates):
+        tracemalloc.start()
+        try:
+            decay_experiment(spec, "frozen", T_values=(128, 256), u0=0.3, radius=16, replicates=replicates)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one_chunk, many = peak(processes._REPLICATE_CHUNK), peak(5000)
+    # about 8 chunk x hull floats; past one chunk only the error array grows, 8 bytes per replicate and horizon
+    assert many <= 10 * 8 * hull_floats
+    assert many <= 1.1 * one_chunk
 
 
 @pytest.mark.parametrize("ma", [None, ["1", "0.1", "0.2", "0.3"]])

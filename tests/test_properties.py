@@ -11,6 +11,7 @@ import math
 import sys
 import tempfile
 import warnings
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -39,9 +40,12 @@ from walsh_spectra.poly import grid_ratio
 from walsh_spectra.processes import (
     DISTRIBUTIONS,
     InnovationSpec,
+    SingularBlockError,
     _block_solve,
     _dma_combine,
+    _draw,
     _mix64_int,
+    _solve2,
     _words,
     make_innovations,
 )
@@ -186,6 +190,31 @@ def test_innovations_match_the_scalar_splitmix64_reference(seed, start, count, s
             assert np.array_equal(got, ref)
 
 
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a, b, equal_nan=True) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+any_seed = st.one_of(st.sampled_from([0, (1 << 64) - 1]), st.integers(0, (1 << 64) - 1))
+
+
+@SETTINGS
+@given(
+    st.lists(any_seed, min_size=1, max_size=4),
+    st.integers(1, 40),
+    st.one_of(st.none(), st.integers(0, 1 << 40)),
+    st.floats(1e-3, 1e3),
+)
+@example([0, (1 << 64) - 1], 3, None, 1.0)
+def test_batched_draw_equals_make_innovations_per_seed(seeds, count, start, sigma):
+    start = INDEX_CAP - count if start is None else start  # None: the window ends at INDEX_CAP
+    words = _words(seeds, start, start + count)
+    assert np.array_equal(words, np.array([_words(s, start, start + count) for s in seeds]))
+    for distribution in DISTRIBUTIONS:
+        spec = InnovationSpec(distribution, sigma)
+        ref = np.array([make_innovations(replace(spec, seed=s), count, start=start) for s in seeds])
+        assert same_bits(_draw(spec, seeds, count, start), ref)
+
+
 # signed zeros too: the combine must reproduce the sign of every zero sum
 signed = st.one_of(st.just(-0.0), finite)
 
@@ -245,6 +274,58 @@ def test_diagonally_dominant_blocks_solve_to_a_small_residual(system, margin):
         for k in range(L):
             dense[t, t ^ k] = b_rows[t, k]
     assert np.max(np.abs(dense @ x - rhs)) <= 1e-9 * max(1.0, float(np.max(np.abs(rhs))))
+
+
+@SETTINGS
+@given(
+    st.sampled_from([1, 2, 4, 8]).flatmap(
+        lambda L: st.tuples(st.integers(1, 3), st.integers(1, 4)).flatmap(
+            lambda s: st.tuples(
+                arrays(np.float64, (s[0] * L, L), elements=signed), arrays(np.float64, (s[1], s[0] * L), elements=signed)
+            )
+        )
+    ),
+    st.floats(1e-3, 1e3),
+)
+def test_kernels_on_a_replicate_axis_equal_the_row_by_row_calls(system, margin):
+    b_rows, rhs = system
+    assert same_bits(_dma_combine(b_rows, rhs), np.array([_dma_combine(b_rows, r) for r in rhs]))
+    if b_rows.shape[1] == 2:  # any rows: pivot swaps, zero pivots and their inf and nan included
+        with np.errstate(all="ignore"):
+            assert same_bits(_solve2(b_rows, rhs), np.array([_solve2(b_rows, r) for r in rhs]))
+    # diagonally dominant rows: every block is non-singular
+    b_rows[:, 0] = np.where(b_rows[:, 0] < 0, -1.0, 1.0) * (np.sum(np.abs(b_rows[:, 1:]), axis=1) + margin)
+    assert same_bits(_block_solve(b_rows, rhs), np.array([_block_solve(b_rows, r) for r in rhs]))
+
+
+@SETTINGS
+@given(st.sampled_from([2, 4]), st.integers(1, 3), st.integers(0, 2), st.floats(1e-12, 1e-9), st.integers(0, 2**32 - 1), st.booleans())
+def test_a_flagged_replicate_stays_flagged_next_to_a_larger_one(L, blocks, which, smallest, seed, small_first):
+    rng = np.random.default_rng(seed)
+    which = min(which, blocks - 1)
+    mats, small, large = [], [], []
+    for i in range(blocks):
+        u, v = (np.linalg.qr(rng.standard_normal((L, L)))[0] for _ in range(2))
+        sigma = np.linspace(1.0, smallest if i == which else 0.5, L)
+        mats.append(u * sigma @ v.T)
+        small.append(u[:, -1] if i == which else u[:, 0])  # the near-null direction of the near-singular block
+        large.append(1e12 * u[:, 0])  # the well-determined direction, with a 1e12 times larger tolerance
+    # any dense block is the XOR recursion's: row i holds b_{i XOR j} at column j
+    r = np.arange(L)
+    b_rows = np.concatenate([m[r[:, None], r[:, None] ^ r[None, :]] for m in mats])
+    small, large = np.concatenate(small), np.concatenate(large)
+
+    def flagged(rhs):
+        try:
+            _block_solve(b_rows, rhs)
+        except SingularBlockError as exc:
+            return exc.block_index, exc.condition
+        return None
+
+    alone = flagged(small)
+    assume(alone is not None)  # a few draws round to a residual within the tolerance
+    assert flagged(large) is None
+    assert flagged(np.stack([small, large] if small_first else [large, small])) == alone
 
 
 @st.composite
