@@ -38,7 +38,7 @@ KINDS = ("tvDMA", "tvDAR", "tvDARMA", "modulated")
 #: kinds with a unit autoregressive block: the core is a finite XOR-lag sum of innovations
 MA_KINDS = ("tvDMA", "modulated")
 DISTRIBUTIONS = ("gaussian", "rademacher", "uniform")
-#: replicates `decay_experiment` draws and solves as one block: memory is bounded by this many windows
+#: replicates per block in `decay_experiment`: it holds this many windows, plus 16 bytes per replicate
 _REPLICATE_CHUNK = 1024
 
 _M64 = (1 << 64) - 1
@@ -136,13 +136,13 @@ def make_innovations(spec: InnovationSpec, count: int, start: int = 0) -> np.nda
     count, start = as_int(count, "count"), as_int(start, "start")
     if count < 1:
         raise ValueError("count must be >= 1")
-    if start < 0 or start + count > INDEX_CAP:
-        raise ValueError(f"innovation indices [{start}, {start + count}) leave [0, 2**62)")
     return _draw(spec, spec.seed, count, start)
 
 
 def _draw(spec: InnovationSpec, seeds, count: int, start: int) -> np.ndarray:
     """Body of `make_innovations` for spec's law; a list of seeds gives one row per seed."""
+    if start < 0 or start + count > INDEX_CAP:
+        raise ValueError(f"innovation indices [{start}, {start + count}) leave [0, 2**62)")
     if spec.distribution == "gaussian":
         # counters 2i and 2i+1 drive value i: one interleaved pass gives both words
         w = _words(seeds, 2 * start, 2 * (start + count))
@@ -637,29 +637,30 @@ def decay_experiment(
     windows = [_window(round(u0 * T), radius, _check_horizon(T, needed)) for T in T_values]
     if len(set(T_values)) < 2:
         raise ValueError(f"a decay slope needs at least two distinct horizons, got {list(T_values)}")
-    errors = np.empty((len(T_values), replicates))  # row h: the sup-error of each replicate at T_values[h]
-    for first in range(0, replicates, _REPLICATE_CHUNK):
-        reps = range(first, min(first + _REPLICATE_CHUNK, replicates))
-        seeds = [spawn_seed(spec.innovations.seed, rep) for rep in reps]
-        for T, window, row in zip(T_values, windows, errors):
-            lo, hi = window.start // needed * needed, -(-window.stop // needed) * needed
-            u, core_tv = _cores(spec, T, lo, hi, slack=slack)
-            if mode == "frozen":
-                core_fr = _cores(spec, T, lo, hi, u0)[1]
-                fr_trend, fr_amp = eval_curve(spec.trend, u0), eval_curve(spec.amplitude, u0)
-            else:
-                k_rows = dma_coefficient_rows(spec, u)  # amplitude folded in
-            trend_vals = eval_curve(spec.trend, u)
-            amp_vals = eval_curve(spec.amplitude, u)
-            read = slice(window.start - lo, window.stop - lo)
-            eps = _draw(spec.innovations, seeds, hi - lo, lo)  # one row per replicate
+    seeds = np.fromiter((spawn_seed(spec.innovations.seed, rep) for rep in range(replicates)), np.uint64, replicates)
+    mean_errors = []
+    for T, window in zip(T_values, windows):
+        lo, hi = window.start // needed * needed, -(-window.stop // needed) * needed
+        u, core_tv = _cores(spec, T, lo, hi, slack=slack)
+        if mode == "frozen":
+            core_fr = _cores(spec, T, lo, hi, u0)[1]
+            fr_trend, fr_amp = eval_curve(spec.trend, u0), eval_curve(spec.amplitude, u0)
+        else:
+            k_rows = dma_coefficient_rows(spec, u)  # amplitude folded in
+        trend_vals = eval_curve(spec.trend, u)
+        amp_vals = eval_curve(spec.amplitude, u)
+        read = slice(window.start - lo, window.stop - lo)
+        errs = np.empty(replicates)  # the sup-error of each replicate
+        for first in range(0, replicates, _REPLICATE_CHUNK):
+            chunk = slice(first, first + _REPLICATE_CHUNK)
+            eps = _draw(spec.innovations, seeds[chunk].tolist(), hi - lo, lo)  # one row per replicate
             x_tv = trend_vals + amp_vals * core_tv(eps)
             if mode == "frozen":
                 x_cmp = fr_trend + fr_amp * core_fr(eps)
             else:
                 x_cmp = trend_vals + _dma_combine(k_rows, eps)
-            row[reps.start : reps.stop] = np.max(np.abs(x_tv[:, read] - x_cmp[:, read]), axis=1)
-    mean_errors = [float(np.mean(row)) for row in errors]
+            errs[chunk] = np.max(np.abs(x_tv[:, read] - x_cmp[:, read]), axis=1)
+        mean_errors.append(float(np.mean(errs)))
     read_curves = (*spec.ar, *(() if spec.kind == "modulated" else spec.ma), spec.trend, spec.amplitude)
     exact = not slack and all(map(is_constant, read_curves))  # from the spec: small errors are not exact
     slope = None

@@ -12,7 +12,7 @@ import pytest
 
 import walsh_spectra.processes as processes
 from walsh_spectra.cli import CSV_CHUNK_ROWS, _write_csv, main
-from walsh_spectra.processes import approx_error, simulate, simulate_frozen, spawn_seed, spec_from_dict
+from walsh_spectra.processes import DISTRIBUTIONS, approx_error, simulate, simulate_frozen, spawn_seed, spec_from_dict
 
 WHITE_NOISE = {"kind": "tvDMA", "ma": ["1"], "sigma": 1.0, "seed": 3}
 CONSTANT_DAR = {"kind": "tvDAR", "ar": ["2", "1"], "seed": 5}
@@ -305,6 +305,21 @@ def test_verify_runs_horizons_too_large_for_a_whole_path(tmp_path):
     ])
     assert code in (0, 4)
     assert json.loads(out.read_text())["T_values"] == [2**30, 2**31, 2**40]
+
+
+@pytest.mark.parametrize("distribution", DISTRIBUTIONS)
+def test_verify_rejects_windows_past_the_innovation_index_cap(tmp_path, capsys, distribution):
+    # at T = 2**63 the window around 0.5*T reads innovation indices [2**62 - 16, 2**62 + 18)
+    spec = write_spec(tmp_path, {"kind": "tvDMA", "ma": ["1", "0.5*u"], "distribution": distribution})
+    out = tmp_path / "report.json"
+    code = main([
+        "verify", "--spec", spec, "--mode", "frozen", "--T", f"{2**62},{2**63}",
+        "--replicates", "3", "--u0", "0.5", "--out", str(out),
+    ])
+    assert code == 2
+    err = one_json_line(capsys.readouterr().err)
+    assert err == {"error": "config", "message": "innovation indices [4611686018427387888, 4611686018427387922) leave [0, 2**62)"}
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("u0, T_list", [("0.0", "128,256"), ("0.99", "128")])

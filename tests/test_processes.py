@@ -730,7 +730,7 @@ def test_decay_experiment_memory_is_bounded_by_one_chunk():
             tracemalloc.stop()
 
     one_chunk, many = peak(processes._REPLICATE_CHUNK), peak(5000)
-    # about 8 chunk x hull floats; past one chunk only the error array grows, 8 bytes per replicate and horizon
+    # about 8 chunk x hull floats; past one chunk only the seeds and the errors grow, 16 bytes per replicate
     assert many <= 10 * 8 * hull_floats
     assert many <= 1.1 * one_chunk
 
