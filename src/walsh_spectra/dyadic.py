@@ -39,6 +39,11 @@ def as_int(value, what: str) -> int:
     return int(value)
 
 
+def is_real(x) -> bool:
+    """An int, float or numpy number that is not a bool: True and "1" are not coerced to 1."""
+    return isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool)
+
+
 def _check_index(n, what: str = "index") -> int:
     n = as_int(n, what)
     if n < 0:
@@ -107,16 +112,17 @@ class DyadicPoint:
         return self.value
 
 
-def _as_point(x) -> DyadicPoint:
+def _as_point(x, what: str) -> DyadicPoint:
     if isinstance(x, DyadicPoint):
         return x
+    if not is_real(x):
+        raise TypeError(f"{what} must be a real number, got {x!r}")
     return DyadicPoint.from_float(float(x))
 
 
 def dyadic_add_points(x, y) -> DyadicPoint:
     """Dyadic sum of two points: XOR of fractional expansions at common resolution."""
-    x = _as_point(x)
-    y = _as_point(y)
+    x, y = _as_point(x, "x"), _as_point(y, "y")
     m = max(x.resolution, y.resolution)
     jx = x.numerator << (m - x.resolution)
     jy = y.numerator << (m - y.resolution)
@@ -126,7 +132,7 @@ def dyadic_add_points(x, y) -> DyadicPoint:
 def rademacher(k: int, x) -> int:
     """The k-th Rademacher sign of x: negative iff fractional bit k+1 is set."""
     k = _check_index(k, "k")
-    x = _as_point(x)
+    x = _as_point(x, "x")
     return -1 if x.fractional_bit(k + 1) else 1
 
 
@@ -139,7 +145,7 @@ def walsh(n: int, x) -> int:
     tested against.
     """
     n = _check_index(n, "n")
-    x = _as_point(x)
+    x = _as_point(x, "x")
     sign = 1
     i = 0
     while n:

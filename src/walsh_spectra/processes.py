@@ -29,7 +29,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .curves import CurveExpr, constant, eval_curve, is_constant, is_constant_zero, parse, serialize
-from .dyadic import INDEX_CAP, as_int, block_exponent, block_size
+from .dyadic import INDEX_CAP, as_int, block_exponent, block_size, is_real
 # unused here, but kept bound: benchmark/smoke_check.py asserts processes.fwht is dyadic.fwht
 from .dyadic import fwht  # noqa: F401
 from .poly import SINGULARITY_RTOL, grid_ratio
@@ -97,11 +97,6 @@ def spawn_seed(master: int, index: int) -> int:
     return _mix64_int(master ^ _mix64_int((index + 1) * _GAMMA))
 
 
-def _is_real(x) -> bool:
-    """An int, float or numpy number that is not a bool: True and "1" are not coerced to 1."""
-    return isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool)
-
-
 @dataclass(frozen=True)
 class InnovationSpec:
     """Law of the i.i.d. innovations: mean 0, variance sigma**2."""
@@ -116,7 +111,7 @@ class InnovationSpec:
                 f"distribution must be one of {DISTRIBUTIONS}, got {self.distribution!r}"
             )
         sigma = self.sigma
-        if not (_is_real(sigma) and 0 < sigma < np.inf):
+        if not (is_real(sigma) and 0 < sigma < np.inf):
             raise ValueError(f"sigma must be a finite positive number, got {sigma!r}")
         seed = as_int(self.seed, "seed")
         if not 0 <= seed <= _M64:
@@ -173,7 +168,7 @@ def _as_curve(c, name: str) -> CurveExpr:
         return c
     if isinstance(c, str):
         return parse(c)
-    if _is_real(c):
+    if is_real(c):
         return constant(float(c))
     raise ValueError(f"{name} must be a curve string or a number, got {c!r}")
 
@@ -306,11 +301,8 @@ def coefficient_rows(spec: ProcessSpec, u) -> tuple[np.ndarray, np.ndarray]:
     u = np.atleast_1d(np.asarray(u, dtype=np.float64))
     b_rows = curve_matrix(spec.ar, u)
     if spec.kind == "modulated":
-        a0 = curve_matrix(spec.ma, np.array([0.0]))[0]
-        a_rows = np.broadcast_to(a0, (u.size, a0.size)).copy()
-    else:
-        a_rows = curve_matrix(spec.ma, u)
-    return b_rows, a_rows
+        return b_rows, np.repeat(curve_matrix(spec.ma, [0.0]), u.size, axis=0)
+    return b_rows, curve_matrix(spec.ma, u)
 
 
 # --------------------------------------------------------------------------
@@ -440,7 +432,7 @@ def _core_values(spec: ProcessSpec, b_rows, a_rows, eps) -> np.ndarray:
 
 def _check_u0(u0) -> float:
     """u0 as a float; anything but a finite real number in [0, 1) raises."""
-    if not _is_real(u0):
+    if not is_real(u0):
         raise TypeError(f"u0 must be a real number, got {u0!r}")
     u0 = float(u0)
     if not (np.isfinite(u0) and 0.0 <= u0 < 1.0):
@@ -448,39 +440,40 @@ def _check_u0(u0) -> float:
     return u0
 
 
-def _cores(spec: ProcessSpec, T: int, lo: int, hi: int, u0=None, slack: float = 0.0):
-    """u = t/T (or u0) on an aligned window lo <= t < hi and ``core(eps)``, the centred values there.
+def _frozen(spec: ProcessSpec, u0: float) -> ProcessSpec:
+    """The stationary comparison process: spec with the curves its kind reads frozen at u0 (a modulated MA stays)."""
+    def freeze(curves):
+        return tuple(constant(eval_curve(c, u0)) for c in curves)
+    ar, ma = freeze(spec.ar), spec.ma if spec.kind == "modulated" else freeze(spec.ma)
+    trend, amplitude = freeze((spec.trend, spec.amplitude))
+    return replace(spec, ar=ar, ma=ma, trend=trend, amplitude=amplitude)
 
-    XOR couples t only inside its aligned block, so they equal the whole path's, and a
-    singular block is numbered on the whole path (equal frozen blocks report the first).
+
+def _cores(spec: ProcessSpec, T: int, lo: int, hi: int, slack: float = 0.0):
+    """u = t/T on an aligned window lo <= t < hi and ``core(eps)``, the centred values there.
+
+    XOR couples t only inside its aligned block, so they equal the whole path's; a singular
+    block is the worst one in the window, numbered by its index on the whole path.
     """
-    u = np.arange(lo, hi) / T if u0 is None else np.full(hi - lo, u0)
+    u = np.arange(lo, hi) / T
     b_rows, a_rows = coefficient_rows(spec, u)
     if slack:  # +-slack/T on the rows: rescaled and actual coefficients then differ at order 1/T
         for rows in (b_rows, a_rows):
             rows += slack / T * (1.0 - 2.0 * ((np.arange(lo, hi)[:, None] + np.arange(rows.shape[1])) & 1))
-    offset = lo // len(spec.ar) if u0 is None else 0
 
     def core(eps: np.ndarray) -> np.ndarray:
         try:
             return _core_values(spec, b_rows, a_rows, eps)
         except SingularBlockError as exc:
-            raise SingularBlockError(exc.block_index + offset, exc.condition) from None
+            raise SingularBlockError(exc.block_index + lo // len(spec.ar), exc.condition) from None
     return u, core
 
 
-def _simulate_on(spec: ProcessSpec, T: int, innovations, u0) -> SamplePath:
-    """Body of `simulate` (u0 None: u = t/T) and `simulate_frozen` (u = u0 for every t)."""
-    T = _check_horizon(T, max(len(spec.ar), len(spec.ma)))
-    u0 = None if u0 is None else _check_u0(u0)
-    eps = make_innovations(spec.innovations, T) if innovations is None else np.asarray(innovations, dtype=np.float64)
-    if innovations is not None and (eps.shape != (T,) or not np.isfinite(eps).all()):
-        raise ValueError(f"innovations must be a one-dimensional array of {T} finite values, got shape {eps.shape}")
-    u, core = _cores(spec, T, 0, T, u0)
-    # rebinding `core` frees its rows before trend and amplitude: they stay out of the peak memory
-    core = core(eps)
-    values = eval_curve(spec.trend, u) + eval_curve(spec.amplitude, u) * core
-    return SamplePath(values=values, innovations=eps)
+def _paths(spec: ProcessSpec, T: int, lo: int, hi: int, slack: float = 0.0):
+    """u on [lo, hi) and ``path(eps)`` = trend + amplitude * core(eps), for a `_cores` core that runs more than once."""
+    u, core = _cores(spec, T, lo, hi, slack)
+    trend, amp = eval_curve(spec.trend, u), eval_curve(spec.amplitude, u)  # once, for every run
+    return u, lambda eps: trend + amp * core(eps)
 
 
 def simulate(spec: ProcessSpec, T: int, innovations=None) -> SamplePath:
@@ -489,16 +482,24 @@ def simulate(spec: ProcessSpec, T: int, innovations=None) -> SamplePath:
     Moving-average kinds are an exact finite XOR-lag sum; autoregressive
     and mixed kinds are solved exactly block by block.
     """
-    return _simulate_on(spec, T, innovations, None)
+    T = _check_horizon(T, max(len(spec.ar), len(spec.ma)))
+    eps = make_innovations(spec.innovations, T) if innovations is None else np.asarray(innovations, dtype=np.float64)
+    if innovations is not None and (eps.shape != (T,) or not np.isfinite(eps).all()):
+        raise ValueError(f"innovations must be a one-dimensional array of {T} finite values, got shape {eps.shape}")
+    u, core = _cores(spec, T, 0, T)
+    # rebinding `core` frees its rows before trend and amplitude: they stay out of the peak memory
+    core = core(eps)
+    values = eval_curve(spec.trend, u) + eval_curve(spec.amplitude, u) * core
+    return SamplePath(values=values, innovations=eps)
 
 
 def simulate_frozen(spec: ProcessSpec, u0: float, T: int, innovations=None) -> SamplePath:
-    """Simulate the stationary process with every curve frozen at u0.
+    """Simulate the stationary process with every curve frozen at u0: `simulate` of the frozen spec.
 
-    Uses the same innovation stream as `simulate` for the same seed, so
-    the two paths are directly comparable point by point.
+    Uses the same innovation stream as `simulate` for the same seed, so the
+    two paths are directly comparable point by point.
     """
-    return _simulate_on(spec, T, innovations, u0)
+    return simulate(_frozen(spec, _check_u0(u0)), T, innovations)
 
 
 def simulate_seeds(spec: ProcessSpec, T: int, seeds):
@@ -507,11 +508,10 @@ def simulate_seeds(spec: ProcessSpec, T: int, seeds):
     Holds (len(ar) + len(ma) + 3)·T floats throughout: u, the rows, trend and amplitude.
     """
     T = _check_horizon(T, max(len(spec.ar), len(spec.ma)))
-    u, core = _cores(spec, T, 0, T)
-    trend, amp = eval_curve(spec.trend, u), eval_curve(spec.amplitude, u)
+    path = _paths(spec, T, 0, T)[1]
     for seed in seeds:
         eps = make_innovations(replace(spec.innovations, seed=seed), T)
-        yield SamplePath(values=trend + amp * core(eps), innovations=eps)
+        yield SamplePath(values=path(eps), innovations=eps)
 
 
 def defining_equation_residual(spec: ProcessSpec, path: SamplePath) -> float:
@@ -626,7 +626,7 @@ def decay_experiment(
     if replicates < 1:
         raise ValueError(f"replicates must be >= 1, got {replicates}")
     u0 = _check_u0(u0)
-    if not _is_real(slack):
+    if not is_real(slack):
         raise TypeError(f"slack must be a real number, got {slack!r}")
     slack = float(slack)
     if not np.isfinite(slack):
@@ -638,28 +638,22 @@ def decay_experiment(
     if len(set(T_values)) < 2:
         raise ValueError(f"a decay slope needs at least two distinct horizons, got {list(T_values)}")
     seeds = np.fromiter((spawn_seed(spec.innovations.seed, rep) for rep in range(replicates)), np.uint64, replicates)
+    frozen = _frozen(spec, u0) if mode == "frozen" else None
     mean_errors = []
     for T, window in zip(T_values, windows):
         lo, hi = window.start // needed * needed, -(-window.stop // needed) * needed
-        u, core_tv = _cores(spec, T, lo, hi, slack=slack)
-        if mode == "frozen":
-            core_fr = _cores(spec, T, lo, hi, u0)[1]
-            fr_trend, fr_amp = eval_curve(spec.trend, u0), eval_curve(spec.amplitude, u0)
+        u, x_tv = _paths(spec, T, lo, hi, slack)
+        if frozen is not None:  # frozen rows do not depend on t: laid at 0, blocks are numbered as `simulate_frozen`'s
+            x_cmp = _paths(frozen, T, 0, hi - lo)[1]
         else:
-            k_rows = dma_coefficient_rows(spec, u)  # amplitude folded in
-        trend_vals = eval_curve(spec.trend, u)
-        amp_vals = eval_curve(spec.amplitude, u)
+            k_rows, trend = dma_coefficient_rows(spec, u), eval_curve(spec.trend, u)  # amplitude folded into k_rows
+            x_cmp = lambda eps: trend + _dma_combine(k_rows, eps)
         read = slice(window.start - lo, window.stop - lo)
         errs = np.empty(replicates)  # the sup-error of each replicate
         for first in range(0, replicates, _REPLICATE_CHUNK):
             chunk = slice(first, first + _REPLICATE_CHUNK)
             eps = _draw(spec.innovations, seeds[chunk].tolist(), hi - lo, lo)  # one row per replicate
-            x_tv = trend_vals + amp_vals * core_tv(eps)
-            if mode == "frozen":
-                x_cmp = fr_trend + fr_amp * core_fr(eps)
-            else:
-                x_cmp = trend_vals + _dma_combine(k_rows, eps)
-            errs[chunk] = np.max(np.abs(x_tv[:, read] - x_cmp[:, read]), axis=1)
+            errs[chunk] = np.max(np.abs(x_tv(eps)[:, read] - x_cmp(eps)[:, read]), axis=1)
         mean_errors.append(float(np.mean(errs)))
     read_curves = (*spec.ar, *(() if spec.kind == "modulated" else spec.ma), spec.trend, spec.amplitude)
     exact = not slack and all(map(is_constant, read_curves))  # from the spec: small errors are not exact

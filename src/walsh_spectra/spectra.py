@@ -25,7 +25,7 @@ import numpy as np
 
 from .dyadic import as_int, block_exponent, fwht, grid_values, zero_pad
 from .poly import WalshPolynomial
-from .processes import MA_KINDS, ProcessSpec, SamplePath, dma_coefficient_rows
+from .processes import MA_KINDS, InnovationSpec, ProcessSpec, SamplePath, dma_coefficient_rows
 
 
 @dataclass(frozen=True)
@@ -101,6 +101,7 @@ def dma_covariance(coeffs, sigma: float, tau: int) -> float:
     cross terms).  Lags at or beyond the coefficient block are exactly 0.
     """
     a = _coeffs(coeffs)
+    sigma = InnovationSpec(sigma=sigma).sigma  # the innovations' rule: a finite positive real number
     tau = as_int(tau, "tau")
     if tau < 0:
         raise ValueError("tau must be >= 0")

@@ -17,6 +17,7 @@ from walsh_spectra.dyadic import (
     as_int,
     block_exponent,
     dyadic_add,
+    dyadic_add_points,
     grid_points,
     grid_values,
     hadamard_matrix,
@@ -111,6 +112,10 @@ REAL_ARGUMENTS = [
     ("simulate_frozen", "u0", lambda v: simulate_frozen(SPEC, v, 8).values, 0.25),
     ("decay_experiment u0", "u0", lambda v: decay(u0=v), 0.25),
     ("decay_experiment slack", "slack", lambda v: decay(slack=v), 1.0),
+    ("walsh", "x", lambda v: walsh(1, v), 0.5),
+    ("rademacher", "x", lambda v: rademacher(0, v), 0.75),
+    ("dyadic_add_points x", "x", lambda v: dyadic_add_points(v, 0.25), 0.5),
+    ("dyadic_add_points y", "y", lambda v: dyadic_add_points(0.5, v), 0.25),
 ]
 
 

@@ -2,6 +2,7 @@ import json
 import math
 import os
 import platform
+import re
 import subprocess
 import sys
 import warnings
@@ -338,6 +339,8 @@ def test_verify_window_outside_path_exit_code(tmp_path, capsys, u0, T_list):
 
 
 @pytest.mark.parametrize("flag, value, message", [
+    ("--T", "abc", "bad T list 'abc'"),
+    ("--T", ",", "empty T list"),
     ("--replicates", "0", "replicates must be >= 1"),
     ("--replicates", "-1", "replicates must be >= 1"),
     ("--u0", "nan", "u0 must be a finite number in [0, 1)"),
@@ -347,11 +350,11 @@ def test_verify_window_outside_path_exit_code(tmp_path, capsys, u0, T_list):
 ])
 def test_verify_bad_argument_exit_code(tmp_path, capsys, flag, value, message):
     out = tmp_path / "report.json"
-    args = {"--replicates": "2", "--u0": "0.3", "--slack": "0", flag: value}
+    args = {"--T": "128,256", "--replicates": "2", "--u0": "0.3", "--slack": "0", flag: value}
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code = main([
-            "verify", "--preset", "figure1", "--mode", "frozen", "--T", "128,256", "--replicates",
+            "verify", "--preset", "figure1", "--mode", "frozen", "--T", args["--T"], "--replicates",
             args["--replicates"], "--u0", args["--u0"], "--slack", args["--slack"], "--out", str(out),
         ])
     assert code == 2
@@ -376,6 +379,41 @@ def test_verify_needs_two_horizons(tmp_path, capsys, monkeypatch, T_list):
     err = json.loads(capsys.readouterr().err.strip())
     assert err["error"] == "config"
     assert "needs at least two distinct horizons" in err["message"]
+    assert not out.exists()
+
+
+def test_verify_without_a_slope_fit_exit_code(tmp_path, capsys):
+    # 0*u reads u, so the spec is not exact, yet every frozen error is zero
+    spec = write_spec(tmp_path, {"kind": "tvDMA", "ma": ["1", "0*u"]})
+    out = tmp_path / "report.json"
+    code = main(["verify", "--spec", spec, "--mode", "frozen", "--u0", "0.3", "--T", "128,256", "--out", str(out)])
+    assert code == 4
+    assert capsys.readouterr().out == "verify: no slope fit (some horizons had zero error)\n"
+    report = json.loads(out.read_text())
+    assert (report["errors"], report["slope"], report["exact"], report["passed"]) == ([0.0, 0.0], None, False, False)
+
+
+def test_singular_block_numbers_are_whole_path_indices(tmp_path, capsys):
+    # every block of SINGULAR_DAR is singular: `simulate` names the worst on the whole
+    # path, the first; `verify` names the worst in its first window, [22, 54] at T = 128,
+    # whose first aligned block 22..23 is block 11 of the whole path
+    spec = write_spec(tmp_path, SINGULAR_DAR)
+    tail = r" \(condition estimate [^)]+\): the autoregressive polynomial vanishes on the dyadic grid near this block"
+    for argv, block in (
+        (["simulate", "--T", "256", "--out", str(tmp_path / "path.csv")], 0),
+        (["verify", "--mode", "frozen", "--u0", "0.3", "--T", "128,256", "--out", str(tmp_path / "report.json")], 11),
+    ):
+        assert main([*argv, "--spec", spec]) == 3
+        err = one_json_line(capsys.readouterr().err)
+        assert err["error"] == "singular-block"
+        assert re.fullmatch(f"singular block {block}{tail}", err["message"]), err["message"]
+
+
+def test_periodogram_needs_segments_exit_code(tmp_path, capsys):
+    spec = write_spec(tmp_path, WHITE_NOISE)
+    out = tmp_path / "x.csv"
+    assert main(["periodogram", "--spec", spec, "--T", "64", "--out", str(out)]) == 2
+    assert one_json_line(capsys.readouterr().err) == {"error": "config", "message": "--segments (segment length N) is required"}
     assert not out.exists()
 
 
@@ -451,6 +489,7 @@ def test_periodogram_segment_too_long(tmp_path, capsys):
     ("--segments", "128", "--segments 128 exceeds --T 64"),
     ("--step", "0", "--step must be >= 1, got 0"),
     ("--smooth", "-1", "--smooth must be >= 0, got -1"),
+    ("--replicates", "0", "--replicates must be >= 1"),
 ])
 def test_periodogram_bad_argument_exit_code(tmp_path, capsys, monkeypatch, flag, value, message):
     def fail(*args, **kwargs):

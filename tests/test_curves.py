@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -122,6 +123,24 @@ def test_non_finite_values_raise():
         eval_curve(parse("2*u"), np.array([0.5, np.nan, np.nan]))
     # a curve that does not depend on u stays defined at any u
     assert eval_curve(parse("0.81"), float("nan")) == 0.81
+
+
+@pytest.mark.parametrize("text, message", [
+    ("1+.", "malformed number '.' at offset 2"),
+    ("cos(u", "expected ')' at offset 5"),
+])
+def test_syntax_errors_name_their_offset(text, message):
+    with pytest.raises(CurveSyntaxError, match=f"^{re.escape(message)}$"):
+        parse(text)
+
+
+@pytest.mark.parametrize("text, u, message", [
+    ("u^-1", [0.0, 0.5], "zero raised to a negative power"),
+    ("2^400^2", 0.5, "overflow in power: "),
+])
+def test_power_domain_errors(text, u, message):
+    with pytest.raises(CurveDomainError, match=f"^{re.escape(message)}"):
+        eval_curve(parse(text), u)
 
 
 def test_unknown_identifier():

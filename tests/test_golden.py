@@ -11,10 +11,11 @@ kind, are checked against the shared conversion route instead: their
 1) or `grid_ratio` on the spec's coefficient rows, bit for bit.
 
 The autoregressive cases in ``MOVED_CASES`` changed bytes when 2 x 2
-blocks got a closed-form solve.  Each is checked line by line against the
-same command run with the LAPACK block solve of ``oracles.py`` swapped in:
-text must be equal, and every number within ``MOVED_BOUND`` * eps times
-the largest magnitude in its block (see `check_near_lapack_route`).
+blocks got a closed-form solve.  Their hashes are pinned like every other
+case's, and each is also checked line by line against the same command run
+with the LAPACK block solve of ``oracles.py`` swapped in: text must be
+equal, and every number within ``MOVED_BOUND`` * eps times the largest
+magnitude in its block (see `check_near_lapack_route`).
 
 To print the table for the current code, run from the repository root::
 
@@ -148,7 +149,6 @@ MOVED_CASES = (
 MOVED_BOUND = 16
 ROUTE_CASES = sorted(c for c in CASES if _is_route_case(c))
 GOLDEN_CASES = sorted(c for c in CASES if not _is_route_case(c))
-HASH_CASES = [c for c in GOLDEN_CASES if c not in MOVED_CASES]
 
 
 def _sha(data: bytes) -> str:
@@ -238,13 +238,12 @@ def check_near_lapack_route(case_id, tmp_path, monkeypatch):
 @pytest.mark.parametrize("case_id", GOLDEN_CASES)
 def test_cli_output_matches_golden(case_id, tmp_path, monkeypatch):
     if case_id in MOVED_CASES:
-        check_near_lapack_route(case_id, tmp_path, monkeypatch)
-    else:
-        assert run_case(case_id, tmp_path) == _golden()[case_id]
+        check_near_lapack_route(case_id, tmp_path / "route", monkeypatch)
+    assert run_case(case_id, tmp_path / "golden") == _golden()[case_id]
 
 
 def test_golden_table_covers_every_hashed_case():
-    assert sorted(_golden()) == HASH_CASES
+    assert sorted(_golden()) == GOLDEN_CASES
 
 
 @pytest.mark.parametrize("case_id", ROUTE_CASES)
@@ -276,7 +275,7 @@ def test_convert_equals_shared_route(case_id, tmp_path):
 
 if __name__ == "__main__":
     table = {}
-    for case_id in HASH_CASES:
+    for case_id in GOLDEN_CASES:
         with tempfile.TemporaryDirectory() as tmp:
             table[case_id] = run_case(case_id, Path(tmp))
     json.dump(table, sys.stdout, indent=1, sort_keys=True)

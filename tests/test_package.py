@@ -66,6 +66,11 @@ def test_only_dyadic_decides_integer_arguments():
     assert outside_dyadic(re.escape("(int, np.integer)")) == []
 
 
+def test_only_dyadic_decides_real_arguments():
+    # "an int, float or numpy number, not a bool" belongs to dyadic.is_real
+    assert outside_dyadic(re.escape("(int, float, np.integer, np.floating)")) == []
+
+
 def test_only_cores_calls_core_values():
     # rows at u, slack, the XOR core and whole-path block numbering belong to processes._cores
     def calls(tree):

@@ -20,6 +20,7 @@ from walsh_spectra.processes import (
     _core_values,
     _cores,
     _dma_combine,
+    _frozen,
     _window,
     approx_error,
     coefficient_rows,
@@ -361,6 +362,16 @@ def test_singular_block_reported():
     assert excinfo.value.block_index == 0
     assert excinfo.value.condition > 1e12
     assert excinfo.value.condition == block_condition(spec, 64, 0)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("ar, condition", [(["u"], np.inf), (["u+1e-12"], np.inf), (["1", "1", "1", "1"], 1e12)])
+def test_singular_block_of_one_or_four_coefficients(ar, condition):
+    # one coefficient: b0(0) is (near) zero; four equal ones: every 4 x 4 block matrix is all ones
+    with pytest.raises(SingularBlockError, match=r"^singular block 0 \(condition estimate ") as excinfo:
+        simulate(make_process_spec("tvDAR", ar=ar, seed=1), 16)
+    assert excinfo.value.block_index == 0
+    assert excinfo.value.condition >= condition
 
 
 @pytest.mark.filterwarnings("error")
@@ -783,8 +794,9 @@ def _window_cases(draw):
 @given(_window_cases())
 def test_windowed_core_equals_the_whole_path_slice(case):
     spec, T, lo, hi, u0 = case
-    u, core = _cores(spec, T, lo, hi, u0)
-    got = eval_curve(spec.trend, u) + eval_curve(spec.amplitude, u) * core(
+    model = spec if u0 is None else _frozen(spec, u0)
+    u, core = _cores(model, T, lo, hi)
+    got = eval_curve(model.trend, u) + eval_curve(model.amplitude, u) * core(
         make_innovations(spec.innovations, hi - lo, start=lo)
     )
     want = (simulate(spec, T) if u0 is None else simulate_frozen(spec, u0, T)).values[lo:hi]

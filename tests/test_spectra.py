@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -150,6 +151,13 @@ def test_dma_covariance_examples():
     for tau in range(1, 5):
         assert dma_covariance(WalshPolynomial([1.0]), 2.0, tau) == 0.0
     assert dma_covariance(WalshPolynomial([1.0]), 2.0, 0) == pytest.approx(4.0)
+
+
+@pytest.mark.parametrize("sigma", [math.nan, -2.0, 0.0, math.inf, True, "a"])
+def test_dma_covariance_rejects_a_bad_sigma(sigma):
+    # the innovations' rule and message: -2.0 would square to +2.0's value, True to 1.0's
+    with pytest.raises(ValueError, match=f"^{re.escape(f'sigma must be a finite positive number, got {sigma!r}')}$"):
+        dma_covariance([1.0, 0.5], sigma, 0)
 
 
 def test_dma_covariance_bounded_by_lag_zero():
