@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .curves import CurveDomainError
-from .dyadic import block_exponent
+from .dyadic import as_int, block_exponent
 from .poly import SingularPolynomialError, grid_ratio
 from .presets import preset_names, preset_spec
 from .processes import (
@@ -111,17 +111,13 @@ def _load_spec(args) -> ProcessSpec:
 
 
 def _u_grid(count: int) -> np.ndarray:
-    if count < 1:
-        raise ValueError("--u-points must be >= 1")
-    if count == 1:
+    if as_int(count, "--u-points", 1) == 1:
         return np.array([0.0])
     return np.arange(count) / (count - 1)
 
 
 def _lambda_grid(count: int) -> np.ndarray:
-    if count < 1:
-        raise ValueError(f"--lambda-points must be >= 1, got {count}")
-    return np.linspace(0.0, np.pi, count)
+    return np.linspace(0.0, np.pi, as_int(count, "--lambda-points", 1))
 
 
 def _parse_T_list(text: str) -> list[int]:
@@ -217,13 +213,10 @@ def _cmd_periodogram(args) -> int:
     block_exponent(N, "--segments")
     if N > T:
         raise ValueError(f"--segments {N} exceeds --T {T}")
-    if step is not None and step < 1:
-        raise ValueError(f"--step must be >= 1, got {step}")
-    if args.smooth < 0:
-        raise ValueError(f"--smooth must be >= 0, got {args.smooth}")
-    reps = args.replicates
-    if reps < 1:
-        raise ValueError("--replicates must be >= 1")
+    if step is not None:
+        as_int(step, "--step", 1)
+    as_int(args.smooth, "--smooth", 0)
+    reps = as_int(args.replicates, "--replicates", 1)
     seeds = [spec.innovations.seed] if reps == 1 else (spawn_seed(spec.innovations.seed, r) for r in range(reps))
     total = 0.0
     for path in simulate_seeds(spec, T, seeds):
@@ -260,8 +253,16 @@ def _add_spec_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=None, help="override the spec seed")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one JSON line on stderr, like every other error; subparsers inherit it."""
+
+    def error(self, message):
+        _error("config", message)
+        sys.exit(EXIT_CONFIG)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="walsh-spectra",
         description="Simulation and Walsh-spectral analysis of dyadic time series",
     )

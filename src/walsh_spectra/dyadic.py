@@ -32,11 +32,21 @@ GRID_EXPONENT_CAP = 24
 MATRIX_EXPONENT_CAP = 12
 
 
-def as_int(value, what: str) -> int:
-    """``value`` as an int; a bool, float, string or any other non-integer raises TypeError naming ``what``."""
+def as_int(value, what: str, lo: int | None = None, hi: int | None = None) -> int:
+    """``value`` as an int in [lo, hi) (either bound optional; hi only with lo).
+
+    A bool, float, string or any other non-integer raises TypeError, and an
+    int outside the bounds ValueError, each naming ``what`` and the value.
+    """
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise TypeError(f"{what} must be an integer, got {value!r}")
-    return int(value)
+    n = int(value)
+    if (lo is not None and n < lo) or (hi is not None and n >= hi):
+        # a power of two above 2**32 reads 2**k: "[0, 2**64)", not twenty digits
+        top = f"2**{hi.bit_length() - 1}" if hi is not None and hi > 1 << 32 and not hi & (hi - 1) else hi
+        rule = f"be >= {lo}" if hi is None else f"lie in [{lo}, {top})"
+        raise ValueError(f"{what} must {rule}, got {n}")
+    return n
 
 
 def is_real(x) -> bool:
@@ -44,13 +54,29 @@ def is_real(x) -> bool:
     return isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool)
 
 
-def _check_index(n, what: str = "index") -> int:
-    n = as_int(n, what)
-    if n < 0:
-        raise ValueError(f"{what} must be non-negative, got {n}")
-    if n >= INDEX_CAP:
-        raise ValueError(f"{what} {n} exceeds the 2**62 cap")
-    return n
+def as_real(value, what: str, lo: float | None = None, hi: float | None = None) -> float:
+    """``value`` as a finite float in [lo, hi) (both bounds or neither).
+
+    A non-real (a bool or string included) raises TypeError, and anything
+    non-finite or outside the bounds ValueError, each naming ``what`` and the value.
+    """
+    if not is_real(value):
+        raise TypeError(f"{what} must be a real number, got {value!r}")
+    x = float(value)
+    if not (math.isfinite(x) and (lo is None or lo <= x < hi)):
+        raise ValueError(f"{what} must be a finite number{'' if lo is None else f' in [{lo}, {hi})'}, got {x}")
+    return x
+
+
+def as_finite_array(values, what: str) -> np.ndarray:
+    """``values`` as a float64 array; a NaN or an infinity raises ValueError naming ``what``, the value and its index."""
+    a = np.asarray(values, dtype=np.float64)
+    finite = np.isfinite(a)
+    if not finite.all():
+        at = np.argwhere(~finite)[0]
+        where = ", ".join(map(str, at))
+        raise ValueError(f"{what} must hold only finite values, got {a[tuple(at)]} at index {where}")
+    return a
 
 
 def dyadic_add(a: int, b: int) -> int:
@@ -59,7 +85,7 @@ def dyadic_add(a: int, b: int) -> int:
     Commutative, associative, self-inverse (``dyadic_add(n, n) == 0``)
     with identity 0.
     """
-    return _check_index(a, "a") ^ _check_index(b, "b")
+    return as_int(a, "a", 0, INDEX_CAP) ^ as_int(b, "b", 0, INDEX_CAP)
 
 
 @dataclass(frozen=True)
@@ -75,12 +101,8 @@ class DyadicPoint:
     resolution: int
 
     def __post_init__(self):
-        j = _check_index(self.numerator, "numerator")
-        m = as_int(self.resolution, "resolution")
-        if m < 0:
-            raise ValueError("resolution must be >= 0")
-        if j >= (1 << m):
-            raise ValueError(f"numerator {j} out of range for resolution {m}")
+        m = as_int(self.resolution, "resolution", 0)
+        j = as_int(self.numerator, "numerator", 0, 1 << min(m, 62))
         zeros = (j & -j).bit_length() - 1 if j else m  # trailing zero bits; 0 is 0/2**0
         j, m = j >> zeros, m - zeros
         object.__setattr__(self, "numerator", j)
@@ -89,9 +111,7 @@ class DyadicPoint:
     @classmethod
     def from_float(cls, x: float) -> "DyadicPoint":
         """Exact conversion of a binary float in [0, 1)."""
-        if not 0.0 <= x < 1.0:
-            raise ValueError(f"point must lie in [0, 1), got {x}")
-        frac, exp = math.frexp(x)  # x = frac * 2**exp, frac in [0.5, 1)
+        frac, exp = math.frexp(as_real(x, "point", 0, 1))  # x = frac * 2**exp, frac in [0.5, 1)
         mant = int(frac * (1 << 53))
         res = 53 - exp
         return cls(mant, res)
@@ -113,11 +133,7 @@ class DyadicPoint:
 
 
 def _as_point(x, what: str) -> DyadicPoint:
-    if isinstance(x, DyadicPoint):
-        return x
-    if not is_real(x):
-        raise TypeError(f"{what} must be a real number, got {x!r}")
-    return DyadicPoint.from_float(float(x))
+    return x if isinstance(x, DyadicPoint) else DyadicPoint.from_float(as_real(x, what, 0, 1))
 
 
 def dyadic_add_points(x, y) -> DyadicPoint:
@@ -131,7 +147,7 @@ def dyadic_add_points(x, y) -> DyadicPoint:
 
 def rademacher(k: int, x) -> int:
     """The k-th Rademacher sign of x: negative iff fractional bit k+1 is set."""
-    k = _check_index(k, "k")
+    k = as_int(k, "k", 0, INDEX_CAP)
     x = _as_point(x, "x")
     return -1 if x.fractional_bit(k + 1) else 1
 
@@ -144,7 +160,7 @@ def walsh(n: int, x) -> int:
     is the reference implementation that the matrix and transform code is
     tested against.
     """
-    n = _check_index(n, "n")
+    n = as_int(n, "n", 0, INDEX_CAP)
     x = _as_point(x, "x")
     sign = 1
     i = 0
@@ -158,10 +174,7 @@ def walsh(n: int, x) -> int:
 
 def _check_grid_exponent(m) -> int:
     """m as an int in [0, GRID_EXPONENT_CAP]; a non-integer raises TypeError."""
-    m = as_int(m, "m")
-    if not 0 <= m <= GRID_EXPONENT_CAP:
-        raise ValueError(f"grid exponent m must lie in [0, {GRID_EXPONENT_CAP}], got {m}")
-    return m
+    return as_int(m, "m", 0, GRID_EXPONENT_CAP + 1)
 
 
 def grid_points(m: int) -> list[DyadicPoint]:
@@ -204,9 +217,7 @@ def hadamard_matrix(m: int) -> np.ndarray:
     always positive (m = 1 gives -2); only |det| = (2**m)**(2**(m-1)) is
     asserted by the test suite.
     """
-    m = _check_index(m, "m")
-    if m > MATRIX_EXPONENT_CAP:
-        raise ValueError(f"matrix exponent {m} exceeds the cap {MATRIX_EXPONENT_CAP}")
+    m = as_int(m, "m", 0, MATRIX_EXPONENT_CAP + 1)
     size = 1 << m
     rev = bit_reversal_permutation(m)
     n = np.arange(size, dtype=np.int64)

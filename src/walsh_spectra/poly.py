@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dyadic import as_int, fwht, walsh, zero_pad
+from .dyadic import as_finite_array, as_int, block_exponent, fwht, walsh, zero_pad
 
 #: relative threshold below which a grid value counts as a zero of the polynomial
 SINGULARITY_RTOL = 1e-9
@@ -44,7 +44,7 @@ class SingularPolynomialError(ValueError):
 
 
 def _pad_pow2(coeffs) -> np.ndarray:
-    c = np.atleast_1d(np.asarray(coeffs, dtype=np.float64))
+    c = np.atleast_1d(as_finite_array(coeffs, "coefficients"))
     if c.ndim != 1:
         raise ValueError("coefficients must be one-dimensional")
     if c.size == 0:
@@ -66,9 +66,7 @@ class WalshPolynomial:
         return self.coefficients.size
 
     def padded_to(self, length: int) -> "WalshPolynomial":
-        if as_int(length, "length") < self.length:
-            raise ValueError("cannot shrink a polynomial")
-        return WalshPolynomial(zero_pad(self.coefficients, length))
+        return WalshPolynomial(zero_pad(self.coefficients, 1 << block_exponent(as_int(length, "length", self.length))))
 
     def evaluate(self, x) -> float:
         """Pointwise value sum_j c_j W(j, x); constant on each dyadic cell."""
@@ -90,7 +88,7 @@ class WalshPolynomial:
 
 def unit(length: int = 1) -> WalshPolynomial:
     """The constant polynomial 1 (coefficient vector e_0), the convolution unit."""
-    return WalshPolynomial(zero_pad([1.0], as_int(length, "length")))
+    return WalshPolynomial(zero_pad([1.0], 1 << block_exponent(length)))
 
 
 def _common(a: WalshPolynomial, b: WalshPolynomial) -> tuple[np.ndarray, np.ndarray]:

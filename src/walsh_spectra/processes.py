@@ -29,7 +29,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .curves import CurveExpr, constant, eval_curve, is_constant, is_constant_zero, parse, serialize
-from .dyadic import INDEX_CAP, as_int, block_exponent, block_size, is_real
+from .dyadic import INDEX_CAP, as_int, as_real, block_exponent, block_size, is_real
 # unused here, but kept bound: benchmark/smoke_check.py asserts processes.fwht is dyadic.fwht
 from .dyadic import fwht  # noqa: F401
 from .poly import SINGULARITY_RTOL, grid_ratio
@@ -91,9 +91,7 @@ def _words(seeds, lo: int, hi: int) -> np.ndarray:
 
 def spawn_seed(master: int, index: int) -> int:
     """Derived seed for an independent work unit (replicate, worker, block)."""
-    master, index = as_int(master, "master"), as_int(index, "index")
-    if not (0 <= master <= _M64 and index >= 0):
-        raise ValueError(f"master must lie in [0, 2**64) and index be >= 0, got {master} and {index}")
+    master, index = as_int(master, "master", 0, 1 << 64), as_int(index, "index", 0)
     return _mix64_int(master ^ _mix64_int((index + 1) * _GAMMA))
 
 
@@ -113,9 +111,7 @@ class InnovationSpec:
         sigma = self.sigma
         if not (is_real(sigma) and 0 < sigma < np.inf):
             raise ValueError(f"sigma must be a finite positive number, got {sigma!r}")
-        seed = as_int(self.seed, "seed")
-        if not 0 <= seed <= _M64:
-            raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
+        seed = as_int(self.seed, "seed", 0, 1 << 64)
         object.__setattr__(self, "sigma", float(sigma))
         object.__setattr__(self, "seed", seed)
 
@@ -128,9 +124,7 @@ def make_innovations(spec: InnovationSpec, count: int, start: int = 0) -> np.nda
     range.  That is what makes parallel generation reproduce serial
     output exactly.
     """
-    count, start = as_int(count, "count"), as_int(start, "start")
-    if count < 1:
-        raise ValueError("count must be >= 1")
+    count, start = as_int(count, "count", 1), as_int(start, "start")
     return _draw(spec, spec.seed, count, start)
 
 
@@ -430,16 +424,6 @@ def _core_values(spec: ProcessSpec, b_rows, a_rows, eps) -> np.ndarray:
     return ma_part if spec.kind in MA_KINDS else _block_solve(b_rows, ma_part)
 
 
-def _check_u0(u0) -> float:
-    """u0 as a float; anything but a finite real number in [0, 1) raises."""
-    if not is_real(u0):
-        raise TypeError(f"u0 must be a real number, got {u0!r}")
-    u0 = float(u0)
-    if not (np.isfinite(u0) and 0.0 <= u0 < 1.0):
-        raise ValueError(f"u0 must be a finite number in [0, 1), got {u0}")
-    return u0
-
-
 def _frozen(spec: ProcessSpec, u0: float) -> ProcessSpec:
     """The stationary comparison process: spec with the curves its kind reads frozen at u0 (a modulated MA stays)."""
     def freeze(curves):
@@ -499,7 +483,7 @@ def simulate_frozen(spec: ProcessSpec, u0: float, T: int, innovations=None) -> S
     Uses the same innovation stream as `simulate` for the same seed, so the
     two paths are directly comparable point by point.
     """
-    return simulate(_frozen(spec, _check_u0(u0)), T, innovations)
+    return simulate(_frozen(spec, as_real(u0, "u0", 0, 1)), T, innovations)
 
 
 def simulate_seeds(spec: ProcessSpec, T: int, seeds):
@@ -554,9 +538,7 @@ def dma_coefficient_rows(spec: ProcessSpec, u) -> np.ndarray:
 
 def _window(center: int, radius: int, length: int) -> slice:
     """Index window |t - center| <= radius, checked to lie inside a path of the given length."""
-    center, radius = as_int(center, "center"), as_int(radius, "radius")
-    if radius < 0:
-        raise ValueError("radius must be >= 0")
+    center, radius = as_int(center, "center"), as_int(radius, "radius", 0)
     lo, hi = center - radius, center + radius
     if lo < 0 or hi >= length:
         raise ValueError(f"window [{lo}, {hi}] leaves the path of length {length}")
@@ -569,7 +551,7 @@ def approx_error(tv: SamplePath, frozen: SamplePath, center: int, radius: int) -
         raise ValueError("paths have different lengths")
     if not np.array_equal(tv.innovations, frozen.innovations):
         raise ValueError("paths were built from different innovations")
-    window = _window(center, radius, tv.length)
+    window = _window(as_int(center, "center", 0, tv.length), radius, tv.length)
     return float(np.max(np.abs(tv.values[window] - frozen.values[window])))
 
 
@@ -622,15 +604,8 @@ def decay_experiment(
         raise ValueError(f"mode must be 'frozen' or 'conversion', got {mode!r}")
     if mode == "conversion" and spec.kind in MA_KINDS:
         raise ValueError("conversion mode needs an autoregressive-kind spec")
-    radius, replicates = as_int(radius, "radius"), as_int(replicates, "replicates")
-    if replicates < 1:
-        raise ValueError(f"replicates must be >= 1, got {replicates}")
-    u0 = _check_u0(u0)
-    if not is_real(slack):
-        raise TypeError(f"slack must be a real number, got {slack!r}")
-    slack = float(slack)
-    if not np.isfinite(slack):
-        raise ValueError(f"slack must be a finite number, got {slack}")
+    radius, replicates = as_int(radius, "radius"), as_int(replicates, "replicates", 1)
+    u0, slack = as_real(u0, "u0", 0, 1), as_real(slack, "slack")
     T_values = tuple(as_int(T, f"T_values[{i}]") for i, T in enumerate(T_values))
     needed = max(len(spec.ar), len(spec.ma))
     # every horizon and window is checked before anything is simulated

@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dyadic import as_int, block_exponent, fwht, grid_values, zero_pad
+from .dyadic import as_finite_array, as_int, block_exponent, fwht, grid_values, zero_pad
 from .poly import WalshPolynomial
 from .processes import MA_KINDS, InnovationSpec, ProcessSpec, SamplePath, dma_coefficient_rows
 
@@ -102,9 +102,7 @@ def dma_covariance(coeffs, sigma: float, tau: int) -> float:
     """
     a = _coeffs(coeffs)
     sigma = InnovationSpec(sigma=sigma).sigma  # the innovations' rule: a finite positive real number
-    tau = as_int(tau, "tau")
-    if tau < 0:
-        raise ValueError("tau must be >= 0")
+    tau = as_int(tau, "tau", 0)
     if tau >= a.size:
         return 0.0
     idx = np.arange(a.size) ^ tau
@@ -117,13 +115,11 @@ def covariance_from_density(density_row, tau: int) -> float:
     The density of a finite-order process is constant on dyadic cells, so
     the integral over [0, 1) is the plain average over grid_points(m).
     """
-    g = np.asarray(density_row, dtype=np.float64)
+    g = as_finite_array(density_row, "density_row")
     if g.ndim != 1:
         raise ValueError(f"density row must be one-dimensional, got shape {g.shape}")
     block_exponent(g.size, "density row length")
-    tau = as_int(tau, "tau")
-    if not 0 <= tau < g.size:
-        raise ValueError(f"tau must lie in [0, {g.size}), got {tau}")
+    tau = as_int(tau, "tau", 0, g.size)
     return float(fwht(g)[tau] / g.size)
 
 
@@ -142,10 +138,8 @@ def empirical_dyadic_covariance(path, tau: int, segment: tuple[int, int] | None 
         raise ValueError(f"segment start {start} is not aligned to length {n}")
     if start < 0 or start + n > values.size:
         raise ValueError("segment leaves the path")
-    tau = as_int(tau, "tau")
-    if not 0 <= tau < n:
-        raise ValueError(f"tau must lie in [0, {n}), got {tau}")
-    seg = values[start : start + n]
+    tau = as_int(tau, "tau", 0, n)
+    seg = as_finite_array(values[start : start + n], "path")
     centered = seg - np.mean(seg)
     return float(np.dot(centered, centered[np.arange(n) ^ tau]) / n)
 
@@ -165,7 +159,7 @@ def periodogram_grid(values, N: int, step: int | None = None) -> SpectralGrid:
     other steps give overlapping segments, useful as a smoother but
     heuristic.
     """
-    values = np.asarray(values, dtype=np.float64)
+    values = as_finite_array(values, "values")
     if values.ndim != 1:
         raise ValueError(f"periodogram needs a one-dimensional segment, got shape {values.shape}")
     T = values.size
@@ -173,9 +167,7 @@ def periodogram_grid(values, N: int, step: int | None = None) -> SpectralGrid:
     m = block_exponent(N, "segment length")
     if N > T:
         raise ValueError(f"segment length {N} exceeds the path length {T}")
-    step = N if step is None else as_int(step, "step")
-    if step < 1:
-        raise ValueError("step must be >= 1")
+    step = N if step is None else as_int(step, "step", 1)
     x = grid_values(m)  # built before the transform: allocated after it, it raised the peak memory
     d = fwht(np.lib.stride_tricks.sliding_window_view(values, N)[::step])
     d *= d
@@ -189,7 +181,7 @@ def walsh_periodogram(data) -> Periodogram:
     The series is one segment starting at 0, so its rescaled midpoint u0 is
     1/2; `periodogram_grid` gives the periodograms of sub-segments.
     """
-    x = np.asarray(data, dtype=np.float64)
+    x = as_finite_array(data, "data")
     grid = periodogram_grid(x, x.size)
     return Periodogram(segment_start=0, size=x.size, u0=0.5, x_values=grid.x_values, values=grid.values[0])
 
@@ -220,9 +212,7 @@ def smooth_periodogram(p: Periodogram | SpectralGrid, half_width: int) -> Period
     is the same dot product over the same 2*w+1 values as a per-row
     ``mode="valid"`` convolution.
     """
-    w = as_int(half_width, "half_width")
-    if w < 0:
-        raise ValueError("half_width must be >= 0")
+    w = as_int(half_width, "half_width", 0)
     if w == 0:
         return p
     values = np.atleast_2d(p.values)

@@ -3,10 +3,12 @@
 Every integer argument goes through `dyadic.as_int`: a float (even an
 integral one), a bool or a string raises TypeError naming the parameter,
 and a numpy integer gives exactly what the equal int gives.  Real-number
-arguments reject a bool or a string the same way.
+arguments reject a bool or a string the same way.  A value of the right
+type outside its range raises ValueError naming the parameter and the value.
 """
 
 import json
+import math
 import re
 
 import numpy as np
@@ -15,6 +17,7 @@ import pytest
 from walsh_spectra.dyadic import (
     DyadicPoint,
     as_int,
+    as_real,
     block_exponent,
     dyadic_add,
     dyadic_add_points,
@@ -56,45 +59,54 @@ def decay(**kwargs):
     return json.dumps(decay_experiment(SPEC, "frozen", **args).to_dict())
 
 
+# each row: id, the argument's name, a call, a value in range, and one outside its range
 INTEGER_ARGUMENTS = [
-    ("dyadic_add a", "a", lambda v: dyadic_add(v, 3), 5),
-    ("dyadic_add b", "b", lambda v: dyadic_add(5, v), 3),
-    ("DyadicPoint numerator", "numerator", lambda v: DyadicPoint(v, 3), 6),
-    ("DyadicPoint resolution", "resolution", lambda v: DyadicPoint(1, v), 3),
-    ("rademacher", "k", lambda v: rademacher(v, 0.375), 1),
-    ("walsh", "n", lambda v: walsh(v, 0.375), 5),
-    ("grid_points", "m", grid_points, 2),
-    ("grid_values", "m", grid_values, 3),
-    ("hadamard_matrix", "m", hadamard_matrix, 2),
-    ("block_exponent", "size", lambda v: block_exponent(v, "size"), 8),
-    ("InnovationSpec", "seed", lambda v: InnovationSpec(seed=v), 7),
-    ("spawn_seed master", "master", lambda v: spawn_seed(v, 2), 7),
-    ("spawn_seed index", "index", lambda v: spawn_seed(7, v), 2),
-    ("make_innovations count", "count", lambda v: make_innovations(SPEC.innovations, v), 4),
-    ("make_innovations start", "start", lambda v: make_innovations(SPEC.innovations, 4, start=v), 5),
-    ("simulate", "T", lambda v: simulate(SPEC, v).values, 8),
-    ("simulate_frozen", "T", lambda v: simulate_frozen(SPEC, 0.25, v).values, 8),
-    ("approx_error center", "center", lambda v: approx_error(PATH, FROZEN, v, 2), 16),
-    ("approx_error radius", "radius", lambda v: approx_error(PATH, FROZEN, 16, v), 2),
-    ("decay_experiment T_values", "T_values[1]", lambda v: decay(T_values=(8, v)), 16),
-    ("decay_experiment radius", "radius", lambda v: decay(radius=v), 1),
-    ("decay_experiment replicates", "replicates", lambda v: decay(replicates=v), 2),
-    ("unit", "length", unit, 4),
-    ("padded_to", "length", lambda v: unit().padded_to(v), 4),
-    ("tv_dyadic_density", "m", lambda v: tv_dyadic_density(SPEC, [0.25, 0.5], v).values, 2),
-    ("dma_covariance", "tau", lambda v: dma_covariance([1.0, 0.5], 1.0, v), 1),
-    ("covariance_from_density", "tau", lambda v: covariance_from_density([1.0, 2.0, 3.0, 4.0], v), 1),
-    ("empirical_dyadic_covariance tau", "tau", lambda v: empirical_dyadic_covariance(PATH, v), 1),
-    ("empirical_dyadic_covariance start", "segment", lambda v: empirical_dyadic_covariance(PATH, 1, (v, 8)), 8),
-    ("empirical_dyadic_covariance length", "segment", lambda v: empirical_dyadic_covariance(PATH, 1, (8, v)), 8),
-    ("periodogram_grid N", "N", lambda v: periodogram_grid(PATH.values, v).values, 8),
-    ("periodogram_grid step", "step", lambda v: periodogram_grid(PATH.values, 8, v).values, 4),
-    ("smooth_periodogram", "half_width", lambda v: smooth_periodogram(walsh_periodogram(PATH.values), v).values, 1),
+    ("dyadic_add a", "a", lambda v: dyadic_add(v, 3), 5, -1),
+    ("dyadic_add b", "b", lambda v: dyadic_add(5, v), 3, 2**62),
+    ("DyadicPoint numerator", "numerator", lambda v: DyadicPoint(v, 3), 6, 8),
+    ("DyadicPoint resolution", "resolution", lambda v: DyadicPoint(1, v), 3, -1),
+    ("rademacher", "k", lambda v: rademacher(v, 0.375), 1, -1),
+    ("walsh", "n", lambda v: walsh(v, 0.375), 5, 2**62),
+    ("grid_points", "m", grid_points, 2, 25),
+    ("grid_values", "m", grid_values, 3, -1),
+    ("hadamard_matrix", "m", hadamard_matrix, 2, 13),
+    ("block_exponent", "size", lambda v: block_exponent(v, "size"), 8, 12),
+    ("InnovationSpec", "seed", lambda v: InnovationSpec(seed=v), 7, 2**64),
+    ("spawn_seed master", "master", lambda v: spawn_seed(v, 2), 7, -1),
+    ("spawn_seed index", "index", lambda v: spawn_seed(7, v), 2, -1),
+    ("make_innovations count", "count", lambda v: make_innovations(SPEC.innovations, v), 4, 0),
+    ("make_innovations start", "start", lambda v: make_innovations(SPEC.innovations, 4, start=v), 5, -1),
+    ("simulate", "T", lambda v: simulate(SPEC, v).values, 8, 12),
+    ("simulate_frozen", "T", lambda v: simulate_frozen(SPEC, 0.25, v).values, 8, 12),
+    ("approx_error center", "center", lambda v: approx_error(PATH, FROZEN, v, 2), 16, 32),
+    ("approx_error radius", "radius", lambda v: approx_error(PATH, FROZEN, 16, v), 2, -1),
+    ("decay_experiment T_values", "T_values[1]", lambda v: decay(T_values=(8, v)), 16, 12),
+    ("decay_experiment radius", "radius", lambda v: decay(radius=v), 1, -1),
+    ("decay_experiment replicates", "replicates", lambda v: decay(replicates=v), 2, 0),
+    ("unit", "length", unit, 4, 3),
+    ("unit negative", "length", unit, 4, -2),
+    ("padded_to", "length", lambda v: unit(2).padded_to(v), 4, 3),
+    ("padded_to shrink", "length", lambda v: unit(2).padded_to(v), 4, 1),
+    ("tv_dyadic_density", "m", lambda v: tv_dyadic_density(SPEC, [0.25, 0.5], v).values, 2, 25),
+    ("dma_covariance", "tau", lambda v: dma_covariance([1.0, 0.5], 1.0, v), 1, -1),
+    ("covariance_from_density", "tau", lambda v: covariance_from_density([1.0, 2.0, 3.0, 4.0], v), 1, 4),
+    ("empirical_dyadic_covariance tau", "tau", lambda v: empirical_dyadic_covariance(PATH, v), 1, 32),
+    ("empirical_dyadic_covariance start", "segment", lambda v: empirical_dyadic_covariance(PATH, 1, (v, 8)), 8, 4),
+    ("empirical_dyadic_covariance length", "segment", lambda v: empirical_dyadic_covariance(PATH, 1, (8, v)), 8, 12),
+    ("periodogram_grid N", "N", lambda v: periodogram_grid(PATH.values, v).values, 8, 12),
+    ("periodogram_grid step", "step", lambda v: periodogram_grid(PATH.values, 8, v).values, 4, 0),
+    ("smooth_periodogram", "half_width", lambda v: smooth_periodogram(walsh_periodogram(PATH.values), v).values, 1, -1),
 ]
+#: rows whose range is checked under another name: a horizon is a T, an innovation window its indices, N a segment length
+RANGE_NAMES = {
+    "decay_experiment T_values": "T",
+    "make_innovations start": "innovation indices",
+    "periodogram_grid N": "segment length",
+}
 
 
 @pytest.mark.parametrize(
-    "name, call, value", [row[1:] for row in INTEGER_ARGUMENTS], ids=[row[0] for row in INTEGER_ARGUMENTS]
+    "name, call, value", [row[1:4] for row in INTEGER_ARGUMENTS], ids=[row[0] for row in INTEGER_ARGUMENTS]
 )
 def test_integer_arguments_are_checked_by_name(name, call, value):
     for bad in (float(value), True, str(value)):
@@ -103,27 +115,79 @@ def test_integer_arguments_are_checked_by_name(name, call, value):
     np.testing.assert_equal(call(np.int64(value)), call(value))
 
 
+@pytest.mark.parametrize(
+    "row_id, name, call, bad", [(row[0], row[1], row[2], row[4]) for row in INTEGER_ARGUMENTS],
+    ids=[row[0] for row in INTEGER_ARGUMENTS],
+)
+def test_integer_arguments_out_of_range_are_named_with_their_value(row_id, name, call, bad):
+    # the message opens with the argument's name and holds the value as a whole number
+    name = RANGE_NAMES.get(row_id, name)
+    with pytest.raises(ValueError, match=rf"^{re.escape(name)} .*(?<![\w.]){re.escape(str(bad))}(?![\w.])"):
+        call(bad)
+
+
 def test_as_int_returns_a_python_int():
     for value in (np.uint64(2**64 - 1), np.int8(-3), 2**70):
         assert type(as_int(value, "x")) is int and as_int(value, "x") == value
 
 
+@pytest.mark.parametrize("args, message", [
+    ((-1, "n", 0), "n must be >= 0, got -1"),
+    ((np.int64(7), "n", 8), "n must be >= 8, got 7"),
+    ((5, "n", 0, 5), "n must lie in [0, 5), got 5"),
+    ((2**64, "seed", 0, 2**64), "seed must lie in [0, 2**64), got 18446744073709551616"),
+    ((2**32, "n", 0, 2**32), "n must lie in [0, 4294967296), got 4294967296"),
+    ((3**40, "n", 0, 3**40), f"n must lie in [0, {3**40}), got {3**40}"),
+])
+def test_as_int_range_messages(args, message):
+    with pytest.raises(ValueError) as info:
+        as_int(*args)
+    assert str(info.value) == message
+    value, what, *bounds = args
+    assert as_int(bounds[0], what, *bounds) == bounds[0]
+
+
+@pytest.mark.parametrize("args, message", [
+    ((math.nan, "slack"), "slack must be a finite number, got nan"),
+    ((-math.inf, "slack"), "slack must be a finite number, got -inf"),
+    ((1, "u0", 0, 1), "u0 must be a finite number in [0, 1), got 1.0"),
+    ((np.float32(-0.5), "u0", 0, 1), "u0 must be a finite number in [0, 1), got -0.5"),
+])
+def test_as_real_range_messages(args, message):
+    with pytest.raises(ValueError) as info:
+        as_real(*args)
+    assert str(info.value) == message
+    assert type(as_real(np.float32(0.5), "x", 0, 1)) is float and as_real(0, "x", 0, 1) == 0.0
+
+
+# each row: id, the argument's name, a call, a value in range, and values outside its range
 REAL_ARGUMENTS = [
-    ("simulate_frozen", "u0", lambda v: simulate_frozen(SPEC, v, 8).values, 0.25),
-    ("decay_experiment u0", "u0", lambda v: decay(u0=v), 0.25),
-    ("decay_experiment slack", "slack", lambda v: decay(slack=v), 1.0),
-    ("walsh", "x", lambda v: walsh(1, v), 0.5),
-    ("rademacher", "x", lambda v: rademacher(0, v), 0.75),
-    ("dyadic_add_points x", "x", lambda v: dyadic_add_points(v, 0.25), 0.5),
-    ("dyadic_add_points y", "y", lambda v: dyadic_add_points(0.5, v), 0.25),
+    ("simulate_frozen", "u0", lambda v: simulate_frozen(SPEC, v, 8).values, 0.25, (1.0, -0.25, math.nan, math.inf)),
+    ("decay_experiment u0", "u0", lambda v: decay(u0=v), 0.25, (1.0, -1e-300, math.nan, -math.inf)),
+    ("decay_experiment slack", "slack", lambda v: decay(slack=v), 1.0, (math.nan, math.inf, -math.inf)),
+    ("walsh", "x", lambda v: walsh(1, v), 0.5, (1.0, -0.5, math.nan)),
+    ("rademacher", "x", lambda v: rademacher(0, v), 0.75, (1.5, math.inf)),
+    ("dyadic_add_points x", "x", lambda v: dyadic_add_points(v, 0.25), 0.5, (1.0, -1.0)),
+    ("dyadic_add_points y", "y", lambda v: dyadic_add_points(0.5, v), 0.25, (2.0, math.nan)),
+    ("DyadicPoint.from_float", "point", lambda v: DyadicPoint.from_float(v).value, 0.375, (1.0, -0.125, math.nan)),
 ]
 
 
 @pytest.mark.parametrize(
-    "name, call, value", [row[1:] for row in REAL_ARGUMENTS], ids=[row[0] for row in REAL_ARGUMENTS]
+    "name, call, value", [row[1:4] for row in REAL_ARGUMENTS], ids=[row[0] for row in REAL_ARGUMENTS]
 )
 def test_real_arguments_reject_bools_and_strings_by_name(name, call, value):
     for bad in (True, str(value)):
         with pytest.raises(TypeError, match=f"^{re.escape(f'{name} must be a real number, got {bad!r}')}$"):
             call(bad)
     np.testing.assert_equal(call(np.float64(value)), call(value))
+
+
+@pytest.mark.parametrize(
+    "name, call, bads", [(row[1], row[2], row[4]) for row in REAL_ARGUMENTS], ids=[row[0] for row in REAL_ARGUMENTS]
+)
+def test_real_arguments_outside_their_range_are_named_with_their_value(name, call, bads):
+    span = "" if name == "slack" else " in [0, 1)"
+    for bad in bads:
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{name} must be a finite number{span}, got {bad}')}$"):
+            call(bad)

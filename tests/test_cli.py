@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import walsh_spectra.processes as processes
-from walsh_spectra.cli import CSV_CHUNK_ROWS, _write_csv, main
+from walsh_spectra.cli import CSV_CHUNK_ROWS, _write_csv, build_parser, main
 from walsh_spectra.processes import DISTRIBUTIONS, approx_error, simulate, simulate_frozen, spawn_seed, spec_from_dict
 
 WHITE_NOISE = {"kind": "tvDMA", "ma": ["1"], "sigma": 1.0, "seed": 3}
@@ -93,6 +93,32 @@ def test_missing_spec_exit_code(tmp_path):
     assert main(["simulate", "--T", "8", "--out", str(tmp_path / "x.csv")]) == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["simulate", "--preset", "figure1", "--T", "abc", "--out", "x.csv"], "argument --T: invalid int value: 'abc'"),
+    (["nope"], "argument command: invalid choice: 'nope' (choose from "
+     "'simulate', 'spectrum', 'convert', 'verify', 'periodogram', 'figures')"),
+    (["simulate", "--preset", "nope", "--T", "8", "--out", "x.csv"],
+     "argument --preset: invalid choice: 'nope' (choose from 'figure1', 'figure2')"),
+    (["simulate", "--preset", "figure1", "--T", "8"], "the following arguments are required: --out"),
+    ([], "the following arguments are required: command"),
+    (["simulate", "--spec", "list.json", "--T", "8", "--out", "x.csv"], "spec file must hold a JSON object"),
+], ids=["bad int", "unknown command", "unknown preset", "missing --out", "no command", "spec file holds a list"])
+def test_usage_error_exit_code(tmp_path, capsys, monkeypatch, argv, message):
+    # usage errors are one JSON line on stderr, like every other error, not argparse's usage block
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "list.json").write_text(json.dumps([WHITE_NOISE]))
+    assert main(argv) == 2
+    assert one_json_line(capsys.readouterr().err) == {"error": "config", "message": message}
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["list.json"]
+
+
+def test_help_is_still_plain_text(capsys):
+    with pytest.raises(SystemExit) as info:
+        build_parser().parse_args(["simulate", "--help"])
+    assert info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: walsh-spectra simulate")
+
+
 def test_bad_horizon_exit_code(tmp_path, capsys):
     spec = write_spec(tmp_path, WHITE_NOISE)
     assert main(["simulate", "--spec", spec, "--T", "48", "--out", str(tmp_path / "x.csv")]) == 2
@@ -160,7 +186,7 @@ def test_spectrum_bad_grid_exponent_exit_code(tmp_path, capsys, monkeypatch, m):
     assert code == 2
     err = json.loads(capsys.readouterr().err.strip())
     assert err["error"] == "config"
-    assert f"grid exponent m must lie in [0, 24], got {m}" in err["message"]
+    assert f"m must lie in [0, 25), got {m}" in err["message"]
     assert not out.exists()
 
 
@@ -489,7 +515,7 @@ def test_periodogram_segment_too_long(tmp_path, capsys):
     ("--segments", "128", "--segments 128 exceeds --T 64"),
     ("--step", "0", "--step must be >= 1, got 0"),
     ("--smooth", "-1", "--smooth must be >= 0, got -1"),
-    ("--replicates", "0", "--replicates must be >= 1"),
+    ("--replicates", "0", "--replicates must be >= 1, got 0"),
 ])
 def test_periodogram_bad_argument_exit_code(tmp_path, capsys, monkeypatch, flag, value, message):
     def fail(*args, **kwargs):

@@ -52,6 +52,14 @@ def test_point_canonical_form():
         DyadicPoint(4, 2)  # would be >= 1
 
 
+def test_point_bits_and_float():
+    p = DyadicPoint(1, 2)  # 0.01 in binary
+    assert [p.fractional_bit(i) for i in (1, 2, 3)] == [0, 1, 0]
+    assert float(p) == 0.25
+    with pytest.raises(ValueError, match="^fractional bits are indexed from 1$"):
+        p.fractional_bit(0)
+
+
 def test_point_from_float_is_exact():
     for x in (0.0, 0.5, 0.375, 0.681640625):
         assert DyadicPoint.from_float(x).value == x

@@ -71,6 +71,11 @@ def test_only_dyadic_decides_real_arguments():
     assert outside_dyadic(re.escape("(int, float, np.integer, np.floating)")) == []
 
 
+def test_only_dyadic_words_range_rules():
+    # "in [lo, hi)", ">= lo" and "a finite number" belong to dyadic.as_int and dyadic.as_real
+    assert outside_dyadic(r"must be >=|must lie in|must be a finite number") == []
+
+
 def test_only_cores_calls_core_values():
     # rows at u, slack, the XOR core and whole-path block numbering belong to processes._cores
     def calls(tree):

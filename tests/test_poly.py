@@ -25,6 +25,19 @@ def test_coefficients_padded_to_power_of_two():
     assert p.length == 4
     assert p.coefficients.tolist() == [1.0, 2.0, 3.0, 0.0]
     assert p == WalshPolynomial([1.0, 2.0, 3.0, 0.0])
+    assert WalshPolynomial([1.0]) == unit(4) and WalshPolynomial([1.0]) != 1  # equal only to a polynomial
+
+
+@pytest.mark.parametrize("coeffs, message", [
+    ([[1.0, 2.0]], "coefficients must be one-dimensional"),
+    ([], "need at least one coefficient"),
+    ([1.0, float("nan")], "coefficients must hold only finite values, got nan at index 1"),
+    ([float("-inf")], "coefficients must hold only finite values, got -inf at index 0"),
+], ids=["2-D", "empty", "nan", "inf"])
+def test_coefficients_are_checked(coeffs, message):
+    with pytest.raises(ValueError) as info:
+        WalshPolynomial(coeffs)
+    assert str(info.value) == message
 
 
 def test_evaluate_examples():

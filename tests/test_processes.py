@@ -95,7 +95,8 @@ def test_spawn_seed_rejects_arguments_that_would_alias(master, index):
     # reduced mod 2**64, each of these would repeat the seed of an argument in range
     with pytest.raises(ValueError) as info:
         spawn_seed(master, index)
-    assert str(info.value) == f"master must lie in [0, 2**64) and index be >= 0, got {master} and {index}"
+    expected = f"master must lie in [0, 2**64), got {master}" if master != 0 else f"index must be >= 0, got {index}"
+    assert str(info.value) == expected
     assert spawn_seed(2**64 - 1, 2**64) != spawn_seed(0, 0)
 
 
@@ -206,6 +207,7 @@ def test_spec_rejects_a_string_for_a_curve_list(kind, field, text):
     ("ar", [None, "0.5"], "ar[0] must be a curve string or a number, got None"),
     ("ma", {"a": 1}, "ma must be a list of curves, got {'a': 1}"),
     ("ar", 2, "ar must be a list of curves, got 2"),
+    ("ar", [], "tvDARMA needs autoregressive curves"),
     ("trend", None, "trend must be a curve string or a number, got None"),
     ("amplitude", True, "amplitude must be a curve string or a number, got True"),
 ])
@@ -220,6 +222,13 @@ def test_spec_accepts_numbers_and_tuples_as_curves():
     spec = spec_from_dict({"kind": "tvDMA", "ma": (1, 0.5, np.int64(2), np.float32(0.25)), "trend": 0, "amplitude": 2.0})
     assert spec.to_dict()["ma"] == ["1.0", "0.5", "2.0", "0.25"]
     assert (spec.to_dict()["trend"], spec.to_dict()["amplitude"]) == ("0.0", "2.0")
+    parsed = parse("0.5*u")  # a parsed curve is taken as it is
+    assert make_process_spec("tvDMA", ma=["1", parsed], trend=parsed).ma[1] is parsed
+
+
+def test_unknown_preset_is_named():
+    with pytest.raises(ValueError, match="^unknown preset 'nope'; available: figure1, figure2$"):
+        preset_spec("nope")
 
 
 @pytest.mark.parametrize("field, value, error, message", [
@@ -510,10 +519,12 @@ def test_approx_error_validation():
     a = simulate(spec, 128)
     b = simulate(spec.with_seed(11), 128)
     assert approx_error(a, a, 64, 16) == 0.0
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^paths were built from different innovations$"):
         approx_error(a, b, 64, 16)
-    with pytest.raises(ValueError):
-        approx_error(a, a, 4, 16)  # window leaves the path
+    with pytest.raises(ValueError, match="^paths have different lengths$"):
+        approx_error(a, simulate(spec, 64), 32, 16)
+    with pytest.raises(ValueError, match=r"^window \[-12, 20\] leaves the path of length 128$"):
+        approx_error(a, a, 4, 16)
 
 
 def test_frozen_shares_innovations():

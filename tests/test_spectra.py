@@ -377,7 +377,8 @@ def test_smoothing_keeps_no_state_between_calls():
     (lambda x: smooth_periodogram(walsh_periodogram(x), 1.5), TypeError, "half_width must be an integer, got 1.5"),
     (lambda x: smooth_periodogram(walsh_periodogram(x), True), TypeError, "half_width must be an integer, got True"),
     (lambda x: smooth_periodogram(walsh_periodogram(x), "2"), TypeError, "half_width must be an integer, got '2'"),
-    (lambda x: smooth_periodogram(periodogram_grid(x, 16), -1), ValueError, "half_width must be >= 0"),
+    (lambda x: smooth_periodogram(periodogram_grid(x, 16), -1), ValueError, "half_width must be >= 0, got -1"),
+    (lambda x: empirical_dyadic_covariance(x, 1, (128, 8)), ValueError, "segment leaves the path"),
     (lambda x: segmented_local_spectrum(x.reshape(2, 64), 16), ValueError,
      "periodogram needs a one-dimensional segment, got shape (2, 64)"),
     (lambda x: periodogram_grid(x.reshape(2, 64), 16), ValueError,
@@ -386,6 +387,21 @@ def test_smoothing_keeps_no_state_between_calls():
 def test_periodogram_sizes_are_checked_not_truncated(call, error, message):
     with pytest.raises(error) as info:
         call(np.ones(128))
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: periodogram_grid([1.0, np.nan, 2.0, 3.0], 2), "values must hold only finite values, got nan at index 1"),
+    (lambda: segmented_local_spectrum(np.r_[np.ones(7), -np.inf], 4), "values must hold only finite values, got -inf at index 7"),
+    (lambda: walsh_periodogram([1.0, np.inf]), "data must hold only finite values, got inf at index 1"),
+    (lambda: empirical_dyadic_covariance([1.0, np.nan], 1), "path must hold only finite values, got nan at index 1"),
+    (lambda: covariance_from_density([1.0, np.nan], 0), "density_row must hold only finite values, got nan at index 1"),
+    (lambda: dma_covariance([np.nan, 0.5], 1.0, 1), "coefficients must hold only finite values, got nan at index 0"),
+], ids=["periodogram_grid", "segmented_local_spectrum", "walsh_periodogram", "empirical_dyadic_covariance",
+        "covariance_from_density", "dma_covariance"])
+def test_non_finite_data_are_rejected_by_name(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
     assert str(info.value) == message
 
 
