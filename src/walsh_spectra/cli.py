@@ -207,8 +207,6 @@ def _cmd_periodogram(args) -> int:
     spec = _load_spec(args)
     T, N, step = args.T, args.segments, args.step
     # every flag is checked before anything is simulated
-    if N is None:
-        raise ValueError("--segments (segment length N) is required")
     block_exponent(T, "--T")
     block_exponent(N, "--segments")
     if N > T:
@@ -305,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("periodogram", help="segmented Walsh periodogram estimates")
     _add_spec_arguments(p)
     p.add_argument("--T", type=int, required=True)
-    p.add_argument("--segments", type=int, help="segment length N (power of two)")
+    p.add_argument("--segments", type=int, required=True, help="segment length N (power of two)")
     p.add_argument("--step", type=int, default=None, help="segment step (default N, aligned)")
     p.add_argument("--smooth", type=int, default=0, help="smoothing half-width in bins")
     p.add_argument("--replicates", type=int, default=1)

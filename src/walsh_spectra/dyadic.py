@@ -69,13 +69,14 @@ def as_real(value, what: str, lo: float | None = None, hi: float | None = None) 
 
 
 def as_finite_array(values, what: str) -> np.ndarray:
-    """``values`` as a float64 array; a NaN or an infinity raises ValueError naming ``what``, the value and its index."""
+    """``values`` as a 1-D float64 array; any other shape, a NaN or an inf raises ValueError naming ``what``."""
     a = np.asarray(values, dtype=np.float64)
+    if a.ndim != 1:
+        raise ValueError(f"{what} must be one-dimensional, got shape {a.shape}")
     finite = np.isfinite(a)
     if not finite.all():
-        at = np.argwhere(~finite)[0]
-        where = ", ".join(map(str, at))
-        raise ValueError(f"{what} must hold only finite values, got {a[tuple(at)]} at index {where}")
+        i = int(np.argmin(finite))
+        raise ValueError(f"{what} must hold only finite values, got {a[i]} at index {i}")
     return a
 
 
@@ -122,8 +123,7 @@ class DyadicPoint:
 
     def fractional_bit(self, i: int) -> int:
         """The digit x_i of x = sum_{i>=1} x_i 2**-i (0 beyond the resolution)."""
-        if i < 1:
-            raise ValueError("fractional bits are indexed from 1")
+        i = as_int(i, "i", 1)
         if i > self.resolution:
             return 0
         return (self.numerator >> (self.resolution - i)) & 1
@@ -260,6 +260,8 @@ def fwht(values) -> np.ndarray:
     output index.  Applying it twice multiplies by the length.
     """
     a = np.array(values, dtype=np.float64)
+    if a.ndim == 0:
+        raise ValueError(f"values must be at least one-dimensional, got shape {a.shape}")
     n = a.shape[-1]
     m = block_exponent(n)
     shape = a.shape

@@ -44,9 +44,7 @@ class SingularPolynomialError(ValueError):
 
 
 def _pad_pow2(coeffs) -> np.ndarray:
-    c = np.atleast_1d(as_finite_array(coeffs, "coefficients"))
-    if c.ndim != 1:
-        raise ValueError("coefficients must be one-dimensional")
+    c = as_finite_array(np.atleast_1d(coeffs), "coefficients")
     if c.size == 0:
         raise ValueError("need at least one coefficient")
     return zero_pad(c)

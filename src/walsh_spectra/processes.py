@@ -29,7 +29,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .curves import CurveExpr, constant, eval_curve, is_constant, is_constant_zero, parse, serialize
-from .dyadic import INDEX_CAP, as_int, as_real, block_exponent, block_size, is_real
+from .dyadic import INDEX_CAP, as_finite_array, as_int, as_real, block_exponent, block_size, is_real
 # unused here, but kept bound: benchmark/smoke_check.py asserts processes.fwht is dyadic.fwht
 from .dyadic import fwht  # noqa: F401
 from .poly import SINGULARITY_RTOL, grid_ratio
@@ -124,7 +124,7 @@ def make_innovations(spec: InnovationSpec, count: int, start: int = 0) -> np.nda
     range.  That is what makes parallel generation reproduce serial
     output exactly.
     """
-    count, start = as_int(count, "count", 1), as_int(start, "start")
+    count, start = as_int(count, "count", 1), as_int(start, "start", 0)
     return _draw(spec, spec.seed, count, start)
 
 
@@ -277,8 +277,7 @@ def spec_from_dict(data: dict) -> ProcessSpec:
 
 
 def curve_matrix(curves, u) -> np.ndarray:
-    """Stack of curve values: out[i, k] = curve_k(u_i)."""
-    u = np.atleast_1d(np.asarray(u, dtype=np.float64))
+    """Stack of curve values: out[i, k] = curve_k(u_i), for a one-dimensional float64 u."""
     out = np.empty((u.size, len(curves)))
     for k, c in enumerate(curves):
         out[:, k] = eval_curve(c, u)
@@ -292,10 +291,10 @@ def coefficient_rows(spec: ProcessSpec, u) -> tuple[np.ndarray, np.ndarray]:
     curves are read at u = 0 for every row.  Each block keeps its own
     length; `grid_ratio` pads the two to a common one when converting.
     """
-    u = np.atleast_1d(np.asarray(u, dtype=np.float64))
+    u = as_finite_array(np.atleast_1d(u), "u")
     b_rows = curve_matrix(spec.ar, u)
     if spec.kind == "modulated":
-        return b_rows, np.repeat(curve_matrix(spec.ma, [0.0]), u.size, axis=0)
+        return b_rows, np.repeat(curve_matrix(spec.ma, np.zeros(1)), u.size, axis=0)
     return b_rows, curve_matrix(spec.ma, u)
 
 
@@ -315,10 +314,10 @@ class SamplePath:
         return self.values.size
 
 
-def _check_horizon(T: int, needed: int) -> int:
-    T = 1 << block_exponent(T, "T")
+def _check_horizon(T: int, needed: int, what: str) -> int:
+    T = 1 << block_exponent(T, what)
     if T < needed:
-        raise ValueError(f"T={T} is shorter than the coefficient block length {needed}")
+        raise ValueError(f"{what}={T} is shorter than the coefficient block length {needed}")
     return T
 
 
@@ -466,10 +465,10 @@ def simulate(spec: ProcessSpec, T: int, innovations=None) -> SamplePath:
     Moving-average kinds are an exact finite XOR-lag sum; autoregressive
     and mixed kinds are solved exactly block by block.
     """
-    T = _check_horizon(T, max(len(spec.ar), len(spec.ma)))
-    eps = make_innovations(spec.innovations, T) if innovations is None else np.asarray(innovations, dtype=np.float64)
-    if innovations is not None and (eps.shape != (T,) or not np.isfinite(eps).all()):
-        raise ValueError(f"innovations must be a one-dimensional array of {T} finite values, got shape {eps.shape}")
+    T = _check_horizon(T, max(len(spec.ar), len(spec.ma)), "T")
+    eps = make_innovations(spec.innovations, T) if innovations is None else as_finite_array(innovations, "innovations")
+    if eps.size != T:
+        raise ValueError(f"innovations must hold T={T} values, got {eps.size}")
     u, core = _cores(spec, T, 0, T)
     # rebinding `core` frees its rows before trend and amplitude: they stay out of the peak memory
     core = core(eps)
@@ -491,7 +490,7 @@ def simulate_seeds(spec: ProcessSpec, T: int, seeds):
 
     Holds (len(ar) + len(ma) + 3)·T floats throughout: u, the rows, trend and amplitude.
     """
-    T = _check_horizon(T, max(len(spec.ar), len(spec.ma)))
+    T = _check_horizon(T, max(len(spec.ar), len(spec.ma)), "T")
     path = _paths(spec, T, 0, T)[1]
     for seed in seeds:
         eps = make_innovations(replace(spec.innovations, seed=seed), T)
@@ -525,7 +524,7 @@ def dma_coefficient_rows(spec: ProcessSpec, u) -> np.ndarray:
     Raises `SingularPolynomialError` naming the first offending u when
     the AR polynomial vanishes on the grid there.
     """
-    u = np.atleast_1d(np.asarray(u, dtype=np.float64))
+    u = as_finite_array(np.atleast_1d(u), "u")
     b_rows, a_rows = coefficient_rows(spec, u)
     if spec.kind not in MA_KINDS:
         a_rows = grid_ratio(a_rows, b_rows, where=u)
@@ -606,10 +605,10 @@ def decay_experiment(
         raise ValueError("conversion mode needs an autoregressive-kind spec")
     radius, replicates = as_int(radius, "radius"), as_int(replicates, "replicates", 1)
     u0, slack = as_real(u0, "u0", 0, 1), as_real(slack, "slack")
-    T_values = tuple(as_int(T, f"T_values[{i}]") for i, T in enumerate(T_values))
     needed = max(len(spec.ar), len(spec.ma))
     # every horizon and window is checked before anything is simulated
-    windows = [_window(round(u0 * T), radius, _check_horizon(T, needed)) for T in T_values]
+    T_values = tuple(_check_horizon(T, needed, f"T_values[{i}]") for i, T in enumerate(T_values))
+    windows = [_window(round(u0 * T), radius, T) for T in T_values]
     if len(set(T_values)) < 2:
         raise ValueError(f"a decay slope needs at least two distinct horizons, got {list(T_values)}")
     seeds = np.fromiter((spawn_seed(spec.innovations.seed, rep) for rep in range(replicates)), np.uint64, replicates)

@@ -68,7 +68,7 @@ def tv_dyadic_density(spec: ProcessSpec, u_values, m: int) -> SpectralGrid:
     computed at the block resolution and subsampled.
     """
     x = grid_values(m)  # checks that m is an integer in [0, GRID_EXPONENT_CAP] before the grid is allocated
-    u = np.atleast_1d(np.asarray(u_values, dtype=np.float64))
+    u = as_finite_array(np.atleast_1d(u_values), "u_values")
     rows = dma_coefficient_rows(spec, u)
     amps = fwht(zero_pad(rows, max(1 << m, rows.shape[1])))
     g = spec.innovations.sigma**2 * amps[:, :: amps.shape[1] >> m] ** 2
@@ -84,8 +84,8 @@ def tv_fourier_density(spec: ProcessSpec, u_values, lambda_values) -> SpectralGr
     """
     if spec.kind not in MA_KINDS:
         raise ValueError("the Fourier comparison density needs a moving-average kind")
-    u = np.atleast_1d(np.asarray(u_values, dtype=np.float64))
-    lam = np.atleast_1d(np.asarray(lambda_values, dtype=np.float64))
+    u = as_finite_array(np.atleast_1d(u_values), "u_values")
+    lam = as_finite_array(np.atleast_1d(lambda_values), "lambda_values")
     rows = dma_coefficient_rows(spec, u)
     k = np.arange(rows.shape[1])
     phases = np.exp(-1j * lam[:, None] * k[None, :])  # (len(lam), L)
@@ -116,8 +116,6 @@ def covariance_from_density(density_row, tau: int) -> float:
     the integral over [0, 1) is the plain average over grid_points(m).
     """
     g = as_finite_array(density_row, "density_row")
-    if g.ndim != 1:
-        raise ValueError(f"density row must be one-dimensional, got shape {g.shape}")
     block_exponent(g.size, "density row length")
     tau = as_int(tau, "tau", 0, g.size)
     return float(fwht(g)[tau] / g.size)
@@ -160,8 +158,6 @@ def periodogram_grid(values, N: int, step: int | None = None) -> SpectralGrid:
     heuristic.
     """
     values = as_finite_array(values, "values")
-    if values.ndim != 1:
-        raise ValueError(f"periodogram needs a one-dimensional segment, got shape {values.shape}")
     T = values.size
     N = as_int(N, "N")
     m = block_exponent(N, "segment length")

@@ -1,10 +1,13 @@
-"""Integer and real-number arguments across the package: checked by name, never coerced.
+"""Integer, real-number and array arguments across the package: checked by name, never coerced.
 
 Every integer argument goes through `dyadic.as_int`: a float (even an
 integral one), a bool or a string raises TypeError naming the parameter,
 and a numpy integer gives exactly what the equal int gives.  Real-number
 arguments reject a bool or a string the same way.  A value of the right
 type outside its range raises ValueError naming the parameter and the value.
+Every array argument goes through `dyadic.as_finite_array`: a value that is
+not one-dimensional, or holds a NaN or an infinity, raises ValueError naming
+the parameter and the shape, or the value and its index.
 """
 
 import json
@@ -27,11 +30,13 @@ from walsh_spectra.dyadic import (
     rademacher,
     walsh,
 )
-from walsh_spectra.poly import unit
+from walsh_spectra.poly import WalshPolynomial, unit
 from walsh_spectra.processes import (
     InnovationSpec,
     approx_error,
+    coefficient_rows,
     decay_experiment,
+    dma_coefficient_rows,
     make_innovations,
     make_process_spec,
     simulate,
@@ -43,8 +48,10 @@ from walsh_spectra.spectra import (
     dma_covariance,
     empirical_dyadic_covariance,
     periodogram_grid,
+    segmented_local_spectrum,
     smooth_periodogram,
     tv_dyadic_density,
+    tv_fourier_density,
     walsh_periodogram,
 )
 
@@ -65,6 +72,7 @@ INTEGER_ARGUMENTS = [
     ("dyadic_add b", "b", lambda v: dyadic_add(5, v), 3, 2**62),
     ("DyadicPoint numerator", "numerator", lambda v: DyadicPoint(v, 3), 6, 8),
     ("DyadicPoint resolution", "resolution", lambda v: DyadicPoint(1, v), 3, -1),
+    ("DyadicPoint.fractional_bit", "i", lambda v: DyadicPoint(1, 2).fractional_bit(v), 2, 0),
     ("rademacher", "k", lambda v: rademacher(v, 0.375), 1, -1),
     ("walsh", "n", lambda v: walsh(v, 0.375), 5, 2**62),
     ("grid_points", "m", grid_points, 2, 25),
@@ -97,10 +105,8 @@ INTEGER_ARGUMENTS = [
     ("periodogram_grid step", "step", lambda v: periodogram_grid(PATH.values, 8, v).values, 4, 0),
     ("smooth_periodogram", "half_width", lambda v: smooth_periodogram(walsh_periodogram(PATH.values), v).values, 1, -1),
 ]
-#: rows whose range is checked under another name: a horizon is a T, an innovation window its indices, N a segment length
+#: rows whose range is checked under another name: N is a segment length
 RANGE_NAMES = {
-    "decay_experiment T_values": "T",
-    "make_innovations start": "innovation indices",
     "periodogram_grid N": "segment length",
 }
 
@@ -191,3 +197,54 @@ def test_real_arguments_outside_their_range_are_named_with_their_value(name, cal
     for bad in bads:
         with pytest.raises(ValueError, match=f"^{re.escape(f'{name} must be a finite number{span}, got {bad}')}$"):
             call(bad)
+
+
+# each row: id, the argument's name, a call, and values it rejects: a 2-D one, one holding a NaN and one an infinity
+ARRAY_ARGUMENTS = [
+    ("WalshPolynomial", "coefficients", WalshPolynomial,
+     ([[1.0, 2.0]], [1.0, math.nan], [-math.inf])),
+    ("dma_covariance", "coefficients", lambda v: dma_covariance(v, 1.0, 1),
+     ([[1.0], [0.5]], [math.nan, 0.5], [1.0, math.inf])),
+    ("covariance_from_density", "density_row", lambda v: covariance_from_density(v, 0),
+     (np.ones((2, 4)), [1.0, math.nan], [math.inf, 1.0])),
+    ("periodogram_grid", "values", lambda v: periodogram_grid(v, 2),
+     (np.ones((2, 4)), [1.0, math.nan, 2.0, 3.0], [1.0, -math.inf])),
+    ("segmented_local_spectrum", "values", lambda v: segmented_local_spectrum(v, 4),
+     (np.ones((2, 4)), np.r_[np.ones(7), -np.inf], [math.nan] * 4)),
+    ("walsh_periodogram", "data", walsh_periodogram,
+     (np.ones((2, 4)), [1.0, math.inf], [math.nan, 1.0])),
+    ("empirical_dyadic_covariance", "path", lambda v: empirical_dyadic_covariance(v, 1),
+     (np.ones((4, 8)), [1.0, math.nan], [math.inf, 1.0])),
+    ("simulate", "innovations", lambda v: simulate(SPEC, 4, v),
+     (np.zeros((1, 4)), [0.0, math.nan, 0.0, 0.0], [0.0, 0.0, 0.0, math.inf])),
+    ("coefficient_rows", "u", lambda v: coefficient_rows(SPEC, v),
+     ([[0.25, 0.5]], [0.25, math.nan], [math.inf])),
+    ("dma_coefficient_rows", "u", lambda v: dma_coefficient_rows(SPEC, v),
+     ([[0.25], [0.5]], [math.nan], [0.5, -math.inf])),
+    ("tv_dyadic_density", "u_values", lambda v: tv_dyadic_density(SPEC, v, 2),
+     ([[0.25, 0.5]], [0.5, math.nan], [math.inf])),
+    ("tv_fourier_density u_values", "u_values", lambda v: tv_fourier_density(SPEC, v, [0.0, 1.0]),
+     ([[0.25, 0.5]], [math.nan], [0.5, math.inf])),
+    ("tv_fourier_density lambda_values", "lambda_values", lambda v: tv_fourier_density(SPEC, [0.5], v),
+     ([[0.0, 1.0]], [0.0, math.nan], [-math.inf])),
+]
+
+
+@pytest.mark.parametrize(
+    "name, call, bads", [(row[1], row[2], row[3]) for row in ARRAY_ARGUMENTS], ids=[row[0] for row in ARRAY_ARGUMENTS]
+)
+def test_array_arguments_must_be_one_dimensional_and_finite(name, call, bads):
+    kinds = []
+    for bad in bads:
+        a = np.asarray(bad, dtype=np.float64)
+        if a.ndim != 1:
+            kinds.append("2-D")
+            message = f"{name} must be one-dimensional, got shape {a.shape}"
+        else:
+            i = int(np.flatnonzero(~np.isfinite(a))[0])
+            kinds.append("nan" if math.isnan(a[i]) else "inf")
+            message = f"{name} must hold only finite values, got {a[i]} at index {i}"
+        with pytest.raises(ValueError) as info:
+            call(bad)
+        assert str(info.value) == message
+    assert sorted(kinds) == ["2-D", "inf", "nan"]

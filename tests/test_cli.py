@@ -439,7 +439,9 @@ def test_periodogram_needs_segments_exit_code(tmp_path, capsys):
     spec = write_spec(tmp_path, WHITE_NOISE)
     out = tmp_path / "x.csv"
     assert main(["periodogram", "--spec", spec, "--T", "64", "--out", str(out)]) == 2
-    assert one_json_line(capsys.readouterr().err) == {"error": "config", "message": "--segments (segment length N) is required"}
+    assert one_json_line(capsys.readouterr().err) == {
+        "error": "config", "message": "the following arguments are required: --segments"
+    }
     assert not out.exists()
 
 

@@ -56,7 +56,7 @@ def test_point_bits_and_float():
     p = DyadicPoint(1, 2)  # 0.01 in binary
     assert [p.fractional_bit(i) for i in (1, 2, 3)] == [0, 1, 0]
     assert float(p) == 0.25
-    with pytest.raises(ValueError, match="^fractional bits are indexed from 1$"):
+    with pytest.raises(ValueError, match="^i must be >= 1, got 0$"):
         p.fractional_bit(0)
 
 
@@ -199,6 +199,8 @@ def test_fwht_rejects_bad_length():
         fwht([1.0, 2.0, 3.0])
     with pytest.raises(ValueError):
         fwht([])
+    with pytest.raises(ValueError, match=r"^values must be at least one-dimensional, got shape \(\)$"):
+        fwht(3.0)
 
 
 def test_bit_reversal_permutation():

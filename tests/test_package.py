@@ -76,6 +76,11 @@ def test_only_dyadic_words_range_rules():
     assert outside_dyadic(r"must be >=|must lie in|must be a finite number") == []
 
 
+def test_only_dyadic_decides_array_arguments():
+    # "one-dimensional" and "finite values" belong to dyadic.as_finite_array
+    assert outside_dyadic(r"must be one-dimensional|must hold only finite values|\.ndim !=") == []
+
+
 def test_only_cores_calls_core_values():
     # rows at u, slack, the XOR core and whole-path block numbering belong to processes._cores
     def calls(tree):

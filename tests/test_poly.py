@@ -28,16 +28,11 @@ def test_coefficients_padded_to_power_of_two():
     assert WalshPolynomial([1.0]) == unit(4) and WalshPolynomial([1.0]) != 1  # equal only to a polynomial
 
 
-@pytest.mark.parametrize("coeffs, message", [
-    ([[1.0, 2.0]], "coefficients must be one-dimensional"),
-    ([], "need at least one coefficient"),
-    ([1.0, float("nan")], "coefficients must hold only finite values, got nan at index 1"),
-    ([float("-inf")], "coefficients must hold only finite values, got -inf at index 0"),
-], ids=["2-D", "empty", "nan", "inf"])
-def test_coefficients_are_checked(coeffs, message):
-    with pytest.raises(ValueError) as info:
-        WalshPolynomial(coeffs)
-    assert str(info.value) == message
+def test_coefficients_are_checked():
+    # 2-D and non-finite coefficients are rows of ARRAY_ARGUMENTS in tests/test_arguments.py
+    with pytest.raises(ValueError, match="^need at least one coefficient$"):
+        WalshPolynomial([])
+    assert WalshPolynomial(2.5) == WalshPolynomial([2.5])  # a scalar is one coefficient
 
 
 def test_evaluate_examples():

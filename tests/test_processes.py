@@ -67,7 +67,9 @@ def test_innovations_window_just_below_the_cap():
 
 @pytest.mark.parametrize("start, count", [(-1, 4), (2**62 - 3, 4), (2**63, 3)])
 def test_innovations_reject_indices_outside_the_stream(start, count):
-    with pytest.raises(ValueError, match=r"innovation indices .* leave \[0, 2\*\*62\)"):
+    # a negative start is named as an argument; past the cap the window as a whole leaves the stream
+    message = r"^start must be >= 0, got -1$" if start < 0 else r"innovation indices .* leave \[0, 2\*\*62\)"
+    with pytest.raises(ValueError, match=message):
         make_innovations(InnovationSpec(seed=1), count, start=start)
 
 
@@ -455,15 +457,18 @@ def test_block_locality():
     assert not np.allclose(base.values, scrambled.values)
 
 
-@pytest.mark.parametrize("innovations", [np.zeros((2, 4)), np.zeros(4), np.full(8, np.nan), np.r_[np.zeros(7), np.inf]])
-def test_supplied_innovations_must_be_T_finite_values(innovations):
+@pytest.mark.parametrize("innovations, message", [
+    (np.zeros((2, 4)), "innovations must be one-dimensional, got shape (2, 4)"),
+    (np.zeros(4), "innovations must hold T=8 values, got 4"),
+    (np.full(8, np.nan), "innovations must hold only finite values, got nan at index 0"),
+    (np.r_[np.zeros(7), np.inf], "innovations must hold only finite values, got inf at index 7"),
+], ids=["2-D", "short", "nan", "inf"])
+def test_supplied_innovations_must_be_T_finite_values(innovations, message):
     spec = make_process_spec("tvDARMA", ar=["1", "0.3"], ma=["1", "0.5"])
     for run in (lambda: simulate(spec, 8, innovations), lambda: simulate_frozen(spec, 0.5, 8, innovations)):
         with pytest.raises(ValueError) as info:
             run()
-        assert str(info.value) == (
-            f"innovations must be a one-dimensional array of 8 finite values, got shape {innovations.shape}"
-        )
+        assert str(info.value) == message
 
 
 @pytest.mark.parametrize("distribution", ["rademacher", "uniform"])
