@@ -37,7 +37,6 @@ from .poly import (
     invert,
     sigma_determinant,
     sigma_matrix,
-    to_autoregressive,
     to_moving_average,
     unit,
     xor_convolve,
@@ -49,7 +48,6 @@ from .processes import (
     ProcessSpec,
     SamplePath,
     SingularBlockError,
-    approx_error,
     decay_experiment,
     defining_equation_residual,
     dma_coefficient_rows,

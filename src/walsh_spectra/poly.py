@@ -43,13 +43,6 @@ class SingularPolynomialError(ValueError):
         )
 
 
-def _pad_pow2(coeffs) -> np.ndarray:
-    c = as_finite_array(np.atleast_1d(coeffs), "coefficients")
-    if c.size == 0:
-        raise ValueError("need at least one coefficient")
-    return zero_pad(c)
-
-
 @dataclass(frozen=True)
 class WalshPolynomial:
     """Coefficient vector (c_0, ..., c_{L-1}), zero-padded to L = 2**m."""
@@ -57,7 +50,10 @@ class WalshPolynomial:
     coefficients: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "coefficients", _pad_pow2(self.coefficients))
+        c = as_finite_array(np.atleast_1d(self.coefficients), "coefficients")
+        if c.size == 0:
+            raise ValueError("need at least one coefficient")
+        object.__setattr__(self, "coefficients", zero_pad(c))
 
     @property
     def length(self) -> int:
@@ -162,8 +158,3 @@ def to_moving_average(ar: WalshPolynomial, ma: WalshPolynomial) -> WalshPolynomi
     a zero grid value.
     """
     return WalshPolynomial(grid_ratio(ma.coefficients, ar.coefficients))
-
-
-def to_autoregressive(ar: WalshPolynomial, ma: WalshPolynomial) -> WalshPolynomial:
-    """Autoregressive coefficients G with ma * G = ar; dual of `to_moving_average`."""
-    return WalshPolynomial(grid_ratio(ar.coefficients, ma.coefficients))

@@ -276,14 +276,6 @@ def spec_from_dict(data: dict) -> ProcessSpec:
     return make_process_spec(**data)
 
 
-def curve_matrix(curves, u) -> np.ndarray:
-    """Stack of curve values: out[i, k] = curve_k(u_i), for a one-dimensional float64 u."""
-    out = np.empty((u.size, len(curves)))
-    for k, c in enumerate(curves):
-        out[:, k] = eval_curve(c, u)
-    return out
-
-
 def coefficient_rows(spec: ProcessSpec, u) -> tuple[np.ndarray, np.ndarray]:
     """Coefficient rows (b_rows, a_rows): the AR and MA curves at each u_i.
 
@@ -291,11 +283,17 @@ def coefficient_rows(spec: ProcessSpec, u) -> tuple[np.ndarray, np.ndarray]:
     curves are read at u = 0 for every row.  Each block keeps its own
     length; `grid_ratio` pads the two to a common one when converting.
     """
-    u = as_finite_array(np.atleast_1d(u), "u")
-    b_rows = curve_matrix(spec.ar, u)
-    if spec.kind == "modulated":
-        return b_rows, np.repeat(curve_matrix(spec.ma, np.zeros(1)), u.size, axis=0)
-    return b_rows, curve_matrix(spec.ma, u)
+    return _rows(spec, as_finite_array(np.atleast_1d(u), "u"))
+
+
+def _rows(spec: ProcessSpec, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`coefficient_rows` at a checked one-dimensional float64 u: row i, column k holds curve k at u_i."""
+    def block(curves, at) -> np.ndarray:
+        out = np.empty((u.size, len(curves)))
+        for k, c in enumerate(curves):
+            out[:, k] = eval_curve(c, at)
+        return out
+    return block(spec.ar, u), block(spec.ma, 0.0 if spec.kind == "modulated" else u)
 
 
 # --------------------------------------------------------------------------
@@ -439,7 +437,7 @@ def _cores(spec: ProcessSpec, T: int, lo: int, hi: int, slack: float = 0.0):
     block is the worst one in the window, numbered by its index on the whole path.
     """
     u = np.arange(lo, hi) / T
-    b_rows, a_rows = coefficient_rows(spec, u)
+    b_rows, a_rows = _rows(spec, u)
     if slack:  # +-slack/T on the rows: rescaled and actual coefficients then differ at order 1/T
         for rows in (b_rows, a_rows):
             rows += slack / T * (1.0 - 2.0 * ((np.arange(lo, hi)[:, None] + np.arange(rows.shape[1])) & 1))
@@ -502,17 +500,23 @@ def defining_equation_residual(spec: ProcessSpec, path: SamplePath) -> float:
 
     ``core`` is the path with trend removed and amplitude divided out, so
     a ValueError naming the first such u is raised where the amplitude is 0.
+    The path's values and innovations are finite series of one power-of-two
+    length, at least the coefficient block's.
     """
-    T = path.length
+    values = as_finite_array(path.values, "path.values")
+    T = _check_horizon(values.size, max(len(spec.ar), len(spec.ma)), "path length")
+    eps = as_finite_array(path.innovations, "path.innovations")
+    if eps.size != T:
+        raise ValueError(f"path.innovations must hold as many values as path.values ({T}), got {eps.size}")
     u = np.arange(T) / T
     amp = eval_curve(spec.amplitude, u)
     zeros = np.flatnonzero(amp == 0.0)
     if zeros.size:
         raise ValueError(f"amplitude vanishes at u={u[zeros[0]]}: the core process is undefined there")
-    b_rows, a_rows = coefficient_rows(spec, u)
-    core = (path.values - eval_curve(spec.trend, u)) / amp
+    b_rows, a_rows = _rows(spec, u)
+    core = (values - eval_curve(spec.trend, u)) / amp
     lhs = _dma_combine(b_rows, core)
-    rhs = _dma_combine(a_rows, path.innovations)
+    rhs = _dma_combine(a_rows, eps)
     return float(np.max(np.abs(lhs - rhs)))
 
 
@@ -524,8 +528,12 @@ def dma_coefficient_rows(spec: ProcessSpec, u) -> np.ndarray:
     Raises `SingularPolynomialError` naming the first offending u when
     the AR polynomial vanishes on the grid there.
     """
-    u = as_finite_array(np.atleast_1d(u), "u")
-    b_rows, a_rows = coefficient_rows(spec, u)
+    return _dma_rows(spec, as_finite_array(np.atleast_1d(u), "u"))
+
+
+def _dma_rows(spec: ProcessSpec, u: np.ndarray) -> np.ndarray:
+    """`dma_coefficient_rows` at a checked one-dimensional float64 u."""
+    b_rows, a_rows = _rows(spec, u)
     if spec.kind not in MA_KINDS:
         a_rows = grid_ratio(a_rows, b_rows, where=u)
     return a_rows * eval_curve(spec.amplitude, u)[:, None]
@@ -537,21 +545,10 @@ def dma_coefficient_rows(spec: ProcessSpec, u) -> np.ndarray:
 
 def _window(center: int, radius: int, length: int) -> slice:
     """Index window |t - center| <= radius, checked to lie inside a path of the given length."""
-    center, radius = as_int(center, "center"), as_int(radius, "radius", 0)
     lo, hi = center - radius, center + radius
     if lo < 0 or hi >= length:
         raise ValueError(f"window [{lo}, {hi}] leaves the path of length {length}")
     return slice(lo, hi + 1)
-
-
-def approx_error(tv: SamplePath, frozen: SamplePath, center: int, radius: int) -> float:
-    """Sup of |tv - frozen| over the index window |t - center| <= radius."""
-    if tv.length != frozen.length:
-        raise ValueError("paths have different lengths")
-    if not np.array_equal(tv.innovations, frozen.innovations):
-        raise ValueError("paths were built from different innovations")
-    window = _window(as_int(center, "center", 0, tv.length), radius, tv.length)
-    return float(np.max(np.abs(tv.values[window] - frozen.values[window])))
 
 
 @dataclass(frozen=True)
@@ -603,7 +600,7 @@ def decay_experiment(
         raise ValueError(f"mode must be 'frozen' or 'conversion', got {mode!r}")
     if mode == "conversion" and spec.kind in MA_KINDS:
         raise ValueError("conversion mode needs an autoregressive-kind spec")
-    radius, replicates = as_int(radius, "radius"), as_int(replicates, "replicates", 1)
+    radius, replicates = as_int(radius, "radius", 0), as_int(replicates, "replicates", 1)
     u0, slack = as_real(u0, "u0", 0, 1), as_real(slack, "slack")
     needed = max(len(spec.ar), len(spec.ma))
     # every horizon and window is checked before anything is simulated
@@ -620,7 +617,7 @@ def decay_experiment(
         if frozen is not None:  # frozen rows do not depend on t: laid at 0, blocks are numbered as `simulate_frozen`'s
             x_cmp = _paths(frozen, T, 0, hi - lo)[1]
         else:
-            k_rows, trend = dma_coefficient_rows(spec, u), eval_curve(spec.trend, u)  # amplitude folded into k_rows
+            k_rows, trend = _dma_rows(spec, u), eval_curve(spec.trend, u)  # amplitude folded into k_rows
             x_cmp = lambda eps: trend + _dma_combine(k_rows, eps)
         read = slice(window.start - lo, window.stop - lo)
         errs = np.empty(replicates)  # the sup-error of each replicate

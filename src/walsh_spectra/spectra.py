@@ -48,12 +48,6 @@ class Periodogram:
     values: np.ndarray
 
 
-def _coeffs(obj) -> np.ndarray:
-    if isinstance(obj, WalshPolynomial):
-        return obj.coefficients
-    return WalshPolynomial(np.asarray(obj, dtype=np.float64)).coefficients
-
-
 # --------------------------------------------------------------------------
 # model-implied quantities
 
@@ -100,7 +94,7 @@ def dma_covariance(coeffs, sigma: float, tau: int) -> float:
     Closed form of the spectral integral (orthonormality collapses the
     cross terms).  Lags at or beyond the coefficient block are exactly 0.
     """
-    a = _coeffs(coeffs)
+    a = (coeffs if isinstance(coeffs, WalshPolynomial) else WalshPolynomial(coeffs)).coefficients
     sigma = InnovationSpec(sigma=sigma).sigma  # the innovations' rule: a finite positive real number
     tau = as_int(tau, "tau", 0)
     if tau >= a.size:
@@ -126,8 +120,9 @@ def empirical_dyadic_covariance(path, tau: int, segment: tuple[int, int] | None 
 
     (1/N) sum over the segment of (X_t - mean)(X_{t XOR tau} - mean);
     alignment (start a multiple of N) keeps t XOR tau inside the segment.
+    The whole path is checked to be one-dimensional and finite, not only the segment.
     """
-    values = path.values if isinstance(path, SamplePath) else np.asarray(path, dtype=np.float64)
+    values = as_finite_array(path.values if isinstance(path, SamplePath) else path, "path")
     if segment is None:
         segment = (0, values.size)
     start, n = (as_int(v, "segment") for v in segment)
@@ -137,7 +132,7 @@ def empirical_dyadic_covariance(path, tau: int, segment: tuple[int, int] | None 
     if start < 0 or start + n > values.size:
         raise ValueError("segment leaves the path")
     tau = as_int(tau, "tau", 0, n)
-    seg = as_finite_array(values[start : start + n], "path")
+    seg = values[start : start + n]
     centered = seg - np.mean(seg)
     return float(np.dot(centered, centered[np.arange(n) ^ tau]) / n)
 
@@ -157,7 +152,11 @@ def periodogram_grid(values, N: int, step: int | None = None) -> SpectralGrid:
     other steps give overlapping segments, useful as a smoother but
     heuristic.
     """
-    values = as_finite_array(values, "values")
+    return _periodograms(as_finite_array(values, "values"), N, step)
+
+
+def _periodograms(values: np.ndarray, N: int, step: int | None) -> SpectralGrid:
+    """`periodogram_grid` of a checked one-dimensional float64 series."""
     T = values.size
     N = as_int(N, "N")
     m = block_exponent(N, "segment length")
@@ -178,7 +177,7 @@ def walsh_periodogram(data) -> Periodogram:
     1/2; `periodogram_grid` gives the periodograms of sub-segments.
     """
     x = as_finite_array(data, "data")
-    grid = periodogram_grid(x, x.size)
+    grid = _periodograms(x, x.size, None)
     return Periodogram(segment_start=0, size=x.size, u0=0.5, x_values=grid.x_values, values=grid.values[0])
 
 

@@ -68,6 +68,11 @@ def oracle_xor_combine(coef, eps) -> np.ndarray:
     return out
 
 
+def oracle_window_sup_error(a, b, center: int, radius: int) -> float:
+    """max |a[t] - b[t]| over the index window |t - center| <= radius, one index at a time."""
+    return max(abs(float(a[t]) - float(b[t])) for t in range(center - radius, center + radius + 1))
+
+
 def oracle_mix64(z: int) -> int:
     """SplitMix64 finalizer (Steele, Lea & Flood, OOPSLA 2014) on Python integers."""
     z &= M64

@@ -7,7 +7,9 @@ arguments reject a bool or a string the same way.  A value of the right
 type outside its range raises ValueError naming the parameter and the value.
 Every array argument goes through `dyadic.as_finite_array`: a value that is
 not one-dimensional, or holds a NaN or an infinity, raises ValueError naming
-the parameter and the shape, or the value and its index.
+the parameter and the shape, or the value and its index.  Each is checked
+once, by the public function that receives it; a grid the package builds is
+not checked at all.
 """
 
 import json
@@ -17,8 +19,10 @@ import re
 import numpy as np
 import pytest
 
+from walsh_spectra import poly, processes, spectra
 from walsh_spectra.dyadic import (
     DyadicPoint,
+    as_finite_array,
     as_int,
     as_real,
     block_exponent,
@@ -33,14 +37,16 @@ from walsh_spectra.dyadic import (
 from walsh_spectra.poly import WalshPolynomial, unit
 from walsh_spectra.processes import (
     InnovationSpec,
-    approx_error,
+    SamplePath,
     coefficient_rows,
     decay_experiment,
+    defining_equation_residual,
     dma_coefficient_rows,
     make_innovations,
     make_process_spec,
     simulate,
     simulate_frozen,
+    simulate_seeds,
     spawn_seed,
 )
 from walsh_spectra.spectra import (
@@ -57,7 +63,6 @@ from walsh_spectra.spectra import (
 
 SPEC = make_process_spec("tvDMA", ma=["1", "0.5*u"], trend="u", seed=3)
 PATH = simulate(SPEC, 32)
-FROZEN = simulate_frozen(SPEC, 0.5, 32)
 
 
 def decay(**kwargs):
@@ -86,8 +91,6 @@ INTEGER_ARGUMENTS = [
     ("make_innovations start", "start", lambda v: make_innovations(SPEC.innovations, 4, start=v), 5, -1),
     ("simulate", "T", lambda v: simulate(SPEC, v).values, 8, 12),
     ("simulate_frozen", "T", lambda v: simulate_frozen(SPEC, 0.25, v).values, 8, 12),
-    ("approx_error center", "center", lambda v: approx_error(PATH, FROZEN, v, 2), 16, 32),
-    ("approx_error radius", "radius", lambda v: approx_error(PATH, FROZEN, 16, v), 2, -1),
     ("decay_experiment T_values", "T_values[1]", lambda v: decay(T_values=(8, v)), 16, 12),
     ("decay_experiment radius", "radius", lambda v: decay(radius=v), 1, -1),
     ("decay_experiment replicates", "replicates", lambda v: decay(replicates=v), 2, 0),
@@ -217,6 +220,12 @@ ARRAY_ARGUMENTS = [
      (np.ones((4, 8)), [1.0, math.nan], [math.inf, 1.0])),
     ("simulate", "innovations", lambda v: simulate(SPEC, 4, v),
      (np.zeros((1, 4)), [0.0, math.nan, 0.0, 0.0], [0.0, 0.0, 0.0, math.inf])),
+    ("defining_equation_residual path.values", "path.values",
+     lambda v: defining_equation_residual(SPEC, SamplePath(v, PATH.innovations)),
+     (PATH.values.reshape(4, 8), np.r_[PATH.values[:31], math.nan], [math.inf] * 32)),
+    ("defining_equation_residual path.innovations", "path.innovations",
+     lambda v: defining_equation_residual(SPEC, SamplePath(PATH.values, v)),
+     (PATH.innovations.reshape(4, 8), np.r_[math.nan, PATH.innovations[1:]], [1.0] * 31 + [-math.inf])),
     ("coefficient_rows", "u", lambda v: coefficient_rows(SPEC, v),
      ([[0.25, 0.5]], [0.25, math.nan], [math.inf])),
     ("dma_coefficient_rows", "u", lambda v: dma_coefficient_rows(SPEC, v),
@@ -248,3 +257,45 @@ def test_array_arguments_must_be_one_dimensional_and_finite(name, call, bads):
             call(bad)
         assert str(info.value) == message
     assert sorted(kinds) == ["2-D", "inf", "nan"]
+
+
+AR_SPEC = make_process_spec("tvDARMA", ar=["1", "0.3*u"], ma=["1", "0.5"], seed=3)
+
+# each row: id, one call of a public function, and the name of each check it makes, in order
+CHECKS = [
+    ("coefficient_rows", lambda: coefficient_rows(SPEC, [0.25, 0.5]), ["u"]),
+    ("dma_coefficient_rows", lambda: dma_coefficient_rows(AR_SPEC, [0.25, 0.5]), ["u"]),
+    ("periodogram_grid", lambda: periodogram_grid(PATH.values, 8), ["values"]),
+    ("walsh_periodogram", lambda: walsh_periodogram(PATH.values), ["data"]),
+    ("segmented_local_spectrum", lambda: segmented_local_spectrum(PATH, 8), ["values"]),
+    ("tv_dyadic_density", lambda: tv_dyadic_density(AR_SPEC, [0.25, 0.5], 2), ["u_values", "u"]),
+    ("tv_fourier_density", lambda: tv_fourier_density(SPEC, [0.25, 0.5], [0.0, 1.0]),
+     ["u_values", "lambda_values", "u"]),
+    ("simulate", lambda: simulate(AR_SPEC, 32), []),
+    ("simulate innovations", lambda: simulate(SPEC, 32, PATH.innovations), ["innovations"]),
+    ("simulate_frozen", lambda: simulate_frozen(AR_SPEC, 0.25, 32), []),
+    ("simulate_frozen innovations", lambda: simulate_frozen(SPEC, 0.25, 32, PATH.innovations), ["innovations"]),
+    ("simulate_seeds", lambda: list(simulate_seeds(AR_SPEC, 32, [1, 2])), []),
+    ("decay_experiment frozen", decay, []),
+    ("decay_experiment conversion",
+     lambda: decay_experiment(AR_SPEC, "conversion", T_values=(8, 16), radius=1, replicates=2), []),
+    ("defining_equation_residual", lambda: defining_equation_residual(SPEC, PATH), ["path.values", "path.innovations"]),
+    ("empirical_dyadic_covariance", lambda: empirical_dyadic_covariance(PATH, 1, (8, 8)), ["path"]),
+    ("covariance_from_density", lambda: covariance_from_density([1.0, 2.0], 1), ["density_row"]),
+    ("dma_covariance", lambda: dma_covariance([1.0, 0.5], 1.0, 1), ["coefficients"]),
+    ("WalshPolynomial", lambda: WalshPolynomial([1.0, 0.5]), ["coefficients"]),
+]
+
+
+@pytest.mark.parametrize("call, names", [row[1:] for row in CHECKS], ids=[row[0] for row in CHECKS])
+def test_each_array_argument_is_checked_once_by_the_function_that_receives_it(monkeypatch, call, names):
+    seen = []
+
+    def counting(values, what):
+        seen.append(what)
+        return as_finite_array(values, what)
+
+    for module in (processes, spectra, poly):
+        monkeypatch.setattr(module, "as_finite_array", counting)
+    call()
+    assert seen == names

@@ -13,7 +13,9 @@ import pytest
 
 import walsh_spectra.processes as processes
 from walsh_spectra.cli import CSV_CHUNK_ROWS, _write_csv, build_parser, main
-from walsh_spectra.processes import DISTRIBUTIONS, approx_error, simulate, simulate_frozen, spawn_seed, spec_from_dict
+from walsh_spectra.processes import DISTRIBUTIONS, simulate, simulate_frozen, spawn_seed, spec_from_dict
+
+from oracles import oracle_window_sup_error
 
 WHITE_NOISE = {"kind": "tvDMA", "ma": ["1"], "sigma": 1.0, "seed": 3}
 CONSTANT_DAR = {"kind": "tvDAR", "ar": ["2", "1"], "seed": 5}
@@ -791,6 +793,7 @@ def test_verify_frozen_errors_equal_the_mean_library_error(tmp_path):
     expected = []
     for T in Ts:
         seeds = [spec.with_seed(spawn_seed(3, r)) for r in range(reps)]
-        errs = [approx_error(simulate(s, T), simulate_frozen(s, u0, T), round(u0 * T), radius) for s in seeds]
+        paths = [(simulate(s, T).values, simulate_frozen(s, u0, T).values) for s in seeds]
+        errs = [oracle_window_sup_error(tv, frozen, round(u0 * T), radius) for tv, frozen in paths]
         expected.append(float(np.mean(errs)))
     assert json.loads(out.read_text())["errors"] == expected

@@ -15,6 +15,9 @@ REMOVED = (
     "convert_spec_frozen",
     "CovarianceSequence",
     "walsh_spectrum_from_cov",
+    "approx_error",
+    "to_autoregressive",
+    "curve_matrix",
 )
 SRC = Path(walsh_spectra.__file__).parent
 
@@ -79,6 +82,31 @@ def test_only_dyadic_words_range_rules():
 def test_only_dyadic_decides_array_arguments():
     # "one-dimensional" and "finite values" belong to dyadic.as_finite_array
     assert outside_dyadic(r"must be one-dimensional|must hold only finite values|\.ndim !=") == []
+
+
+def test_only_public_functions_call_as_finite_array():
+    # an argument is checked once, by the public function that receives it; a `_` function takes checked
+    # arrays.  Dunders such as a public class's __post_init__ are not private.
+    def calls(node, owner):
+        """(line, innermost enclosing function) of each `as_finite_array` call under node."""
+        for child in ast.iter_child_nodes(node):
+            func = getattr(child, "func", None)  # only an ast.Call has one
+            if "as_finite_array" in (getattr(func, "id", None), getattr(func, "attr", None)):
+                yield child.lineno, owner
+            yield from calls(child, child.name if isinstance(child, ast.FunctionDef) else owner)
+
+    found = [
+        (path.name, lineno, owner)
+        for path in sorted(SRC.glob("*.py"))
+        for lineno, owner in calls(ast.parse(path.read_text()), None)
+    ]
+    offenders = [
+        f"{name}:{lineno} {owner}"
+        for name, lineno, owner in found
+        if owner is None or (owner.startswith("_") and not owner.startswith("__"))
+    ]
+    assert offenders == []
+    assert {"coefficient_rows", "periodogram_grid", "__post_init__"} <= {owner for _, _, owner in found}
 
 
 def test_only_cores_calls_core_values():

@@ -9,7 +9,6 @@ from walsh_spectra.poly import (
     invert,
     sigma_determinant,
     sigma_matrix,
-    to_autoregressive,
     to_moving_average,
     unit,
     xor_convolve,
@@ -183,12 +182,13 @@ def test_to_moving_average_substitution_identity():
 
 
 def test_to_autoregressive_examples():
-    g = to_autoregressive(unit(), WalshPolynomial([2.0, 1.0]))
-    assert np.allclose(g.coefficients, [2 / 3, -1 / 3], atol=1e-12)
+    # G with ma * G = ar is grid_ratio(ar, ma), the route of `convert --target dar`
+    g = grid_ratio(unit().coefficients, [2.0, 1.0])
+    assert np.allclose(g, [2 / 3, -1 / 3], atol=1e-12)
     ar = WalshPolynomial([1.0, 0.4])
-    assert np.allclose(to_autoregressive(ar, unit()).coefficients, ar.coefficients, atol=1e-12)
+    assert np.allclose(grid_ratio(ar.coefficients, unit().coefficients), ar.coefficients, atol=1e-12)
     with pytest.raises(SingularPolynomialError):
-        to_autoregressive(WalshPolynomial([1.0, 0.3]), WalshPolynomial([1.0, 1.0]))
+        grid_ratio([1.0, 0.3], [1.0, 1.0])
 
 
 def test_conversion_duality():
@@ -196,7 +196,7 @@ def test_conversion_duality():
     b = random_nonsingular_coefficients(rng, 8)
     a = random_nonsingular_coefficients(rng, 8)
     k = to_moving_average(WalshPolynomial(b), WalshPolynomial(a))
-    g = to_autoregressive(WalshPolynomial(b), WalshPolynomial(a))
+    g = WalshPolynomial(grid_ratio(b, a))
     # K and G are reciprocal on the grid
     assert np.allclose(k.grid_values() * g.grid_values(), np.ones(8), atol=1e-10)
 

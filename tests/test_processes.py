@@ -22,7 +22,6 @@ from walsh_spectra.processes import (
     _dma_combine,
     _frozen,
     _window,
-    approx_error,
     coefficient_rows,
     decay_experiment,
     defining_equation_residual,
@@ -35,6 +34,8 @@ from walsh_spectra.processes import (
     spawn_seed,
     spec_from_dict,
 )
+
+from oracles import oracle_window_sup_error
 
 # ---------------------------------------------------------------- innovations
 
@@ -516,20 +517,7 @@ def test_frozen_touches_tv_at_center():
     T = 256
     tv = simulate(spec, T)
     fr = simulate_frozen(spec, 0.5, T)
-    assert approx_error(tv, fr, center=T // 2, radius=0) < 1e-14
-
-
-def test_approx_error_validation():
-    spec = make_process_spec("tvDMA", ma=["1", "0.5*u"], seed=10)
-    a = simulate(spec, 128)
-    b = simulate(spec.with_seed(11), 128)
-    assert approx_error(a, a, 64, 16) == 0.0
-    with pytest.raises(ValueError, match="^paths were built from different innovations$"):
-        approx_error(a, b, 64, 16)
-    with pytest.raises(ValueError, match="^paths have different lengths$"):
-        approx_error(a, simulate(spec, 64), 32, 16)
-    with pytest.raises(ValueError, match=r"^window \[-12, 20\] leaves the path of length 128$"):
-        approx_error(a, a, 4, 16)
+    assert oracle_window_sup_error(tv.values, fr.values, T // 2, 0) < 1e-14
 
 
 def test_frozen_shares_innovations():

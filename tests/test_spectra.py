@@ -9,7 +9,9 @@ from walsh_spectra.dyadic import fwht, grid_values
 from walsh_spectra.poly import SingularPolynomialError, WalshPolynomial
 from walsh_spectra.processes import (
     InnovationSpec,
+    SamplePath,
     coefficient_rows,
+    defining_equation_residual,
     make_innovations,
     make_process_spec,
     simulate,
@@ -365,6 +367,10 @@ def test_smoothing_keeps_no_state_between_calls():
                     reused[0] = 0
 
 
+#: the spec of the benchmark's lib-estimate workload
+TVDARMA = make_process_spec("tvDARMA", ar=["1", "-0.2+0.5*u"], ma=["1", "0.25+0.3*u"], seed=7)
+
+
 @pytest.mark.parametrize("call, error, message", [
     (lambda x: segmented_local_spectrum(x, 16, step=2.5), TypeError, "step must be an integer, got 2.5"),
     (lambda x: segmented_local_spectrum(x, 16.0), TypeError, "N must be an integer, got 16.0"),
@@ -376,6 +382,17 @@ def test_smoothing_keeps_no_state_between_calls():
     (lambda x: smooth_periodogram(walsh_periodogram(x), "2"), TypeError, "half_width must be an integer, got '2'"),
     (lambda x: smooth_periodogram(periodogram_grid(x, 16), -1), ValueError, "half_width must be >= 0, got -1"),
     (lambda x: empirical_dyadic_covariance(x, 1, (128, 8)), ValueError, "segment leaves the path"),
+    # the whole path is checked before it is measured or cut to its segment
+    (lambda x: empirical_dyadic_covariance(x.reshape(16, 8), 1, (16, 16)), ValueError,
+     "path must be one-dimensional, got shape (16, 8)"),
+    (lambda x: empirical_dyadic_covariance(np.r_[x[:16], np.nan], 1, (0, 16)), ValueError,
+     "path must hold only finite values, got nan at index 16"),
+    (lambda x: defining_equation_residual(TVDARMA, SamplePath(x[:12], x[:12])), ValueError,
+     "path length must be a power of two, got 12"),
+    (lambda x: defining_equation_residual(TVDARMA, SamplePath(x[:1], x[:1])), ValueError,
+     "path length=1 is shorter than the coefficient block length 2"),
+    (lambda x: defining_equation_residual(TVDARMA, SamplePath(x[:16], x[:8])), ValueError,
+     "path.innovations must hold as many values as path.values (16), got 8"),
     (lambda x: segmented_local_spectrum(x.reshape(2, 64), 16), ValueError, "values must be one-dimensional, got shape (2, 64)"),
     (lambda x: periodogram_grid(x.reshape(2, 64), 16), ValueError, "values must be one-dimensional, got shape (2, 64)"),
 ])
