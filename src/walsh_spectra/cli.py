@@ -96,6 +96,8 @@ def _load_spec(args) -> ProcessSpec:
             raise ValueError(f"cannot read spec file: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ValueError(f"spec file is not valid JSON: {exc}") from exc
+        except RecursionError as exc:
+            raise ValueError(f"spec file is nested too deeply: {exc}") from exc
         if not isinstance(data, dict):
             raise ValueError("spec file must hold a JSON object")
         try:

@@ -9,28 +9,38 @@ Grammar (whitespace-insensitive)::
 
     expr     := term (('+' | '-') term)*
     term     := factor (('*' | '/') factor)*
-    factor   := '-' factor | power
-    power    := atom ['^' exponent]          # right-associative
-    exponent := ['-'] INTEGER ['^' exponent]
+    factor   := '-' factor | atom ['^' exponent]     # right-associative
+    exponent := '-' exponent | INTEGER ['^' exponent]
     atom     := NUMBER | 'u' | 'pi' | FUNC '(' expr ')' | '(' expr ')'
     FUNC     := 'cos' | 'sin' | 'exp' | 'abs'
 
-Exponents are restricted to integer literals, which keeps evaluation total
-except for division by zero.  Evaluation clamps ``u`` to [0, 1]: curves
-are extended by their boundary values outside the unit interval.
+A curve holds at most 256 tokens (numbers, names and operators): a longer
+one raises `CurveSyntaxError` at the offset of the first token past the
+cap, so parsing stays well inside Python's stack limit.  Exponents are restricted to
+integer literals, which keeps evaluation total except for division by
+zero.  Evaluation clamps ``u`` to [0, 1]: curves are extended by their
+boundary values outside the unit interval.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 
 import numpy as np
 
-_FUNCTIONS = ("cos", "sin", "exp", "abs")
-# ASCII only: a non-ASCII digit or letter is an unexpected character
-_NUMBER_RE = re.compile(r"\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?", re.ASCII)
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+# a token after optional whitespace: numbers and names are ASCII, so a non-ASCII digit or letter is an
+# unexpected character
+_TOKEN_RE = re.compile(
+    r"\s*(?:(?P<number>(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)"
+    r"|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*/^()]))?"
+)
+# the parser recurses up to twice per token (4 frames a pair of parentheses): the cap keeps it off the stack limit
+_MAX_TOKENS = 256
+# the functions a curve may call, then the operators that need no domain check
+_CALLS = {"cos": np.cos, "sin": np.sin, "exp": np.exp, "abs": np.abs,
+          "+": operator.add, "-": operator.sub, "*": operator.mul}
 
 
 class CurveSyntaxError(ValueError):
@@ -88,129 +98,89 @@ class Call(CurveExpr):
     arg: CurveExpr
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # 'number' | 'ident' | 'op' | 'end'
-    text: str
-    offset: int
-
-
-def _tokenize(text: str) -> list[_Token]:
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """The (kind, text, offset) tokens of a curve, kind 'number', 'ident' or 'op', ending in an 'end' token."""
     tokens = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in "0123456789.":
-            m = _NUMBER_RE.match(text, i)
-            if not m:
-                raise CurveSyntaxError(f"malformed number {ch!r}", i)
-            tokens.append(_Token("number", m.group(), i))
-            i = m.end()
-            continue
-        m = _IDENT_RE.match(text, i)
-        if m:
-            tokens.append(_Token("ident", m.group(), i))
-            i = m.end()
-            continue
-        if ch in "+-*/^()":
-            tokens.append(_Token("op", ch, i))
-            i += 1
-            continue
-        raise CurveSyntaxError(f"unexpected character {ch!r}", i)
-    tokens.append(_Token("end", "", n))
-    return tokens
+    m = _TOKEN_RE.match(text)
+    while m.lastgroup:
+        if len(tokens) == _MAX_TOKENS:
+            raise CurveSyntaxError(f"curve longer than {_MAX_TOKENS} tokens", m.start(m.lastgroup))
+        tokens.append((m.lastgroup, m[m.lastgroup], m.start(m.lastgroup)))
+        m = _TOKEN_RE.match(text, m.end())
+    offset = m.end()
+    if offset < len(text):
+        # a digit always starts a number, so only a '.' can start a malformed one
+        what = "malformed number" if text[offset] == "." else "unexpected character"
+        raise CurveSyntaxError(f"{what} {text[offset]!r}", offset)
+    return tokens + [("end", "", offset)]
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
+    def __init__(self, tokens: list[tuple[str, str, int]]):
         self.tokens = tokens
         self.pos = 0
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
+    def take(self, kind: str, ops: str = "") -> str | None:
+        """The next token's text, consumed, if it is of this kind (and one of ``ops``, if given); else None."""
+        next_kind, text, _ = self.tokens[self.pos]
+        if next_kind != kind or (ops and text not in ops):
+            return None
         self.pos += 1
-        return tok
+        return text
 
-    def expect_op(self, op: str):
-        tok = self.peek()
-        if tok.kind != "op" or tok.text != op:
-            raise CurveSyntaxError(f"expected {op!r}", tok.offset)
-        return self.advance()
+    def expect(self, op: str) -> None:
+        if not self.take("op", op):
+            raise CurveSyntaxError(f"expected {op!r}", self.tokens[self.pos][2])
 
-    def parse_expr(self) -> CurveExpr:
-        node = self.parse_term()
-        while self.peek().kind == "op" and self.peek().text in "+-":
-            op = self.advance().text
-            node = Binary(op, node, self.parse_term())
+    def expr(self) -> CurveExpr:
+        node = self.term()
+        while op := self.take("op", "+-"):
+            node = Binary(op, node, self.term())
         return node
 
-    def parse_term(self) -> CurveExpr:
-        node = self.parse_factor()
-        while self.peek().kind == "op" and self.peek().text in "*/":
-            op = self.advance().text
-            node = Binary(op, node, self.parse_factor())
+    def term(self) -> CurveExpr:
+        node = self.factor()
+        while op := self.take("op", "*/"):
+            node = Binary(op, node, self.factor())
         return node
 
-    def parse_factor(self) -> CurveExpr:
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == "-":
-            self.advance()
-            return Negate(self.parse_factor())
-        return self.parse_power()
+    def factor(self) -> CurveExpr:
+        if self.take("op", "-"):
+            return Negate(self.factor())
+        base = self.atom()
+        return Binary("^", base, self.exponent()) if self.take("op", "^") else base
 
-    def parse_power(self) -> CurveExpr:
-        base = self.parse_atom()
-        if self.peek().kind == "op" and self.peek().text == "^":
-            self.advance()
-            return Binary("^", base, self.parse_exponent())
-        return base
+    def exponent(self) -> CurveExpr:
+        # an integer literal, optionally negated, optionally itself raised (right-associative)
+        if self.take("op", "-"):
+            return Negate(self.exponent())
+        kind, text, offset = self.tokens[self.pos]
+        if kind != "number" or not text.isdigit():
+            raise CurveSyntaxError("expected integer exponent", offset)
+        self.pos += 1
+        node = Literal(float(int(text)))
+        return Binary("^", node, self.exponent()) if self.take("op", "^") else node
 
-    def parse_exponent(self) -> CurveExpr:
-        # integer literal, optionally negated, optionally itself raised (right-assoc)
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == "-":
-            self.advance()
-            return Negate(self.parse_exponent())
-        if tok.kind != "number" or not re.fullmatch(r"\d+", tok.text):
-            raise CurveSyntaxError("expected integer exponent", tok.offset)
-        self.advance()
-        node: CurveExpr = Literal(float(int(tok.text)))
-        if self.peek().kind == "op" and self.peek().text == "^":
-            self.advance()
-            node = Binary("^", node, self.parse_exponent())
-        return node
-
-    def parse_atom(self) -> CurveExpr:
-        tok = self.peek()
-        if tok.kind == "number":
-            self.advance()
-            return Literal(float(tok.text))
-        if tok.kind == "ident":
-            self.advance()
-            if tok.text == "u":
+    def atom(self) -> CurveExpr:
+        kind, text, offset = self.tokens[self.pos]
+        self.pos += 1
+        if kind == "number":
+            return Literal(float(text))
+        if kind == "ident":
+            if text == "u":
                 return Variable()
-            if tok.text == "pi":
+            if text == "pi":
                 return Pi()
-            if tok.text in _FUNCTIONS:
-                self.expect_op("(")
-                arg = self.parse_expr()
-                self.expect_op(")")
-                return Call(tok.text, arg)
-            raise UnknownIdentifierError(f"unknown identifier {tok.text!r}", tok.offset)
-        if tok.kind == "op" and tok.text == "(":
-            self.advance()
-            node = self.parse_expr()
-            self.expect_op(")")
-            return node
-        what = tok.text or "end of input"
-        raise CurveSyntaxError(f"expected a value, found {what!r}", tok.offset)
+            if text not in _CALLS:
+                raise UnknownIdentifierError(f"unknown identifier {text!r}", offset)
+            self.expect("(")
+            node = Call(text, self.expr())
+        elif text == "(":
+            node = self.expr()
+        else:
+            raise CurveSyntaxError(f"expected a value, found {text or 'end of input'!r}", offset)
+        self.expect(")")
+        return node
 
 
 def parse(text: str) -> CurveExpr:
@@ -220,14 +190,11 @@ def parse(text: str) -> CurveExpr:
     `UnknownIdentifierError` for names outside the grammar.
     """
     parser = _Parser(_tokenize(text))
-    node = parser.parse_expr()
-    tail = parser.peek()
-    if tail.kind != "end":
-        raise CurveSyntaxError(f"unexpected trailing input {tail.text!r}", tail.offset)
+    node = parser.expr()
+    kind, text, offset = parser.tokens[parser.pos]
+    if kind != "end":
+        raise CurveSyntaxError(f"unexpected trailing input {text!r}", offset)
     return node
-
-
-_CALLS = {"cos": np.cos, "sin": np.sin, "exp": np.exp, "abs": np.abs}
 
 
 def _eval(node: CurveExpr, u):
@@ -244,12 +211,6 @@ def _eval(node: CurveExpr, u):
     if isinstance(node, Binary):
         left = _eval(node.left, u)
         right = _eval(node.right, u)
-        if node.op == "+":
-            return left + right
-        if node.op == "-":
-            return left - right
-        if node.op == "*":
-            return left * right
         if node.op == "/":
             if np.any(right == 0):
                 raise CurveDomainError("division by zero")
@@ -263,6 +224,7 @@ def _eval(node: CurveExpr, u):
                     return left ** k
             except (OverflowError, FloatingPointError) as exc:
                 raise CurveDomainError(f"overflow in power: {exc}") from exc
+        return _CALLS[node.op](left, right)
     raise TypeError(f"not a curve node: {node!r}")
 
 
@@ -295,7 +257,8 @@ def eval_curve(expr: CurveExpr, u):
 def serialize(expr: CurveExpr) -> str:
     """Canonical string form; parsing it back yields a structurally equal tree."""
     if isinstance(expr, Literal):
-        return repr(expr.value)
+        # repr(inf) is 'inf', not a curve; a number past the float range parses back as inf
+        return "1e999" if expr.value == np.inf else repr(expr.value)
     if isinstance(expr, Variable):
         return "u"
     if isinstance(expr, Pi):

@@ -177,6 +177,7 @@ def walsh_periodogram(data) -> Periodogram:
     1/2; `periodogram_grid` gives the periodograms of sub-segments.
     """
     x = as_finite_array(data, "data")
+    block_exponent(x.size, "data length")
     grid = _periodograms(x, x.size, None)
     return Periodogram(segment_start=0, size=x.size, u0=0.5, x_values=grid.x_values, values=grid.values[0])
 

@@ -780,6 +780,28 @@ def test_spec_warning_is_printed_without_a_package_path(tmp_path):
     )
 
 
+# curves that ran the parser out of stack, each one exit 1 with a RecursionError traceback
+@pytest.mark.parametrize("curve", ["(" * 300 + "u" + ")" * 300, "+".join(["u"] * 1501), "-" * 1200 + "u"],
+                         ids=["parentheses", "sum", "negations"])
+def test_curves_past_the_token_cap_exit_with_a_config_error(tmp_path, curve):
+    spec = write_spec(tmp_path, {"kind": "tvDMA", "ma": [curve], "seed": 0})
+    run = fresh_cli(["simulate", "--spec", spec, "--T", "8", "--out", str(tmp_path / "x.csv")])
+    assert run.returncode == 2
+    assert one_json_line(run.stderr) == {
+        "error": "config", "message": "bad spec: curve longer than 256 tokens at offset 256"
+    }
+
+
+def test_deeply_nested_spec_file_exits_with_a_config_error(tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_text("[" * 100_000)
+    run = fresh_cli(["simulate", "--spec", str(spec), "--T", "8", "--out", str(tmp_path / "x.csv")])
+    assert run.returncode == 2
+    err = one_json_line(run.stderr)
+    assert err["error"] == "config"
+    assert err["message"].startswith("spec file is nested too deeply: ")
+
+
 def test_verify_frozen_errors_equal_the_mean_library_error(tmp_path):
     # the frozen trend u^3 is evaluated at the scalar u0, the time-varying one on an array
     u0, Ts, radius, reps = 0.38042426988653233, (128, 256, 512), 4, 3

@@ -3,6 +3,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from walsh_spectra.curves import (
     Binary,
@@ -125,13 +127,71 @@ def test_non_finite_values_raise():
     assert eval_curve(parse("0.81"), float("nan")) == 0.81
 
 
+# one row per message the tokenizer and parser raise
 @pytest.mark.parametrize("text, message", [
     ("1+.", "malformed number '.' at offset 2"),
     ("cos(u", "expected ')' at offset 5"),
+    ("1 + $", "unexpected character '$' at offset 4"),
+    ("u+" * 128 + "u", "curve longer than 256 tokens at offset 256"),
+    ("cos+1", "expected '(' at offset 3"),
+    ("u^2.5", "expected integer exponent at offset 2"),
+    ("2*tan(u)", "unknown identifier 'tan' at offset 2"),
+    ("1+", "expected a value, found 'end of input' at offset 2"),
+    ("(*u)", "expected a value, found '*' at offset 1"),
+    ("1 2", "unexpected trailing input '2' at offset 2"),
 ])
 def test_syntax_errors_name_their_offset(text, message):
-    with pytest.raises(CurveSyntaxError, match=f"^{re.escape(message)}$"):
+    with pytest.raises(CurveSyntaxError, match=f"^{re.escape(message)}$") as info:
         parse(text)
+    assert info.value.offset == int(message.rsplit(" ", 1)[1])
+
+
+def deep_call(frames, fn, *args):
+    """fn(*args) called with ``frames`` more frames on the stack, as from a caller deep inside a program."""
+    return deep_call(frames - 1, fn, *args) if frames else fn(*args)
+
+
+# the shapes that nest deepest, each at the cap of 256 tokens, and their value at u = 0.5
+AT_CAP = {
+    "parentheses": ("(" * 127 + "-u" + ")" * 127, -0.5),
+    "negations": ("-" * 255 + "u", -0.5),
+    "sum": ("-" + "+".join(["u"] * 128), 63.0),
+}
+
+
+@pytest.mark.parametrize("text, value", AT_CAP.values(), ids=AT_CAP.keys())
+def test_curves_hold_at_most_256_tokens(text, value):
+    tree = deep_call(200, parse, text)
+    assert deep_call(200, eval_curve, tree, 0.5) == value
+    assert deep_call(200, serialize, tree)
+    # one more token is rejected at its offset, before the parser recurses
+    with pytest.raises(CurveSyntaxError, match=f"^curve longer than 256 tokens at offset {len(text)}$"):
+        parse("-" + text)
+
+
+# the grammar's pieces, Unicode whitespace, and non-ASCII letters and digits, which are unexpected characters
+curve_pieces = st.one_of(
+    st.sampled_from(["u", "pi", "cos", "sin", "exp", "abs", "e", "x", "_", ".", "+", "-", "*", "/", "^", "(", ")"]),
+    st.sampled_from("0123456789"),
+    st.sampled_from(" \t\n\u00a0\u2003\u3000"),
+    st.characters(min_codepoint=128, categories=("L", "Nd", "Zs")),
+)
+
+
+@settings(max_examples=500, deadline=None, database=None)
+@given(st.lists(curve_pieces, max_size=24).map("".join))
+@example("(" * 300 + "u" + ")" * 300)
+@example("+".join(["u"] * 1501))
+@example("-" * 1200 + "u")
+@example("exp(-1e999)")
+def test_any_text_parses_to_a_serializable_tree_or_names_an_offset(text):
+    try:
+        tree = parse(text)
+    except CurveSyntaxError as exc:
+        assert 0 <= exc.offset <= len(text)
+        assert str(exc).endswith(f"at offset {exc.offset}")
+    else:
+        assert parse(serialize(tree)) == tree
 
 
 @pytest.mark.parametrize("text, u, message", [

@@ -175,7 +175,7 @@ def test_density_row_and_segment_lengths_must_be_powers_of_two():
     with pytest.raises(ValueError, match="density row length must be a power of two, got 12"):
         covariance_from_density(np.ones(12), 0)
     for n in (0, 12):
-        with pytest.raises(ValueError, match=f"segment length must be a power of two, got {n}"):
+        with pytest.raises(ValueError, match=f"data length must be a power of two, got {n}"):
             walsh_periodogram(np.ones(n))
 
 
@@ -395,6 +395,8 @@ TVDARMA = make_process_spec("tvDARMA", ar=["1", "-0.2+0.5*u"], ma=["1", "0.25+0.
      "path.innovations must hold as many values as path.values (16), got 8"),
     (lambda x: segmented_local_spectrum(x.reshape(2, 64), 16), ValueError, "values must be one-dimensional, got shape (2, 64)"),
     (lambda x: periodogram_grid(x.reshape(2, 64), 16), ValueError, "values must be one-dimensional, got shape (2, 64)"),
+    (lambda x: walsh_periodogram(x[:0]), ValueError, "data length must be a power of two, got 0"),
+    (lambda x: walsh_periodogram(x[:3]), ValueError, "data length must be a power of two, got 3"),
 ])
 def test_periodogram_sizes_are_checked_not_truncated(call, error, message):
     with pytest.raises(error) as info:
