@@ -47,7 +47,7 @@ class CurveSyntaxError(ValueError):
     """Malformed curve expression; carries the byte offset of the failure."""
 
     def __init__(self, message: str, offset: int):
-        self.offset = offset
+        self.message, self.offset = message, offset
         super().__init__(f"{message} at offset {offset}")
 
 
@@ -158,7 +158,9 @@ class _Parser:
         if kind != "number" or not text.isdigit():
             raise CurveSyntaxError("expected integer exponent", offset)
         self.pos += 1
-        node = Literal(float(int(text)))
+        node = Literal(float(text))  # correctly rounded, as float(int(text)) is, with no digit limit
+        if node.value == np.inf:
+            raise CurveSyntaxError("integer exponent past the float range", offset)
         return Binary("^", node, self.exponent()) if self.take("op", "^") else node
 
     def atom(self) -> CurveExpr:

@@ -12,9 +12,9 @@ Everything downstream reduces to the conventions fixed here:
   binary digits of ``n`` select which fractional bits of ``x`` contribute
   a sign.  On the grid ``x_j = j / 2**m`` this gives
   ``walsh(n, x_j) = (-1) ** <bits(n), reverse_bits_m(j)>``, so the fast
-  transform is a natural-order butterfly followed by a bit reversal of the
-  output index.  The sign-product evaluator is the reference; the butterfly
-  must agree with it exactly.
+  transform is m constant-geometry stages (pair sums to the first half,
+  differences to the second) followed by a bit reversal of the output
+  index.  The sign-product evaluator is the reference; they must agree.
 
 All transforms are unnormalized: applying `fwht` twice multiplies by the
 length, which keeps the Hadamard matrix identities exact in integers.
@@ -255,9 +255,12 @@ def fwht(values) -> np.ndarray:
     """Fast Walsh-Hadamard transform along the last axis (unnormalized).
 
     Returns ``H @ v`` for the Walsh-ordered matrix of `hadamard_matrix`:
-    ``out[..., j] = sum_n v[..., n] * walsh(n, x_j)``.  Implemented as the
-    natural-order butterfly followed by a bit-reversal permutation of the
-    output index.  Applying it twice multiplies by the length.
+    ``out[..., j] = sum_n v[..., n] * walsh(n, x_j)``.  Each of m constant-
+    geometry stages writes the sums of the pairs ``x[2k], x[2k+1]`` of the
+    whole batch to the first half of the other buffer and the differences to
+    the second: stage s combines the entries that differ in bit s of the
+    index, bit-clear first, as an in-place butterfly does, so the bits agree.
+    A bit-reversal gather then gives Walsh order.  Applying it twice multiplies by the length.
     """
     a = np.array(values, dtype=np.float64)
     if a.ndim == 0:
@@ -265,16 +268,13 @@ def fwht(values) -> np.ndarray:
     n = a.shape[-1]
     m = block_exponent(n)
     shape = a.shape
-    a = a.reshape(-1, n)
-    rows = a.shape[0]
-    h = 1
-    while h < n:
-        a = a.reshape(rows, n // (2 * h), 2, h)
-        top = a[:, :, 0, :].copy()
-        a[:, :, 0, :] += a[:, :, 1, :]
-        a[:, :, 1, :] = top - a[:, :, 1, :]
-        a = a.reshape(rows, n)
-        h *= 2
-    if m > 1:
-        a = a[:, bit_reversal_permutation(m)]
-    return a.reshape(shape)
+    a, b = a.reshape(-1), np.empty(a.size)  # the batch as one vector: each stage is two 1-D ufunc calls
+    for _ in range(m):
+        np.add(a[0::2], a[1::2], out=b[: a.size // 2])
+        np.subtract(a[0::2], a[1::2], out=b[a.size // 2 :])
+        a, b = b, a
+    del b  # drop the spare buffer, so the gather holds only a and its result
+    a = a.reshape(n, -1)  # the stages moved every index bit above the row: row j is output j of each input
+    if m > 1:  # a row gather, then .T: the column-major layout that a[:, rev] gives a batch of rows
+        return a[bit_reversal_permutation(m)].T.reshape(shape)
+    return np.ascontiguousarray(a.T).reshape(shape)

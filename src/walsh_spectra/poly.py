@@ -120,14 +120,17 @@ def grid_ratio(num, den, where=None) -> np.ndarray:
     """Coefficients of the ratio num / den of Walsh polynomials, row by row.
 
     Both operands hold coefficient vectors along their last axis (any
-    leading axes are rows) and are zero-padded to the longer block.  Each
-    row is divided on the dyadic grid: transform, divide, transform back.
+    leading axes are rows) and are zero-padded to the longer block, whose
+    length must be a power of two (the error names ``num`` or ``den``).
+    Each row is divided on the dyadic grid: transform, divide, transform back.
 
     Raises `SingularPolynomialError` when some grid value of a ``den``
     row is within ``SINGULARITY_RTOL`` of that row's largest; for stacked
     rows ``where[i]`` labels row i in the error (e.g. its rescaled time).
     """
-    size = max(np.shape(num)[-1], np.shape(den)[-1])
+    num_size, den_size = np.shape(num)[-1], np.shape(den)[-1]
+    size = max(num_size, den_size)  # the longer operand sets the block both are padded to
+    block_exponent(size, "den length" if den_size > num_size else "num length")
     num, den = zero_pad(num, size), zero_pad(den, size)
     den_grid = fwht(den)
     scale = np.max(np.abs(den_grid), axis=-1, keepdims=True)

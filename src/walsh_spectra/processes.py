@@ -28,7 +28,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .curves import CurveExpr, constant, eval_curve, is_constant, is_constant_zero, parse, serialize
+from .curves import CurveExpr, CurveSyntaxError, constant, eval_curve, is_constant, is_constant_zero, parse, serialize
 from .dyadic import INDEX_CAP, as_finite_array, as_int, as_real, block_exponent, block_size, is_real
 # unused here, but kept bound: benchmark/smoke_check.py asserts processes.fwht is dyadic.fwht
 from .dyadic import fwht  # noqa: F401
@@ -161,7 +161,10 @@ def _as_curve(c, name: str) -> CurveExpr:
     if isinstance(c, CurveExpr):
         return c
     if isinstance(c, str):
-        return parse(c)
+        try:
+            return parse(c)
+        except CurveSyntaxError as exc:  # an unknown identifier too, keeping its type
+            raise type(exc)(f"{name}: {exc.message}", exc.offset) from None
     if is_real(c):
         return constant(float(c))
     raise ValueError(f"{name} must be a curve string or a number, got {c!r}")

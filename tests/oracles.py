@@ -42,6 +42,36 @@ def oracle_transform(v) -> np.ndarray:
     return oracle_hadamard(m).astype(np.float64) @ v
 
 
+def oracle_natural_butterfly(values) -> np.ndarray:
+    """The in-place natural-order butterfly and its bit-reversal gather, along the last axis.
+
+    Each stage h = 1, 2, 4, ... replaces the pair (a[i], a[i + h]), i with
+    bit h clear, by (a[i] + a[i + h], a[i] - a[i + h]).  A constant-geometry
+    transform does the same additions and subtractions on the same operands
+    in the same order, so every non-NaN output agrees bit for bit.  NaN
+    payloads need not: numpy's in-place add keeps the second operand's
+    payload for some layouts (a single pair, or a (3, 8) batch at h = 2).
+    """
+    a = np.array(values, dtype=np.float64)
+    n = a.shape[-1]
+    m = n.bit_length() - 1
+    shape = a.shape
+    a = a.reshape(-1, n)
+    rows = a.shape[0]
+    h = 1
+    while h < n:
+        a = a.reshape(rows, n // (2 * h), 2, h)
+        top = a[:, :, 0, :].copy()
+        a[:, :, 0, :] += a[:, :, 1, :]
+        a[:, :, 1, :] = top - a[:, :, 1, :]
+        a = a.reshape(rows, n)
+        h *= 2
+    if m > 1:
+        rev = np.array([int(format(j, f"0{m}b")[::-1], 2) for j in range(n)])
+        a = a[:, rev]
+    return a.reshape(shape)
+
+
 def oracle_xor_convolve(a, b) -> np.ndarray:
     """Double-loop coefficient product c_h = sum_j a_j b_{j XOR h}."""
     a = np.asarray(a, dtype=np.float64)

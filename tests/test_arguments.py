@@ -34,7 +34,7 @@ from walsh_spectra.dyadic import (
     rademacher,
     walsh,
 )
-from walsh_spectra.poly import WalshPolynomial, unit
+from walsh_spectra.poly import WalshPolynomial, grid_ratio, unit
 from walsh_spectra.processes import (
     InnovationSpec,
     SamplePath,
@@ -259,6 +259,23 @@ def test_array_arguments_must_be_one_dimensional_and_finite(name, call, bads):
     assert sorted(kinds) == ["2-D", "inf", "nan"]
 
 
+# each row: id, a call whose operand length is not a power of two, and the error, which names that operand
+LENGTH_ARGUMENTS = [
+    ("grid_ratio num", lambda: grid_ratio([1.0, 0.3, 0.1], [1.0]), "num length must be a power of two, got 3"),
+    ("grid_ratio den", lambda: grid_ratio([[1.0], [0.5]], [1.0, 0.3, 0.1]), "den length must be a power of two, got 3"),
+    ("grid_ratio tie", lambda: grid_ratio(np.ones(6), np.ones(6)), "num length must be a power of two, got 6"),
+]
+
+
+@pytest.mark.parametrize(
+    "call, message", [row[1:] for row in LENGTH_ARGUMENTS], ids=[row[0] for row in LENGTH_ARGUMENTS]
+)
+def test_lengths_that_are_not_powers_of_two_name_their_operand(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+
+
 AR_SPEC = make_process_spec("tvDARMA", ar=["1", "0.3*u"], ma=["1", "0.5"], seed=3)
 
 # each row: id, one call of a public function, and the name of each check it makes, in order
@@ -284,6 +301,7 @@ CHECKS = [
     ("covariance_from_density", lambda: covariance_from_density([1.0, 2.0], 1), ["density_row"]),
     ("dma_covariance", lambda: dma_covariance([1.0, 0.5], 1.0, 1), ["coefficients"]),
     ("WalshPolynomial", lambda: WalshPolynomial([1.0, 0.5]), ["coefficients"]),
+    ("grid_ratio", lambda: grid_ratio([[1.0, 0.5]], [[1.0, 0.25]]), []),
 ]
 
 

@@ -788,7 +788,19 @@ def test_curves_past_the_token_cap_exit_with_a_config_error(tmp_path, curve):
     run = fresh_cli(["simulate", "--spec", spec, "--T", "8", "--out", str(tmp_path / "x.csv")])
     assert run.returncode == 2
     assert one_json_line(run.stderr) == {
-        "error": "config", "message": "bad spec: curve longer than 256 tokens at offset 256"
+        "error": "config", "message": "bad spec: ma[0]: curve longer than 256 tokens at offset 256"
+    }
+
+
+# an exponent past the float range exited 1 with an OverflowError traceback, and one of 4,301
+# digits with a traceback of Python's integer-string limit ValueError
+@pytest.mark.parametrize("digits", [309, 4301])
+def test_exponents_past_the_float_range_exit_with_a_config_error(tmp_path, digits):
+    spec = write_spec(tmp_path, {"kind": "tvDMA", "ma": ["1", "u^" + "9" * digits], "seed": 0})
+    run = fresh_cli(["simulate", "--spec", spec, "--T", "8", "--out", str(tmp_path / "x.csv")])
+    assert run.returncode == 2
+    assert one_json_line(run.stderr) == {
+        "error": "config", "message": "bad spec: ma[1]: integer exponent past the float range at offset 2"
     }
 
 

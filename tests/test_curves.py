@@ -135,6 +135,8 @@ def test_non_finite_values_raise():
     ("u+" * 128 + "u", "curve longer than 256 tokens at offset 256"),
     ("cos+1", "expected '(' at offset 3"),
     ("u^2.5", "expected integer exponent at offset 2"),
+    ("u^" + "9" * 309, "integer exponent past the float range at offset 2"),
+    ("u^-" + "9" * 4301, "integer exponent past the float range at offset 3"),
     ("2*tan(u)", "unknown identifier 'tan' at offset 2"),
     ("1+", "expected a value, found 'end of input' at offset 2"),
     ("(*u)", "expected a value, found '*' at offset 1"),
@@ -144,6 +146,15 @@ def test_syntax_errors_name_their_offset(text, message):
     with pytest.raises(CurveSyntaxError, match=f"^{re.escape(message)}$") as info:
         parse(text)
     assert info.value.offset == int(message.rsplit(" ", 1)[1])
+
+
+def test_integer_exponents_round_as_their_integer_does():
+    # an exponent of any number of digits is its integer rounded once (a tie to even),
+    # and one that rounds past the largest float is rejected at its offset
+    for digits, value in [("1" + "0" * 308, 1e308), ("0" * 5000 + "3", 3.0), (str(2**1023 + 2**970), 2.0**1023)]:
+        assert parse("u^" + digits) == Binary("^", Variable(), Literal(value))
+    with pytest.raises(CurveSyntaxError, match="^integer exponent past the float range at offset 3$"):
+        parse("u^ " + str(2**1024 - 2**970))
 
 
 def deep_call(frames, fn, *args):
@@ -184,6 +195,8 @@ curve_pieces = st.one_of(
 @example("+".join(["u"] * 1501))
 @example("-" * 1200 + "u")
 @example("exp(-1e999)")
+@example("u^" + "9" * 309)
+@example("u^" + "9" * 4301)
 def test_any_text_parses_to_a_serializable_tree_or_names_an_offset(text):
     try:
         tree = parse(text)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -192,6 +194,21 @@ def test_fwht_batched_rows():
     out = fwht(batch)
     for i in range(5):
         assert np.allclose(out[i], fwht(batch[i]))
+
+
+@pytest.mark.parametrize("shape", [(1 << 16,), (128, 512)])
+def test_fwht_peak_memory_is_two_buffers(shape):
+    """The working copy and one spare buffer; the spare is dropped before the output gather."""
+    v = np.random.default_rng(7).standard_normal(shape)
+    fwht(v)  # builds the bit-reversal vector, which is kept, outside the measurement
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fwht(v)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.1 * v.size * 8
 
 
 def test_fwht_rejects_bad_length():

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import walsh_spectra.processes as processes
-from walsh_spectra.curves import eval_curve, parse
+from walsh_spectra.curves import CurveSyntaxError, UnknownIdentifierError, eval_curve, parse
 from walsh_spectra.dyadic import block_exponent
 from walsh_spectra.poly import SingularPolynomialError
 from walsh_spectra.presets import preset_spec
@@ -201,6 +201,18 @@ def test_spec_rejects_a_string_for_a_curve_list(kind, field, text):
     with pytest.raises(ValueError) as info:
         make_process_spec(kind, **data)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("field, value, error, message, offset", [
+    ("ma", ["1", "u+$"], CurveSyntaxError, "ma[1]: unexpected character '$' at offset 2", 2),
+    ("ar", ["1", "tan(u)"], UnknownIdentifierError, "ar[1]: unknown identifier 'tan' at offset 0", 0),
+    ("trend", "u^" + "9" * 309, CurveSyntaxError, "trend: integer exponent past the float range at offset 2", 2),
+    ("amplitude", "1+", CurveSyntaxError, "amplitude: expected a value, found 'end of input' at offset 2", 2),
+])
+def test_curve_errors_name_their_field(field, value, error, message, offset):
+    with pytest.raises(error) as info:
+        spec_from_dict({"kind": "tvDARMA", "ar": ["1", "0.5"], "ma": ["1", "0.5"], field: value})
+    assert type(info.value) is error and str(info.value) == message and info.value.offset == offset
 
 
 @pytest.mark.parametrize("field, value, message", [

@@ -53,6 +53,7 @@ from walsh_spectra.processes import (
 from oracles import (
     oracle_innovation,
     oracle_mix64,
+    oracle_natural_butterfly,
     oracle_solve2,
     oracle_transform,
     oracle_word,
@@ -79,6 +80,62 @@ def test_fwht_is_self_inverse_and_matches_oracle(v):
     scale = max(1.0, float(np.max(np.abs(v))))
     assert np.allclose(fwht(fwht(v)) / n, v, rtol=0, atol=1e-12 * n * scale)
     assert np.allclose(fwht(v), oracle_transform(v), rtol=0, atol=1e-12 * n * scale)
+
+
+def nan_with(sign: int, payload: int) -> np.float64:
+    return np.uint64(sign << 63 | 0x7FF << 52 | payload).view(np.float64)
+
+
+# every class of float64: signed zeros, subnormals, infinities and NaNs of
+# either sign with any payload (signaling ones included)
+edge_floats = st.one_of(
+    st.floats(),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310, math.inf, -math.inf]),
+    st.tuples(st.integers(0, 1), st.integers(1, (1 << 52) - 1)).map(lambda p: nan_with(*p)),
+)
+
+
+@st.composite
+def walsh_batches(draw):
+    """Arrays of 0-2 leading axes over 2**0..2**12 points, half edge floats and half normals at any scale."""
+    shape = (*draw(st.lists(st.integers(0, 3), max_size=2)), 1 << draw(st.integers(0, 12)))
+    palette = np.array(draw(st.lists(edge_floats, min_size=1, max_size=8)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    normals = rng.standard_normal(shape) * 10.0 ** rng.integers(-320, 300, shape)
+    return np.where(rng.random(shape) < 0.5, rng.choice(palette, shape), normals)
+
+
+@SETTINGS
+@given(walsh_batches())
+@example(np.array([[nan_with(1, 5), 1.0, -0.0, nan_with(0, 7)]] * 2))
+def test_fwht_equals_the_natural_order_butterfly_bit_for_bit(v):
+    with np.errstate(all="ignore"):
+        got, expected = fwht(v), oracle_natural_butterfly(v)
+    assert got.shape == expected.shape == v.shape
+    # the same memory layout too (strides of the axes longer than one), as reductions may round by it
+    assert [g for g, e, k in zip(got.strides, expected.strides, v.shape) if k > 1 and g != e and v.size] == []
+    # every bit of every non-NaN output; the oracle fixes no NaN payload, so the next property checks those
+    nan = np.isnan(expected)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got.view(np.uint64)[~nan], expected.view(np.uint64)[~nan])
+
+
+@SETTINGS
+@given(st.lists(st.integers(1, 3), max_size=2), st.integers(0, 12), st.integers(0, 2**32 - 1))
+@example([3], 3, 0)
+def test_fwht_of_nans_keeps_the_nan_of_each_first_operand(leading, m, seed):
+    """Each sum and difference keeps the NaN of its bit-clear operand, so every output of a row of
+    quiet NaNs is the row's first NaN: swapping the operands of a sum changes the payloads."""
+    rng = np.random.default_rng(seed)
+    signs, payloads = rng.integers(0, 2, (*leading, 1 << m)), rng.integers(0, 1 << 51, (*leading, 1 << m))
+    v = (signs.astype(np.uint64) << 63 | 0xFFF << 51 | payloads.astype(np.uint64)).view(np.float64)
+    assert np.array_equal(fwht(v).view(np.uint64), np.broadcast_to(v[..., :1], v.shape).view(np.uint64))
+
+
+@SETTINGS
+@given(st.integers(0, 7).flatmap(lambda m: arrays(np.float64, 1 << m, elements=st.integers(-1000, 1000))))
+def test_fwht_equals_the_matrix_oracle_exactly_on_small_integers(v):
+    assert np.array_equal(fwht(v), oracle_transform(v))
 
 
 # curve trees exactly as the parser builds them: literals are non-negative
