@@ -128,6 +128,8 @@ def grid_ratio(num, den, where=None) -> np.ndarray:
     row is within ``SINGULARITY_RTOL`` of that row's largest; for stacked
     rows ``where[i]`` labels row i in the error (e.g. its rescaled time).
     """
+    if 0 in (np.ndim(num), np.ndim(den)):  # fwht's rule, checked here so the error names the operand
+        raise ValueError(f"{'num' if np.ndim(num) == 0 else 'den'} must be at least one-dimensional, got shape ()")
     num_size, den_size = np.shape(num)[-1], np.shape(den)[-1]
     size = max(num_size, den_size)  # the longer operand sets the block both are padded to
     block_exponent(size, "den length" if den_size > num_size else "num length")

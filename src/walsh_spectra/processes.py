@@ -40,6 +40,7 @@ MA_KINDS = ("tvDMA", "modulated")
 DISTRIBUTIONS = ("gaussian", "rademacher", "uniform")
 #: replicates per block in `decay_experiment`: it holds this many windows, plus 16 bytes per replicate
 _REPLICATE_CHUNK = 1024
+_WINDOW = 1 << 15  #: values per window of `simulate`: a longer path's working set stays one window's
 
 _M64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -128,10 +129,14 @@ def make_innovations(spec: InnovationSpec, count: int, start: int = 0) -> np.nda
     return _draw(spec, spec.seed, count, start)
 
 
-def _draw(spec: InnovationSpec, seeds, count: int, start: int) -> np.ndarray:
-    """Body of `make_innovations` for spec's law; a list of seeds gives one row per seed."""
+def _check_stream(start: int, count: int) -> None:
     if start < 0 or start + count > INDEX_CAP:
         raise ValueError(f"innovation indices [{start}, {start + count}) leave [0, 2**62)")
+
+
+def _draw(spec: InnovationSpec, seeds, count: int, start: int) -> np.ndarray:
+    """Body of `make_innovations` for spec's law; a list of seeds gives one row per seed."""
+    _check_stream(start, count)
     if spec.distribution == "gaussian":
         # counters 2i and 2i+1 drive value i: one interleaved pass gives both words
         w = _words(seeds, 2 * start, 2 * (start + count))
@@ -419,11 +424,6 @@ def _block_solve(b_rows: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     raise SingularBlockError(worst, float(conds[worst]))
 
 
-def _core_values(spec: ProcessSpec, b_rows, a_rows, eps) -> np.ndarray:
-    ma_part = _dma_combine(a_rows, eps)
-    return ma_part if spec.kind in MA_KINDS else _block_solve(b_rows, ma_part)
-
-
 def _frozen(spec: ProcessSpec, u0: float) -> ProcessSpec:
     """The stationary comparison process: spec with the curves its kind reads frozen at u0 (a modulated MA stays)."""
     def freeze(curves):
@@ -433,47 +433,43 @@ def _frozen(spec: ProcessSpec, u0: float) -> ProcessSpec:
     return replace(spec, ar=ar, ma=ma, trend=trend, amplitude=amplitude)
 
 
-def _cores(spec: ProcessSpec, T: int, lo: int, hi: int, slack: float = 0.0):
-    """u = t/T on an aligned window lo <= t < hi and ``core(eps)``, the centred values there.
+def _paths(spec: ProcessSpec, T: int, lo: int, hi: int, slack: float = 0.0):
+    """u = t/T on an aligned window lo <= t < hi and ``path(eps)`` = trend + amplitude * core, the values there.
 
-    XOR couples t only inside its aligned block, so they equal the whole path's; a singular
-    block is the worst one in the window, numbered by its index on the whole path.
+    XOR couples t only inside its aligned block, so they equal the whole path's; the curves are evaluated once
+    for every run, and a singular block is the worst one in the window, numbered by its index on the whole path.
     """
     u = np.arange(lo, hi) / T
     b_rows, a_rows = _rows(spec, u)
     if slack:  # +-slack/T on the rows: rescaled and actual coefficients then differ at order 1/T
         for rows in (b_rows, a_rows):
             rows += slack / T * (1.0 - 2.0 * ((np.arange(lo, hi)[:, None] + np.arange(rows.shape[1])) & 1))
-
-    def core(eps: np.ndarray) -> np.ndarray:
+    trend, amp = eval_curve(spec.trend, u), eval_curve(spec.amplitude, u)
+    def path(eps: np.ndarray) -> np.ndarray:
+        core = _dma_combine(a_rows, eps)
         try:
-            return _core_values(spec, b_rows, a_rows, eps)
+            return trend + amp * (core if spec.kind in MA_KINDS else _block_solve(b_rows, core))
         except SingularBlockError as exc:
             raise SingularBlockError(exc.block_index + lo // len(spec.ar), exc.condition) from None
-    return u, core
-
-
-def _paths(spec: ProcessSpec, T: int, lo: int, hi: int, slack: float = 0.0):
-    """u on [lo, hi) and ``path(eps)`` = trend + amplitude * core(eps), for a `_cores` core that runs more than once."""
-    u, core = _cores(spec, T, lo, hi, slack)
-    trend, amp = eval_curve(spec.trend, u), eval_curve(spec.amplitude, u)  # once, for every run
-    return u, lambda eps: trend + amp * core(eps)
+    return u, path
 
 
 def simulate(spec: ProcessSpec, T: int, innovations=None) -> SamplePath:
-    """Simulate the time-varying process on t = 0..T-1 (T a power of two).
+    """Simulate the time-varying process on t = 0..T-1 (T a power of two), in aligned windows of max(`_WINDOW`, L).
 
-    Moving-average kinds are an exact finite XOR-lag sum; autoregressive
-    and mixed kinds are solved exactly block by block.
+    Moving-average kinds are an exact finite XOR-lag sum; autoregressive and mixed kinds are solved exactly block by
+    block.  A singular block is the worst of the first window that holds one, judged on that window's scale.
     """
     T = _check_horizon(T, max(len(spec.ar), len(spec.ma)), "T")
-    eps = make_innovations(spec.innovations, T) if innovations is None else as_finite_array(innovations, "innovations")
+    _check_stream(0, T)  # before np.empty, which past the cap raises numpy's own error
+    eps = np.empty(T) if innovations is None else as_finite_array(innovations, "innovations")
     if eps.size != T:
         raise ValueError(f"innovations must hold T={T} values, got {eps.size}")
-    u, core = _cores(spec, T, 0, T)
-    # rebinding `core` frees its rows before trend and amplitude: they stay out of the peak memory
-    core = core(eps)
-    values = eval_curve(spec.trend, u) + eval_curve(spec.amplitude, u) * core
+    values, n = np.empty(T), min(T, max(_WINDOW, len(spec.ar), len(spec.ma)))
+    for lo in range(0, T, n):
+        if innovations is None:
+            eps[lo : lo + n] = make_innovations(spec.innovations, n, lo)
+        values[lo : lo + n] = _paths(spec, T, lo, lo + n)[1](eps[lo : lo + n])
     return SamplePath(values=values, innovations=eps)
 
 
@@ -489,7 +485,8 @@ def simulate_frozen(spec: ProcessSpec, u0: float, T: int, innovations=None) -> S
 def simulate_seeds(spec: ProcessSpec, T: int, seeds):
     """Yield ``simulate(spec.with_seed(s), T)`` for each seed s, bit for bit, evaluating the curves once.
 
-    Holds (len(ar) + len(ma) + 3)·T floats throughout: u, the rows, trend and amplitude.
+    It runs one `_paths` window, [0, T): it holds u, the rows, trend and amplitude, (len(ar) + len(ma) + 3)·T
+    floats, throughout, and past `_WINDOW` values it judges a singular block on the whole path, not per window.
     """
     T = _check_horizon(T, max(len(spec.ar), len(spec.ma)), "T")
     path = _paths(spec, T, 0, T)[1]
@@ -595,7 +592,7 @@ def decay_experiment(
     side, which makes the error decay exactly at first order even where
     all curves happen to be flat at u0.
 
-    Only the L-aligned hull of each window is simulated (see `_cores`), and
+    Only the L-aligned hull of each window is simulated (see `_paths`), and
     a horizon's replicates are drawn and solved as one block of up to
     `_REPLICATE_CHUNK` rows; each replicate's error equals its own path's bit for bit.
     """

@@ -259,11 +259,14 @@ def test_array_arguments_must_be_one_dimensional_and_finite(name, call, bads):
     assert sorted(kinds) == ["2-D", "inf", "nan"]
 
 
-# each row: id, a call whose operand length is not a power of two, and the error, which names that operand
+# each row: id, a call with an operand of no length or of one that is not a power of two, and the error naming it
 LENGTH_ARGUMENTS = [
     ("grid_ratio num", lambda: grid_ratio([1.0, 0.3, 0.1], [1.0]), "num length must be a power of two, got 3"),
     ("grid_ratio den", lambda: grid_ratio([[1.0], [0.5]], [1.0, 0.3, 0.1]), "den length must be a power of two, got 3"),
     ("grid_ratio tie", lambda: grid_ratio(np.ones(6), np.ones(6)), "num length must be a power of two, got 6"),
+    ("grid_ratio 0-d num", lambda: grid_ratio(1.0, [1.0]), "num must be at least one-dimensional, got shape ()"),
+    ("grid_ratio 0-d den", lambda: grid_ratio([1.0], np.float64(1)), "den must be at least one-dimensional, got shape ()"),
+    ("grid_ratio 0-d both", lambda: grid_ratio(1.0, 1.0), "num must be at least one-dimensional, got shape ()"),
 ]
 
 

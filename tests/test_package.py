@@ -109,20 +109,21 @@ def test_only_public_functions_call_as_finite_array():
     assert {"coefficient_rows", "periodogram_grid", "__post_init__"} <= {owner for _, _, owner in found}
 
 
-def test_only_cores_calls_core_values():
-    # rows at u, slack, the XOR core and whole-path block numbering belong to processes._cores
+def test_only_paths_calls_block_solve():
+    # rows at u, slack, the XOR core, trend and amplitude, and whole-path block numbering belong to processes._paths
     def calls(tree):
         return [
             node.lineno
             for node in ast.walk(tree)
-            if isinstance(node, ast.Call) and "_core_values" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+            if isinstance(node, ast.Call) and "_block_solve" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
         ]
 
     trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
     everywhere = [(name, lineno) for name, tree in trees.items() for lineno in calls(tree)]
-    (cores,) = [node for node in trees["processes.py"].body if isinstance(node, ast.FunctionDef) and node.name == "_cores"]
+    (paths,) = [node for node in trees["processes.py"].body if isinstance(node, ast.FunctionDef) and node.name == "_paths"]
     assert len(everywhere) == 1
-    assert everywhere == [("processes.py", lineno) for lineno in calls(cores)]
+    assert everywhere == [("processes.py", lineno) for lineno in calls(paths)]
+    assert not hasattr(walsh_spectra.processes, "_cores") and not hasattr(walsh_spectra.processes, "_core_values")
 
 
 def test_no_module_imports_another_modules_private_names():

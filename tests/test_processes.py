@@ -17,10 +17,10 @@ from walsh_spectra.processes import (
     MA_KINDS,
     InnovationSpec,
     SingularBlockError,
-    _core_values,
-    _cores,
+    _block_solve,
     _dma_combine,
     _frozen,
+    _paths,
     _window,
     coefficient_rows,
     decay_experiment,
@@ -72,6 +72,15 @@ def test_innovations_reject_indices_outside_the_stream(start, count):
     message = r"^start must be >= 0, got -1$" if start < 0 else r"innovation indices .* leave \[0, 2\*\*62\)"
     with pytest.raises(ValueError, match=message):
         make_innovations(InnovationSpec(seed=1), count, start=start)
+
+
+@pytest.mark.parametrize("T", [2**63, 2**64])
+@pytest.mark.parametrize("run", [simulate, lambda spec, T: simulate_frozen(spec, 0.5, T)], ids=["simulate", "frozen"])
+def test_simulate_names_indices_outside_the_stream(run, T):
+    # checked before the path is allocated, where numpy would answer first with an error of its own
+    with pytest.raises(ValueError) as info:
+        run(preset_spec("figure1"), T)
+    assert str(info.value) == f"innovation indices [0, {T}) leave [0, 2**62)"
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64, 5 + 2**64])
@@ -399,16 +408,29 @@ def test_singular_block_of_one_or_four_coefficients(ar, condition):
 
 
 @pytest.mark.filterwarnings("error")
-def test_singular_block_when_curve_crosses():
+@pytest.mark.parametrize("window", [processes._WINDOW, 8])
+def test_singular_block_when_curve_crosses(monkeypatch, window):
     # b1 = exp(u - 33/64 + 1/128) crosses the singular value 1 inside the
     # block at t = 32, 33 (T = 64), placed so that b1(u_32) * b1(u_33) = 1
-    # and the 2x2 block matrix [[1, b1(u_32)], [b1(u_33), 1]] degenerates
+    # and the 2x2 block matrix [[1, b1(u_32)], [b1(u_33), 1]] degenerates;
+    # in windows of 8 values it lies in the fifth and keeps its number on the path
+    monkeypatch.setattr(processes, "_WINDOW", window)
     spec = make_process_spec("tvDAR", ar=["1", "exp(u-0.5078125)"], seed=2)
     with pytest.raises(SingularBlockError) as excinfo:
         simulate(spec, 64)
     assert excinfo.value.block_index == 16
     assert excinfo.value.condition > 1e9
     assert excinfo.value.condition == block_condition(spec, 64, 16)
+
+
+@pytest.mark.filterwarnings("error")
+def test_simulate_judges_singular_blocks_window_by_window():
+    # b0 = exp(-40u) falls to 4e-18 near u = 1: below 1e-9 times the largest |b0| of a path that is one
+    # window (1), not below 1e-9 times that of the second window of a path of two (exp(-20) = 2e-9)
+    spec = make_process_spec("tvDAR", ar=["exp(-40*u)"], seed=1)
+    with pytest.raises(SingularBlockError):
+        simulate(spec, processes._WINDOW)
+    assert np.max(np.abs(simulate(spec, 2 * processes._WINDOW).values)) > 1e17
 
 
 @pytest.mark.filterwarnings("error")
@@ -632,6 +654,10 @@ def _full_path_slack_pattern(T, width, magnitude):
 
 def full_path_errors(spec, mode, T_values, u0, radius, replicates, slack):
     """`decay_experiment`'s mean errors computed the earlier way: every replicate simulates all T points."""
+    def core(b_rows, a_rows, eps):  # the moving-average combine, then the block solve
+        ma_part = _dma_combine(a_rows, eps)
+        return ma_part if spec.kind in MA_KINDS else _block_solve(b_rows, ma_part)
+
     windows = [_window(round(u0 * T), radius, T) for T in T_values]
     mean_errors = []
     for T, window in zip(T_values, windows):
@@ -652,10 +678,10 @@ def full_path_errors(spec, mode, T_values, u0, radius, replicates, slack):
             eps = make_innovations(
                 replace(spec.innovations, seed=spawn_seed(spec.innovations.seed, rep)), T
             )
-            core_tv = _core_values(spec, b_rows, a_rows, eps)
+            core_tv = core(b_rows, a_rows, eps)
             x_tv = trend_vals + amp_vals * core_tv
             if mode == "frozen":
-                core_fr = _core_values(spec, fb_rows, fa_rows, eps)
+                core_fr = core(fb_rows, fa_rows, eps)
                 x_cmp = eval_curve(spec.trend, u0) + eval_curve(spec.amplitude, u0) * core_fr
             else:
                 x_cmp = trend_vals + _dma_combine(k_rows, eps)
@@ -784,7 +810,7 @@ def test_decay_experiment_frozen_singular_block_matches_simulate_frozen():
     assert in_window.value.block_index == on_path.value.block_index
 
 
-# ------------------------------------------------------------ windowed core
+# ------------------------------------------------------------ windowed paths
 
 
 @st.composite
@@ -808,20 +834,17 @@ def _window_cases(draw):
 
 @settings(max_examples=60, deadline=None, database=None)
 @given(_window_cases())
-def test_windowed_core_equals_the_whole_path_slice(case):
+def test_windowed_path_equals_the_whole_path_slice(case):
     spec, T, lo, hi, u0 = case
     model = spec if u0 is None else _frozen(spec, u0)
-    u, core = _cores(model, T, lo, hi)
-    got = eval_curve(model.trend, u) + eval_curve(model.amplitude, u) * core(
-        make_innovations(spec.innovations, hi - lo, start=lo)
-    )
+    got = _paths(model, T, lo, hi)[1](make_innovations(spec.innovations, hi - lo, start=lo))
     want = (simulate(spec, T) if u0 is None else simulate_frozen(spec, u0, T)).values[lo:hi]
     assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
 
 
 @settings(max_examples=20, deadline=None, database=None)
 @given(ma=st.sampled_from([None, ["1", "0.1", "0.2", "0.3"]]), data=st.data())
-def test_windowed_core_numbers_a_singular_block_like_simulate(ma, data):
+def test_windowed_path_numbers_a_singular_block_like_simulate(ma, data):
     # the curve of test_singular_block_when_curve_crosses: block 16 holds t = 32, 33
     spec = make_process_spec("tvDAR" if ma is None else "tvDARMA", ar=["1", "exp(u-0.5078125)"], ma=ma, seed=2)
     with pytest.raises(SingularBlockError) as on_path:
@@ -829,29 +852,65 @@ def test_windowed_core_numbers_a_singular_block_like_simulate(ma, data):
     L = max(len(spec.ar), len(spec.ma))
     lo = L * data.draw(st.integers(0, 32 // L))
     hi = L * data.draw(st.integers(-(-34 // L), 64 // L))
-    _, core = _cores(spec, 64, lo, hi)
+    path = _paths(spec, 64, lo, hi)[1]
     with pytest.raises(SingularBlockError) as in_window:
-        core(make_innovations(spec.innovations, hi - lo, start=lo))
+        path(make_innovations(spec.innovations, hi - lo, start=lo))
     assert in_window.value.block_index == on_path.value.block_index == 16
 
 
-@pytest.mark.parametrize("name, floats_per_row", [("tvDARMA", 10.5), ("figure1", 8.5)])
-def test_simulate_frees_its_rows_before_trend_and_amplitude(name, floats_per_row):
-    # a core that still holds its coefficient rows while trend and amplitude are
-    # evaluated reads about 12 floats per row on the tvDARMA spec and 9 on figure1
+_SMALL_WINDOW_SPECS = [
+    *(make_process_spec(
+        kind, ar=["1", "0.2*u", "0.1", "-0.1*sin(3*u)"], ma=["1", "0.3*cos(2*pi*u)"], trend="u", amplitude="1+u",
+        distribution=distribution, sigma=1.5, seed=2**64 - 1,
+    ) for kind in KINDS for distribution in DISTRIBUTIONS),
+    # L = 16 is longer than the window of 8: windows of L values
+    make_process_spec("tvDARMA", ar=["1", "0.1*u"], ma=["1", *(f"0.01*({k}-u)" for k in range(15))], seed=7),
+]
+
+
+@pytest.mark.parametrize("supplied", [False, True], ids=["drawn", "supplied"])
+@pytest.mark.parametrize(
+    "spec",
+    _SMALL_WINDOW_SPECS,
+    ids=[f"{s.kind}-{s.innovations.distribution}-L{max(len(s.ar), len(s.ma))}" for s in _SMALL_WINDOW_SPECS],
+)
+def test_simulate_in_small_windows_equals_one_window(monkeypatch, spec, supplied):
+    T = 64
+    whole = simulate(spec, T)  # _WINDOW >= T: one window
+    innovations = whole.innovations.copy() if supplied else None
+    monkeypatch.setattr(processes, "_WINDOW", 8)
+    got = simulate(spec, T, innovations)
+    for a, b in ((got.values, whole.values), (got.innovations, whole.innovations)):
+        assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@pytest.mark.parametrize("name, small, large, floats_per_value", [
+    ("tvDARMA", 0, 1 << 16, 10.5),
+    ("figure1", 0, 1 << 16, 8.5),
+    ("tvDARMA", 1 << 17, 1 << 18, 2.25),
+    ("figure1", 1 << 17, 1 << 18, 2.25),
+])
+def test_simulate_frees_its_rows_before_trend_and_amplitude(name, small, large, floats_per_value):
+    # the tracemalloc peak grows by at most floats_per_value per value from T = small to T = large.  A core that
+    # holds its rows while trend and amplitude are evaluated reads about 12 floats per value on the tvDARMA spec
+    # and 9 on figure1; past one window each value adds two floats, its path value and its innovation
     if name == "figure1":
         spec = preset_spec("figure1")
     else:
         spec = make_process_spec("tvDARMA", ar=["1", "-0.2+0.5*u"], ma=["1", "0.25+0.3*u"], trend="u", amplitude="1+u")
-    T = 1 << 16
-    simulate(spec, T)
-    tracemalloc.start()
-    try:
-        simulate(spec, T)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= floats_per_row * 8 * T
+
+    def peak(T):
+        if not T:
+            return 0
+        tracemalloc.start()
+        try:
+            simulate(spec, T)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    simulate(spec, 1 << 10)
+    assert peak(large) - peak(small) <= floats_per_value * 8 * (large - small)
 
 
 # ------------------------------------------------------- conversion row errors
