@@ -103,7 +103,8 @@ class DyadicPoint:
 
     def __post_init__(self):
         m = as_int(self.resolution, "resolution", 0)
-        j = as_int(self.numerator, "numerator", 0, 1 << min(m, 62))
+        j = as_int(self.numerator, "numerator", 0)
+        j = as_int(j, "numerator", 0, 1 << min(m, j.bit_length()))  # 2**m where j reaches it: a huge m builds no 2**m
         zeros = (j & -j).bit_length() - 1 if j else m  # trailing zero bits; 0 is 0/2**0
         j, m = j >> zeros, m - zeros
         object.__setattr__(self, "numerator", j)

@@ -20,6 +20,7 @@ frozen-coefficient paths driven by the same seed share their noise.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import sys
@@ -454,23 +455,31 @@ def _paths(spec: ProcessSpec, T: int, lo: int, hi: int, slack: float = 0.0):
     return u, path
 
 
-def simulate(spec: ProcessSpec, T: int, innovations=None) -> SamplePath:
-    """Simulate the time-varying process on t = 0..T-1 (T a power of two), in aligned windows of max(`_WINDOW`, L).
-
-    Moving-average kinds are an exact finite XOR-lag sum; autoregressive and mixed kinds are solved exactly block by
-    block.  A singular block is the worst of the first window that holds one, judged on that window's scale.
-    """
+def _simulate(spec: ProcessSpec, T: int, innovations: np.ndarray | None, path_of) -> SamplePath:
+    """The window loop: each aligned window draws its innovations, unless supplied, then runs ``path_of(T, lo, hi)``."""
     T = _check_horizon(T, max(len(spec.ar), len(spec.ma)), "T")
     _check_stream(0, T)  # before np.empty, which past the cap raises numpy's own error
-    eps = np.empty(T) if innovations is None else as_finite_array(innovations, "innovations")
-    if eps.size != T:
-        raise ValueError(f"innovations must hold T={T} values, got {eps.size}")
-    values, n = np.empty(T), min(T, max(_WINDOW, len(spec.ar), len(spec.ma)))
+    if innovations is not None and innovations.size != T:
+        raise ValueError(f"innovations must hold T={T} values, got {innovations.size}")
+    n = min(T, max(_WINDOW, len(spec.ar), len(spec.ma)))
+    if n == T:  # one window: its own arrays, neither preallocated nor copied
+        eps = make_innovations(spec.innovations, T) if innovations is None else innovations
+        return SamplePath(values=path_of(T, 0, T)(eps), innovations=eps)
+    eps, values = np.empty(T) if innovations is None else innovations, np.empty(T)
     for lo in range(0, T, n):
         if innovations is None:
             eps[lo : lo + n] = make_innovations(spec.innovations, n, lo)
-        values[lo : lo + n] = _paths(spec, T, lo, lo + n)[1](eps[lo : lo + n])
+        values[lo : lo + n] = path_of(T, lo, lo + n)(eps[lo : lo + n])
     return SamplePath(values=values, innovations=eps)
+
+
+def simulate(spec: ProcessSpec, T: int, innovations=None) -> SamplePath:
+    """Simulate the time-varying process on t = 0..T-1 (T a power of two), in aligned windows of max(`_WINDOW`, L).
+
+    Exact for every kind.  A singular block is the worst of the first window that holds one, on that window's scale.
+    """
+    eps = None if innovations is None else as_finite_array(innovations, "innovations")
+    return _simulate(spec, T, eps, lambda T, lo, hi: _paths(spec, T, lo, hi)[1])
 
 
 def simulate_frozen(spec: ProcessSpec, u0: float, T: int, innovations=None) -> SamplePath:
@@ -483,16 +492,9 @@ def simulate_frozen(spec: ProcessSpec, u0: float, T: int, innovations=None) -> S
 
 
 def simulate_seeds(spec: ProcessSpec, T: int, seeds):
-    """Yield ``simulate(spec.with_seed(s), T)`` for each seed s, bit for bit, evaluating the curves once.
-
-    It runs one `_paths` window, [0, T): it holds u, the rows, trend and amplitude, (len(ar) + len(ma) + 3)·T
-    floats, throughout, and past `_WINDOW` values it judges a singular block on the whole path, not per window.
-    """
-    T = _check_horizon(T, max(len(spec.ar), len(spec.ma)), "T")
-    path = _paths(spec, T, 0, T)[1]
-    for seed in seeds:
-        eps = make_innovations(replace(spec.innovations, seed=seed), T)
-        yield SamplePath(values=path(eps), innovations=eps)
+    """Lazily ``simulate(spec.with_seed(s), T)`` for each seed s, bit for bit; each window's rows serve every seed."""
+    path_of = functools.cache(lambda T, lo, hi: _paths(spec, T, lo, hi)[1])
+    return (_simulate(spec.with_seed(seed), T, None, path_of) for seed in seeds)
 
 
 def defining_equation_residual(spec: ProcessSpec, path: SamplePath) -> float:

@@ -503,6 +503,15 @@ def test_periodogram_evaluates_the_curves_once_per_command(tmp_path, monkeypatch
     assert per_command[0] and per_command[0] == per_command[1]
 
 
+def test_periodogram_judges_singular_blocks_as_simulate_does(tmp_path):
+    # b0 = exp(-40u) is singular on a path of one window (2**15 values), not per window on a path of two
+    spec = write_spec(tmp_path, {"kind": "tvDAR", "ar": ["exp(-40*u)"], "seed": 1})
+    assert main(["simulate", "--spec", spec, "--T", "65536", "--out", str(tmp_path / "x.csv")]) == 0
+    out = tmp_path / "pgram.csv"
+    assert main(["periodogram", "--spec", spec, "--T", "65536", "--segments", "64", "--out", str(out)]) == 0
+    assert out.exists()
+
+
 def test_periodogram_segment_too_long(tmp_path, capsys):
     spec = write_spec(tmp_path, WHITE_NOISE)
     assert main([

@@ -54,6 +54,15 @@ def test_point_canonical_form():
         DyadicPoint(4, 2)  # would be >= 1
 
 
+def test_point_numerator_is_bounded_by_its_own_resolution():
+    # the bound is 2**resolution at every resolution, past 62 bits too, and a huge resolution costs no 2**resolution
+    assert DyadicPoint(2**62, 63) == DyadicPoint(1, 1)
+    assert dyadic_add_points(2**-70, 0.5) == DyadicPoint(2**69 + 1, 70)
+    assert DyadicPoint(1, 10**12).resolution == 10**12
+    with pytest.raises(ValueError, match=r"^numerator must lie in \[0, 2\*\*63\), got 9223372036854775808$"):
+        DyadicPoint(2**63, 63)
+
+
 def test_point_bits_and_float():
     p = DyadicPoint(1, 2)  # 0.01 in binary
     assert [p.fractional_bit(i) for i in (1, 2, 3)] == [0, 1, 0]

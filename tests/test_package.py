@@ -126,6 +126,20 @@ def test_only_paths_calls_block_solve():
     assert not hasattr(walsh_spectra.processes, "_cores") and not hasattr(walsh_spectra.processes, "_core_values")
 
 
+def test_only_the_window_loop_calls_make_innovations():
+    # drawing each aligned window's innovations belongs to processes._simulate, behind simulate and simulate_seeds
+    tree = ast.parse((SRC / "processes.py").read_text())
+    callers = {
+        func.name
+        for func in ast.walk(tree)
+        if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func)
+        if isinstance(node, ast.Call)
+        and "make_innovations" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    }
+    assert callers == {"_simulate"}
+
+
 def test_no_module_imports_another_modules_private_names():
     # a `_` name is private to its module; dunders such as __version__ are not
     offenders = [

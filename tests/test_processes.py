@@ -1,5 +1,6 @@
 import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -74,8 +75,15 @@ def test_innovations_reject_indices_outside_the_stream(start, count):
         make_innovations(InnovationSpec(seed=1), count, start=start)
 
 
+def first_seed(spec, T):
+    """The `simulate_seeds` route: the path of spec's own seed."""
+    return next(simulate_seeds(spec, T, [spec.innovations.seed]))
+
+
 @pytest.mark.parametrize("T", [2**63, 2**64])
-@pytest.mark.parametrize("run", [simulate, lambda spec, T: simulate_frozen(spec, 0.5, T)], ids=["simulate", "frozen"])
+@pytest.mark.parametrize(
+    "run", [simulate, lambda spec, T: simulate_frozen(spec, 0.5, T), first_seed], ids=["simulate", "frozen", "seeds"]
+)
 def test_simulate_names_indices_outside_the_stream(run, T):
     # checked before the path is allocated, where numpy would answer first with an error of its own
     with pytest.raises(ValueError) as info:
@@ -424,13 +432,14 @@ def test_singular_block_when_curve_crosses(monkeypatch, window):
 
 
 @pytest.mark.filterwarnings("error")
-def test_simulate_judges_singular_blocks_window_by_window():
+@pytest.mark.parametrize("run", [simulate, first_seed], ids=["simulate", "seeds"])
+def test_simulate_judges_singular_blocks_window_by_window(run):
     # b0 = exp(-40u) falls to 4e-18 near u = 1: below 1e-9 times the largest |b0| of a path that is one
     # window (1), not below 1e-9 times that of the second window of a path of two (exp(-20) = 2e-9)
     spec = make_process_spec("tvDAR", ar=["exp(-40*u)"], seed=1)
     with pytest.raises(SingularBlockError):
-        simulate(spec, processes._WINDOW)
-    assert np.max(np.abs(simulate(spec, 2 * processes._WINDOW).values)) > 1e17
+        run(spec, processes._WINDOW)
+    assert np.max(np.abs(run(spec, 2 * processes._WINDOW).values)) > 1e17
 
 
 @pytest.mark.filterwarnings("error")
@@ -444,6 +453,7 @@ def test_singular_block_with_a_zero_pivot_column():
     assert excinfo.value.condition == np.inf
 
 
+@pytest.mark.parametrize("window", [processes._WINDOW, 8])
 @settings(max_examples=40, deadline=None, database=None)
 @given(
     kind=st.sampled_from(KINDS),
@@ -452,21 +462,28 @@ def test_singular_block_with_a_zero_pivot_column():
     extra_seeds=st.lists(st.integers(0, 2**64 - 1), max_size=2),
     m=st.integers(2, 6),
 )
-def test_simulate_seeds_equals_simulate_per_seed(kind, distribution, b1, extra_seeds, m):
+def test_simulate_seeds_equals_simulate_per_seed(window, kind, distribution, b1, extra_seeds, m):
     spec = make_process_spec(
         kind, ar=["1", f"0.1+{b1}*u"], ma=["1", "0.5*cos(2*pi*u)", "0.2"], trend="u", amplitude="1+u",
         distribution=distribution, sigma=1.5, seed=3,
     )
     T, seeds = 1 << m, [0, 2**64 - 1, *extra_seeds]
-    paths = list(simulate_seeds(spec, T, iter(seeds)))
-    for seed, path in zip(seeds, paths, strict=True):
-        expect = simulate(spec.with_seed(seed), T)
-        assert np.array_equal(path.values, expect.values)
-        assert np.array_equal(path.innovations, expect.innovations)
+    n = min(T, max(window, len(spec.ar), len(spec.ma)))
+    # mock.patch, not monkeypatch: Hypothesis rejects function-scoped fixtures
+    with mock.patch.object(processes, "_WINDOW", window), mock.patch.object(processes, "_paths", wraps=_paths) as spy:
+        paths = list(simulate_seeds(spec, T, iter(seeds)))
+        # simulate's windows, each built once for all the seeds
+        assert [call.args[2:] for call in spy.call_args_list] == [(lo, lo + n) for lo in range(0, T, n)]
+        for seed, path in zip(seeds, paths, strict=True):
+            expect = simulate(spec.with_seed(seed), T)
+            assert np.array_equal(path.values, expect.values)
+            assert np.array_equal(path.innovations, expect.innovations)
 
 
-def test_simulate_seeds_raises_the_singular_block_simulate_raises():
-    # the curve of test_singular_block_when_curve_crosses
+@pytest.mark.parametrize("window", [processes._WINDOW, 8])
+def test_simulate_seeds_raises_the_singular_block_simulate_raises(monkeypatch, window):
+    # the curve of test_singular_block_when_curve_crosses, in one window and in windows of 8
+    monkeypatch.setattr(processes, "_WINDOW", window)
     spec = make_process_spec("tvDAR", ar=["1", "exp(u-0.5078125)"], seed=2)
     with pytest.raises(SingularBlockError) as direct:
         simulate(spec.with_seed(7), 64)
@@ -885,6 +902,7 @@ def test_simulate_in_small_windows_equals_one_window(monkeypatch, spec, supplied
 
 
 @pytest.mark.parametrize("name, small, large, floats_per_value", [
+    ("figure1", 0, 1 << 15, 8.5),
     ("tvDARMA", 0, 1 << 16, 10.5),
     ("figure1", 0, 1 << 16, 8.5),
     ("tvDARMA", 1 << 17, 1 << 18, 2.25),
@@ -893,7 +911,8 @@ def test_simulate_in_small_windows_equals_one_window(monkeypatch, spec, supplied
 def test_simulate_frees_its_rows_before_trend_and_amplitude(name, small, large, floats_per_value):
     # the tracemalloc peak grows by at most floats_per_value per value from T = small to T = large.  A core that
     # holds its rows while trend and amplitude are evaluated reads about 12 floats per value on the tvDARMA spec
-    # and 9 on figure1; past one window each value adds two floats, its path value and its innovation
+    # and 9 on figure1; past one window each value adds two floats, its path value and its innovation.  A path of one
+    # window is that window's own arrays: copied into preallocated ones, figure1 reads 9.3 at T = 2**15, not 8.3
     if name == "figure1":
         spec = preset_spec("figure1")
     else:
