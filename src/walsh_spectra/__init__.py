@@ -65,6 +65,7 @@ from .spectra import (
     covariance_from_density,
     dma_covariance,
     empirical_dyadic_covariance,
+    periodogram_grid,
     segmented_local_spectrum,
     smooth_periodogram,
     tv_dyadic_density,

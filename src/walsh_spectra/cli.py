@@ -173,7 +173,7 @@ def _cmd_convert(args) -> int:
     spec = _load_spec(args)
     u = _u_grid(args.u_points)
     b_rows, a_rows = coefficient_rows(spec, u)
-    # dma: K = A / B, the rows behind `spectrum` and `verify`; dar: the dual B / A
+    # dma: K = A / B, the rows behind `spectrum` and `verify` before the amplitude is folded in; dar: the dual B / A
     num, den = (a_rows, b_rows) if args.target == "dma" else (b_rows, a_rows)
     k_rows = grid_ratio(num, den, where=u)
     comment = _provenance(spec, command="convert", target=args.target)
@@ -183,15 +183,11 @@ def _cmd_convert(args) -> int:
 
 def _cmd_verify(args) -> int:
     spec = _load_spec(args)
-    report = decay_experiment(
-        spec,
-        args.mode,
-        T_values=_parse_T_list(args.T),
-        u0=args.u0,
-        radius=args.radius,
-        replicates=args.replicates,
-        slack=args.slack,
-    )
+    given = vars(args)  # the parser sets only the options given, so `decay_experiment` owns every default
+    options = {name: given[name] for name in ("u0", "radius", "replicates", "slack") if name in given}
+    if "T" in given:
+        options["T_values"] = _parse_T_list(given["T"])
+    report = decay_experiment(spec, args.mode, **options)
     lo, hi = SLOPE_RANGE
     passed = report.exact or (report.slope is not None and lo <= report.slope <= hi)
     _write_json(args.out, spec, {**report.to_dict(), "slope_range": [lo, hi], "passed": passed})
@@ -222,6 +218,7 @@ def _cmd_periodogram(args) -> int:
     for path in simulate_seeds(spec, T, seeds):
         grid = smooth_periodogram(periodogram_grid(path.values, N, step), args.smooth)
         total += grid.values
+        del path  # freed before the next replicate is drawn
     comment = _provenance(spec, command="periodogram", T=T, N=N, replicates=reps, smooth=args.smooth)
     _write_grid(args.out, comment, ["segment_u0", "x", "I"], grid.u_values, grid.x_values, total / reps)
     return EXIT_OK
@@ -291,14 +288,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_convert)
 
-    p = sub.add_parser("verify", help="decay-rate experiment for the local approximations")
+    p = sub.add_parser(
+        "verify", help="decay-rate experiment for the local approximations", argument_default=argparse.SUPPRESS
+    )
     _add_spec_arguments(p)
     p.add_argument("--mode", choices=("frozen", "conversion"), required=True)
-    p.add_argument("--T", default="128,256,512,1024,2048,4096,8192", help="comma-separated horizons")
-    p.add_argument("--replicates", type=int, default=20)
-    p.add_argument("--radius", type=int, default=16)
-    p.add_argument("--u0", type=float, default=0.5)
-    p.add_argument("--slack", type=float, default=0.0, help="inject a bounded O(1/T) coefficient perturbation")
+    p.add_argument("--T", help="comma-separated horizons")
+    p.add_argument("--replicates", type=int)
+    p.add_argument("--radius", type=int)
+    p.add_argument("--u0", type=float)
+    p.add_argument("--slack", type=float, help="inject a bounded O(1/T) coefficient perturbation")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_verify)
 

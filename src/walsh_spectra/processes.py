@@ -291,18 +291,20 @@ def coefficient_rows(spec: ProcessSpec, u) -> tuple[np.ndarray, np.ndarray]:
     The modulated kind's core is a stationary moving average, so its MA
     curves are read at u = 0 for every row.  Each block keeps its own
     length; `grid_ratio` pads the two to a common one when converting.
+    The trend and amplitude are read too: either raises where not finite.
     """
-    return _rows(spec, as_finite_array(np.atleast_1d(u), "u"))
+    return _rows(spec, as_finite_array(np.atleast_1d(u), "u"))[:2]
 
 
-def _rows(spec: ProcessSpec, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`coefficient_rows` at a checked one-dimensional float64 u: row i, column k holds curve k at u_i."""
+def _rows(spec: ProcessSpec, u: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(b_rows, a_rows, trend, amplitude), all the kind reads at a checked 1-D float64 u (modulated MA rows at 0)."""
     def block(curves, at) -> np.ndarray:
         out = np.empty((u.size, len(curves)))
         for k, c in enumerate(curves):
             out[:, k] = eval_curve(c, at)
         return out
-    return block(spec.ar, u), block(spec.ma, 0.0 if spec.kind == "modulated" else u)
+    ma_at = 0.0 if spec.kind == "modulated" else u
+    return block(spec.ar, u), block(spec.ma, ma_at), eval_curve(spec.trend, u), eval_curve(spec.amplitude, u)
 
 
 # --------------------------------------------------------------------------
@@ -426,33 +428,29 @@ def _block_solve(b_rows: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 def _frozen(spec: ProcessSpec, u0: float) -> ProcessSpec:
-    """The stationary comparison process: spec with the curves its kind reads frozen at u0 (a modulated MA stays)."""
-    def freeze(curves):
-        return tuple(constant(eval_curve(c, u0)) for c in curves)
-    ar, ma = freeze(spec.ar), spec.ma if spec.kind == "modulated" else freeze(spec.ma)
-    trend, amplitude = freeze((spec.trend, spec.amplitude))
-    return replace(spec, ar=ar, ma=ma, trend=trend, amplitude=amplitude)
+    """The stationary comparison process: spec with every curve replaced by its constant value in `_rows` at u0."""
+    b_rows, a_rows, trend, amplitude = _rows(spec, np.array([u0]))
+    ar, ma = (tuple(map(constant, rows[0])) for rows in (b_rows, a_rows))
+    return replace(spec, ar=ar, ma=ma, trend=constant(trend[0]), amplitude=constant(amplitude[0]))
 
 
 def _paths(spec: ProcessSpec, T: int, lo: int, hi: int, slack: float = 0.0):
-    """u = t/T on an aligned window lo <= t < hi and ``path(eps)`` = trend + amplitude * core, the values there.
+    """``path(eps)`` = trend + amplitude * core, the values on an aligned window lo <= t < hi.
 
-    XOR couples t only inside its aligned block, so they equal the whole path's; the curves are evaluated once
-    for every run, and a singular block is the worst one in the window, numbered by its index on the whole path.
+    `_rows` reads the spec at u = t/T once for every run.  XOR couples t only inside its aligned block, so the values
+    equal the whole path's; a singular block is the worst one in the window, numbered by its index on the whole path.
     """
-    u = np.arange(lo, hi) / T
-    b_rows, a_rows = _rows(spec, u)
+    b_rows, a_rows, trend, amp = _rows(spec, np.arange(lo, hi) / T)
     if slack:  # +-slack/T on the rows: rescaled and actual coefficients then differ at order 1/T
         for rows in (b_rows, a_rows):
             rows += slack / T * (1.0 - 2.0 * ((np.arange(lo, hi)[:, None] + np.arange(rows.shape[1])) & 1))
-    trend, amp = eval_curve(spec.trend, u), eval_curve(spec.amplitude, u)
     def path(eps: np.ndarray) -> np.ndarray:
         core = _dma_combine(a_rows, eps)
         try:
             return trend + amp * (core if spec.kind in MA_KINDS else _block_solve(b_rows, core))
         except SingularBlockError as exc:
             raise SingularBlockError(exc.block_index + lo // len(spec.ar), exc.condition) from None
-    return u, path
+    return path
 
 
 def _simulate(spec: ProcessSpec, T: int, innovations: np.ndarray | None, path_of) -> SamplePath:
@@ -479,7 +477,7 @@ def simulate(spec: ProcessSpec, T: int, innovations=None) -> SamplePath:
     Exact for every kind.  A singular block is the worst of the first window that holds one, on that window's scale.
     """
     eps = None if innovations is None else as_finite_array(innovations, "innovations")
-    return _simulate(spec, T, eps, lambda T, lo, hi: _paths(spec, T, lo, hi)[1])
+    return _simulate(spec, T, eps, functools.partial(_paths, spec))
 
 
 def simulate_frozen(spec: ProcessSpec, u0: float, T: int, innovations=None) -> SamplePath:
@@ -493,7 +491,7 @@ def simulate_frozen(spec: ProcessSpec, u0: float, T: int, innovations=None) -> S
 
 def simulate_seeds(spec: ProcessSpec, T: int, seeds):
     """Lazily ``simulate(spec.with_seed(s), T)`` for each seed s, bit for bit; each window's rows serve every seed."""
-    path_of = functools.cache(lambda T, lo, hi: _paths(spec, T, lo, hi)[1])
+    path_of = functools.cache(functools.partial(_paths, spec))
     return (_simulate(spec.with_seed(seed), T, None, path_of) for seed in seeds)
 
 
@@ -511,12 +509,11 @@ def defining_equation_residual(spec: ProcessSpec, path: SamplePath) -> float:
     if eps.size != T:
         raise ValueError(f"path.innovations must hold as many values as path.values ({T}), got {eps.size}")
     u = np.arange(T) / T
-    amp = eval_curve(spec.amplitude, u)
+    b_rows, a_rows, trend, amp = _rows(spec, u)
     zeros = np.flatnonzero(amp == 0.0)
     if zeros.size:
         raise ValueError(f"amplitude vanishes at u={u[zeros[0]]}: the core process is undefined there")
-    b_rows, a_rows = _rows(spec, u)
-    core = (values - eval_curve(spec.trend, u)) / amp
+    core = np.divide(values - trend, amp, out=trend)  # in the trend's buffer, which is not read again
     lhs = _dma_combine(b_rows, core)
     rhs = _dma_combine(a_rows, eps)
     return float(np.max(np.abs(lhs - rhs)))
@@ -526,19 +523,20 @@ def dma_coefficient_rows(spec: ProcessSpec, u) -> np.ndarray:
     """Frozen moving-average coefficients K_j(u_i) for each u, as a matrix.
 
     For autoregressive kinds this applies the frozen AR -> MA conversion
-    `grid_ratio` to all rows at once.  The amplitude curve is folded in.
-    Raises `SingularPolynomialError` naming the first offending u when
-    the AR polynomial vanishes on the grid there.
+    `grid_ratio` to all rows at once.  The amplitude curve is folded in,
+    and the trend is read too: either raises where not finite.  Raises
+    `SingularPolynomialError` naming the first offending u when the AR
+    polynomial vanishes on the grid there.
     """
-    return _dma_rows(spec, as_finite_array(np.atleast_1d(u), "u"))
+    return _dma_rows(spec, as_finite_array(np.atleast_1d(u), "u"))[0]
 
 
-def _dma_rows(spec: ProcessSpec, u: np.ndarray) -> np.ndarray:
-    """`dma_coefficient_rows` at a checked one-dimensional float64 u."""
-    b_rows, a_rows = _rows(spec, u)
+def _dma_rows(spec: ProcessSpec, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`dma_coefficient_rows` at a checked one-dimensional float64 u, and the trend there."""
+    b_rows, a_rows, trend, amp = _rows(spec, u)
     if spec.kind not in MA_KINDS:
         a_rows = grid_ratio(a_rows, b_rows, where=u)
-    return a_rows * eval_curve(spec.amplitude, u)[:, None]
+    return a_rows * amp[:, None], trend
 
 
 # --------------------------------------------------------------------------
@@ -615,11 +613,11 @@ def decay_experiment(
     mean_errors = []
     for T, window in zip(T_values, windows):
         lo, hi = window.start // needed * needed, -(-window.stop // needed) * needed
-        u, x_tv = _paths(spec, T, lo, hi, slack)
+        x_tv = _paths(spec, T, lo, hi, slack)
         if frozen is not None:  # frozen rows do not depend on t: laid at 0, blocks are numbered as `simulate_frozen`'s
-            x_cmp = _paths(frozen, T, 0, hi - lo)[1]
+            x_cmp = _paths(frozen, T, 0, hi - lo)
         else:
-            k_rows, trend = _dma_rows(spec, u), eval_curve(spec.trend, u)  # amplitude folded into k_rows
+            k_rows, trend = _dma_rows(spec, np.arange(lo, hi) / T)  # amplitude folded into k_rows
             x_cmp = lambda eps: trend + _dma_combine(k_rows, eps)
         read = slice(window.start - lo, window.stop - lo)
         errs = np.empty(replicates)  # the sup-error of each replicate

@@ -5,6 +5,7 @@ import platform
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -503,6 +504,22 @@ def test_periodogram_evaluates_the_curves_once_per_command(tmp_path, monkeypatch
     assert per_command[0] and per_command[0] == per_command[1]
 
 
+def test_periodogram_frees_each_replicates_path(tmp_path):
+    # the tracemalloc peak grows by at most 7 floats per value from T = 2**13 to 2**14.  Holding the last
+    # replicate's path, its values and innovations, while the next one is drawn and the grid written reads about 8
+    def peak(T):
+        args = ["periodogram", "--preset", "figure1", "--T", str(T), "--segments", "512", "--replicates", "3"]
+        tracemalloc.start()
+        try:
+            assert main(args + ["--out", str(tmp_path / "pgram.csv")]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(1 << 13)
+    assert peak(1 << 14) - peak(1 << 13) <= 7 * 8 * (1 << 13)
+
+
 def test_periodogram_judges_singular_blocks_as_simulate_does(tmp_path):
     # b0 = exp(-40u) is singular on a path of one window (2**15 values), not per window on a path of two
     spec = write_spec(tmp_path, {"kind": "tvDAR", "ar": ["exp(-40*u)"], "seed": 1})
@@ -624,6 +641,19 @@ def test_non_finite_curve_exit_code(tmp_path, capsys):
     run = fresh_cli(argv)
     assert run.returncode == 2
     assert one_json_line(run.stderr) == err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["convert", "--target", "dma"], ["convert", "--target", "dar"], ["spectrum"]])
+def test_trend_not_finite_on_the_u_grid_exit_code(tmp_path, capsys, command):
+    # the whole spec is read on the u grid, trend and amplitude too, as `simulate` and `verify` read it
+    spec = write_spec(tmp_path, {"kind": "tvDMA", "ma": ["1", "0.5"], "trend": "1/(u-0.5)", "seed": 0})
+    out = tmp_path / "x.csv"
+    assert main(["simulate", "--spec", spec, "--T", "4", "--out", str(out)]) == 2  # u = 0.5 is on the path
+    err = one_json_line(capsys.readouterr().err)
+    assert err["error"] == "config"
+    assert main([*command, "--spec", spec, "--u-points", "5", "--out", str(out)]) == 2
+    assert one_json_line(capsys.readouterr().err) == err
     assert not out.exists()
 
 

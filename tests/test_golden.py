@@ -15,7 +15,10 @@ blocks got a closed-form solve.  Their hashes are pinned like every other
 case's, and each is also checked line by line against the same command run
 with the LAPACK block solve of ``oracles.py`` swapped in: text must be
 equal, and every number within ``MOVED_BOUND`` * eps times the largest
-magnitude in its block (see `check_near_lapack_route`).
+magnitude in its block (see `check_near_lapack_route`).  The cases in
+``LAPACK_CASES`` solve blocks of four, which the library hands to
+`np.linalg.solve` as ``oracles.py`` does; their output must equal that
+route's byte for byte.
 
 To print the table for the current code, run from the repository root::
 
@@ -65,6 +68,8 @@ SPECS = {
         "distribution": "rademacher",
         "seed": 6,
     },
+    # an autoregressive block of four curves: the L >= 4 block solve
+    "ar4": {"kind": "tvDAR", "ar": ["1", "0.3*u", "-0.2", "0.1*cos(2*pi*u)"], "trend": "-0.5*u", "seed": 2},
 }
 SPEC_NAMES = ("figure1", "figure2", *SPECS)
 CONVERT_U_POINTS = 17
@@ -147,6 +152,8 @@ MOVED_CASES = (
 #: a moved value may differ from the LAPACK route's by this many eps times the
 #: largest magnitude in its block; the largest seen is 7.8 (verify-frozen/darma's errors)
 MOVED_BOUND = 16
+#: cases whose output goes through a 4 x 4 autoregressive block solve
+LAPACK_CASES = ("simulate/ar4", "verify-conversion/ar4")
 ROUTE_CASES = sorted(c for c in CASES if _is_route_case(c))
 GOLDEN_CASES = sorted(c for c in CASES if not _is_route_case(c))
 
@@ -240,6 +247,15 @@ def test_cli_output_matches_golden(case_id, tmp_path, monkeypatch):
     if case_id in MOVED_CASES:
         check_near_lapack_route(case_id, tmp_path / "route", monkeypatch)
     assert run_case(case_id, tmp_path / "golden") == _golden()[case_id]
+
+
+@pytest.mark.parametrize("case_id", LAPACK_CASES)
+def test_four_curve_blocks_equal_the_lapack_route(case_id, tmp_path, monkeypatch):
+    with monkeypatch.context() as patch:
+        patch.setattr(processes, "_block_solve", lapack_block_solve)
+        reference = _run(case_id, tmp_path / "lapack")
+    assert reference[0] == 0
+    assert _run(case_id, tmp_path / "library") == reference
 
 
 def test_golden_table_covers_every_hashed_case():

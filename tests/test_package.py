@@ -109,21 +109,31 @@ def test_only_public_functions_call_as_finite_array():
     assert {"coefficient_rows", "periodogram_grid", "__post_init__"} <= {owner for _, _, owner in found}
 
 
-def test_only_paths_calls_block_solve():
-    # rows at u, slack, the XOR core, trend and amplitude, and whole-path block numbering belong to processes._paths
+def calls_outside(name: str, owner: str, skip: str | None = None) -> list[tuple[str, int]]:
+    """(file, line) of each call of ``name`` in the package, outside ``skip``, checked to lie in processes.``owner``."""
     def calls(tree):
         return [
             node.lineno
             for node in ast.walk(tree)
-            if isinstance(node, ast.Call) and "_block_solve" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+            if isinstance(node, ast.Call) and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
         ]
 
-    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
-    everywhere = [(name, lineno) for name, tree in trees.items() for lineno in calls(tree)]
-    (paths,) = [node for node in trees["processes.py"].body if isinstance(node, ast.FunctionDef) and node.name == "_paths"]
-    assert len(everywhere) == 1
-    assert everywhere == [("processes.py", lineno) for lineno in calls(paths)]
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py")) if path.name != skip}
+    everywhere = [(file, lineno) for file, tree in trees.items() for lineno in calls(tree)]
+    (func,) = [node for node in trees["processes.py"].body if isinstance(node, ast.FunctionDef) and node.name == owner]
+    assert everywhere and everywhere == [("processes.py", lineno) for lineno in calls(func)]
+    return everywhere
+
+
+def test_only_paths_calls_block_solve():
+    # slack, the XOR core and solve, trend + amplitude * core, and whole-path block numbering belong to processes._paths
+    assert len(calls_outside("_block_solve", "_paths")) == 1
     assert not hasattr(walsh_spectra.processes, "_cores") and not hasattr(walsh_spectra.processes, "_core_values")
+
+
+def test_only_rows_calls_eval_curve():
+    # reading a spec at u, and the rule that a modulated kind reads its MA curves at u = 0, belong to processes._rows
+    calls_outside("eval_curve", "_rows", skip="curves.py")
 
 
 def test_only_the_window_loop_calls_make_innovations():

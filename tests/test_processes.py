@@ -854,7 +854,7 @@ def _window_cases(draw):
 def test_windowed_path_equals_the_whole_path_slice(case):
     spec, T, lo, hi, u0 = case
     model = spec if u0 is None else _frozen(spec, u0)
-    got = _paths(model, T, lo, hi)[1](make_innovations(spec.innovations, hi - lo, start=lo))
+    got = _paths(model, T, lo, hi)(make_innovations(spec.innovations, hi - lo, start=lo))
     want = (simulate(spec, T) if u0 is None else simulate_frozen(spec, u0, T)).values[lo:hi]
     assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
 
@@ -869,7 +869,7 @@ def test_windowed_path_numbers_a_singular_block_like_simulate(ma, data):
     L = max(len(spec.ar), len(spec.ma))
     lo = L * data.draw(st.integers(0, 32 // L))
     hi = L * data.draw(st.integers(-(-34 // L), 64 // L))
-    path = _paths(spec, 64, lo, hi)[1]
+    path = _paths(spec, 64, lo, hi)
     with pytest.raises(SingularBlockError) as in_window:
         path(make_innovations(spec.innovations, hi - lo, start=lo))
     assert in_window.value.block_index == on_path.value.block_index == 16
@@ -930,6 +930,23 @@ def test_simulate_frees_its_rows_before_trend_and_amplitude(name, small, large, 
 
     simulate(spec, 1 << 10)
     assert peak(large) - peak(small) <= floats_per_value * 8 * (large - small)
+
+
+def test_residual_reuses_the_trend_for_its_core():
+    # the tracemalloc peak grows by at most 11.5 floats per value from T = 2**16 to 2**17: the rows, trend and
+    # amplitude, u, the core and two combines.  A trend kept beside the core reads 12
+    spec = make_process_spec("tvDARMA", ar=["1", "-0.2+0.5*u"], ma=["1", "0.25+0.3*u"], trend="u", amplitude="1+u")
+
+    def peak(T):
+        path = simulate(spec, T)
+        tracemalloc.start()
+        try:
+            defining_equation_residual(spec, path)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(1 << 17) - peak(1 << 16) <= 11.5 * 8 * (1 << 16)
 
 
 # ------------------------------------------------------- conversion row errors
