@@ -218,9 +218,11 @@ def _cmd_periodogram(args) -> int:
     for path in simulate_seeds(spec, T, seeds):
         grid = smooth_periodogram(periodogram_grid(path.values, N, step), args.smooth)
         total += grid.values
-        del path  # freed before the next replicate is drawn
+        u_values, x_values = grid.u_values, grid.x_values
+        del path, grid  # freed before the next replicate is drawn and before the write
+    total /= reps
     comment = _provenance(spec, command="periodogram", T=T, N=N, replicates=reps, smooth=args.smooth)
-    _write_grid(args.out, comment, ["segment_u0", "x", "I"], grid.u_values, grid.x_values, total / reps)
+    _write_grid(args.out, comment, ["segment_u0", "x", "I"], u_values, x_values, total)
     return EXIT_OK
 
 

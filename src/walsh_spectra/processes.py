@@ -243,19 +243,12 @@ def make_process_spec(
         if curves is not None and not isinstance(curves, (list, tuple)):
             got = f"the string {curves!r}" if isinstance(curves, str) else repr(curves)
             raise ValueError(f"{field} must be a list of curves, got {got}")
-    if kind in MA_KINDS:
-        ar_block = (constant(1.0),)
-    else:
-        if not ar:
-            raise ValueError(f"{kind} needs autoregressive curves")
-        ar_block = _curve_block(ar, "ar")
-    if kind == "tvDAR":
-        ma_block = (constant(1.0),)
-    else:
-        if not ma:
-            raise ValueError(f"{kind} needs moving-average curves")
-        ma_block = _curve_block(ma, "ma")
-    for name, block in (("autoregressive", ar_block), ("moving-average", ma_block)):
+    blocks = {}  # the autoregressive block is built, and its curves checked, first
+    for field, name, curves, unit in (("ar", "autoregressive", ar, MA_KINDS), ("ma", "moving-average", ma, ("tvDAR",))):
+        if kind not in unit and not curves:
+            raise ValueError(f"{kind} needs {name} curves")
+        blocks[name] = (constant(1.0),) if kind in unit else _curve_block(curves, field)
+    for name, block in blocks.items():
         half = len(block) // 2
         if len(block) > 1 and all(is_constant_zero(c) for c in block[half:]):
             warnings.warn(
@@ -266,8 +259,8 @@ def make_process_spec(
             )
     return ProcessSpec(
         kind=kind,
-        ar=ar_block,
-        ma=ma_block,
+        ar=blocks["autoregressive"],
+        ma=blocks["moving-average"],
         trend=_as_curve(trend, "trend"),
         amplitude=_as_curve(amplitude, "amplitude"),
         innovations=InnovationSpec(distribution=distribution, sigma=sigma, seed=seed),
@@ -360,12 +353,12 @@ def _block_matrices(b_rows: np.ndarray) -> np.ndarray:
 def _solve2(b_rows: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Every 2 x 2 block by Gaussian elimination with partial pivoting, in closed form.
 
-    The steps are LAPACK's (getf2/getrs): pivot on the larger |column 0|
-    entry, the first of equal magnitudes; l = q00 * (1/p00), u11 = q01 - l*p01,
-    x1 = (y1 - l*y0)/u11, x0 = (y0 - x1*p01)/p00.  Plain ufuncs never fuse a
-    multiply-add, so the bits do not depend on the BLAS kernel.  A zero pivot
-    gives inf or nan, left to the residual check.  Leading axes of rhs are
-    replicates sharing the rows.
+    The steps are LAPACK's (getf2/getrs), as in the scalar test oracle `oracle_solve2`:
+    pivot on the larger |column 0| entry, the first of equal magnitudes; l = (1/p0)*q0,
+    x1 = (y1 - l*y0)/(q1 - l*p1), x0 = (y0 - x1*p1)/p0, plain array expressions
+    whose temporaries one window bounds.  Numpy never fuses a multiply-add, so
+    the bits do not depend on the BLAS kernel.  A zero pivot gives inf or nan,
+    left to the residual check.  Leading axes of rhs are replicates sharing the rows.
     """
     n = b_rows.shape[0] // 2
     b, z = b_rows.reshape(n, 2, 2), rhs.reshape(*rhs.shape[:-1], n, 2)
@@ -374,21 +367,13 @@ def _solve2(b_rows: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     if swap.any():  # swapped copies only where some block pivots
         r0, r1 = [np.where(swap, q, p) for p, q in zip(r0, r1)], [np.where(swap, p, q) for p, q in zip(r0, r1)]
     (p0, p1, y0), (q0, q1, y1) = r0, r1
-    x = np.empty(z.shape)
-    l = np.divide(1.0, p0)
-    l *= q0
-    u = np.multiply(l, p1)
-    np.subtract(q1, u, out=u)
-    y = np.multiply(l, y0, out=l if rhs.ndim == 1 else None)  # in place for a single right-hand side
-    np.subtract(y1, y, out=y)
-    np.divide(y, u, out=x[..., 1])
-    np.multiply(x[..., 1], p1, out=y)
-    np.subtract(y0, y, out=y)
-    np.divide(y, p0, out=x[..., 0])
-    return x.reshape(rhs.shape)
+    l = 1.0 / p0 * q0
+    x1 = (y1 - l * y0) / (q1 - l * p1)
+    x0 = (y0 - x1 * p1) / p0
+    return np.stack((x0, x1), axis=-1).reshape(rhs.shape)
 
 
-def _block_solve(b_rows: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+def _block_solve(b_rows: np.ndarray, rhs: np.ndarray, first: int = 0) -> np.ndarray:
     """Solve the XOR recursion sum_k b_k(t/T) X_{t XOR k} = rhs_t exactly.
 
     Row t of the system couples X only within t's aligned block of length
@@ -396,7 +381,9 @@ def _block_solve(b_rows: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     block diagonal with dense L x L blocks (rows vary with t, so the
     blocks are not XOR-circulant and are LU-solved: in closed form for
     L = 2, by LAPACK for L >= 4).  Leading axes of rhs are replicates sharing
-    the rows; each is checked against its own residual tolerance.
+    the rows; each is checked against its own residual tolerance.  A singular
+    block raises `SingularBlockError` with the worst block's index counted from
+    ``first``, the index of the rows' first block on the whole path.
     """
     T, L = b_rows.shape
     if L == 1:
@@ -404,7 +391,7 @@ def _block_solve(b_rows: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         bad = np.abs(diag) <= SINGULARITY_RTOL * max(np.max(np.abs(diag)), 1e-300)
         if np.any(bad):
             t = int(np.argmax(bad))
-            raise SingularBlockError(t, np.inf)
+            raise SingularBlockError(first + t, np.inf)
         return rhs / diag
     # a singular block ends in SingularBlockError below, not in a warning
     with np.errstate(all="ignore"):
@@ -424,7 +411,7 @@ def _block_solve(b_rows: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         conds = np.linalg.cond(_block_matrices(b_rows))
     conds = np.where(np.isfinite(conds), conds, np.inf)
     worst = int(np.argmax(conds))
-    raise SingularBlockError(worst, float(conds[worst]))
+    raise SingularBlockError(first + worst, float(conds[worst]))
 
 
 def _frozen(spec: ProcessSpec, u0: float) -> ProcessSpec:
@@ -438,7 +425,7 @@ def _paths(spec: ProcessSpec, T: int, lo: int, hi: int, slack: float = 0.0):
     """``path(eps)`` = trend + amplitude * core, the values on an aligned window lo <= t < hi.
 
     `_rows` reads the spec at u = t/T once for every run.  XOR couples t only inside its aligned block, so the values
-    equal the whole path's; a singular block is the worst one in the window, numbered by its index on the whole path.
+    equal the whole path's; `_block_solve` numbers a singular block, the worst in the window, on the whole path.
     """
     b_rows, a_rows, trend, amp = _rows(spec, np.arange(lo, hi) / T)
     if slack:  # +-slack/T on the rows: rescaled and actual coefficients then differ at order 1/T
@@ -446,10 +433,7 @@ def _paths(spec: ProcessSpec, T: int, lo: int, hi: int, slack: float = 0.0):
             rows += slack / T * (1.0 - 2.0 * ((np.arange(lo, hi)[:, None] + np.arange(rows.shape[1])) & 1))
     def path(eps: np.ndarray) -> np.ndarray:
         core = _dma_combine(a_rows, eps)
-        try:
-            return trend + amp * (core if spec.kind in MA_KINDS else _block_solve(b_rows, core))
-        except SingularBlockError as exc:
-            raise SingularBlockError(exc.block_index + lo // len(spec.ar), exc.condition) from None
+        return trend + amp * (core if spec.kind in MA_KINDS else _block_solve(b_rows, core, lo // len(spec.ar)))
     return path
 
 

@@ -145,12 +145,13 @@ def oracle_solve2(a, z) -> tuple[float, float]:
     return (y0 - x1 * p1) / p0, x1
 
 
-def lapack_block_solve(b_rows, rhs) -> np.ndarray:
+def lapack_block_solve(b_rows, rhs, first=0) -> np.ndarray:
     """The XOR recursion sum_k b_rows[t, k] x[t XOR k] = rhs[t] solved by LAPACK on each dense aligned block.
 
     This is the route the library took for every block length before 2 x 2
     blocks got their closed form; the golden tests swap it in as the reference.
     Leading axes of rhs are replicates sharing the rows, each solved block by block.
+    ``first``, the rows' first block on the whole path, is ignored: this reference never raises.
     """
     b_rows = np.asarray(b_rows, dtype=np.float64)
     T, L = b_rows.shape

@@ -126,9 +126,14 @@ def calls_outside(name: str, owner: str, skip: str | None = None) -> list[tuple[
 
 
 def test_only_paths_calls_block_solve():
-    # slack, the XOR core and solve, trend + amplitude * core, and whole-path block numbering belong to processes._paths
+    # slack, the XOR core and solve, and trend + amplitude * core belong to processes._paths
     assert len(calls_outside("_block_solve", "_paths")) == 1
     assert not hasattr(walsh_spectra.processes, "_cores") and not hasattr(walsh_spectra.processes, "_core_values")
+
+
+def test_only_block_solve_constructs_singular_block_error():
+    # finding a singular block, and numbering it on the whole path, belong to processes._block_solve
+    assert len(calls_outside("SingularBlockError", "_block_solve")) == 2
 
 
 def test_only_rows_calls_eval_curve():

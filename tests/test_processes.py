@@ -492,6 +492,18 @@ def test_simulate_seeds_raises_the_singular_block_simulate_raises(monkeypatch, w
     assert batched.value.block_index == direct.value.block_index == 16
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("window", [processes._WINDOW, 8])
+@pytest.mark.parametrize("run", [simulate, first_seed], ids=["simulate", "seeds"])
+def test_singular_block_of_one_coefficient_keeps_its_path_index(monkeypatch, window, run):
+    # b0 = u - 0.75 is exactly 0 at t = 48 (T = 64), in one window and in the seventh window of 8 values alike
+    monkeypatch.setattr(processes, "_WINDOW", window)
+    with pytest.raises(SingularBlockError) as excinfo:
+        run(make_process_spec("tvDAR", ar=["u-0.75"], seed=1), 64)
+    assert excinfo.value.block_index == 48
+    assert excinfo.value.condition == np.inf
+
+
 def test_block_locality():
     # innovations outside an aligned block do not influence the block:
     # scramble everything outside and compare inside
