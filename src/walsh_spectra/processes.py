@@ -39,9 +39,7 @@ KINDS = ("tvDMA", "tvDAR", "tvDARMA", "modulated")
 #: kinds with a unit autoregressive block: the core is a finite XOR-lag sum of innovations
 MA_KINDS = ("tvDMA", "modulated")
 DISTRIBUTIONS = ("gaussian", "rademacher", "uniform")
-#: replicates per block in `decay_experiment`: it holds this many windows, plus 16 bytes per replicate
-_REPLICATE_CHUNK = 1024
-_WINDOW = 1 << 15  #: values per window of `simulate`: a longer path's working set stays one window's
+_WINDOW = 1 << 15  #: values per window of every pass over a path, sized in `_check_horizon`: it holds one window's
 
 _M64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -316,11 +314,12 @@ class SamplePath:
         return self.values.size
 
 
-def _check_horizon(T: int, needed: int, what: str) -> int:
-    T = 1 << block_exponent(T, what)
-    if T < needed:
-        raise ValueError(f"{what}={T} is shorter than the coefficient block length {needed}")
-    return T
+def _check_horizon(T: int, spec: ProcessSpec, what: str) -> tuple[int, int]:
+    """(T, n): the checked power-of-two horizon and its aligned window, max(`_WINDOW`, L) values or the whole path."""
+    T, L = 1 << block_exponent(T, what), max(len(spec.ar), len(spec.ma))
+    if T < L:
+        raise ValueError(f"{what}={T} is shorter than the coefficient block length {L}")
+    return T, min(T, max(_WINDOW, L))
 
 
 def _dma_combine(coef: np.ndarray, eps: np.ndarray) -> np.ndarray:
@@ -439,11 +438,10 @@ def _paths(spec: ProcessSpec, T: int, lo: int, hi: int, slack: float = 0.0):
 
 def _simulate(spec: ProcessSpec, T: int, innovations: np.ndarray | None, path_of) -> SamplePath:
     """The window loop: each aligned window draws its innovations, unless supplied, then runs ``path_of(T, lo, hi)``."""
-    T = _check_horizon(T, max(len(spec.ar), len(spec.ma)), "T")
+    T, n = _check_horizon(T, spec, "T")
     _check_stream(0, T)  # before np.empty, which past the cap raises numpy's own error
     if innovations is not None and innovations.size != T:
         raise ValueError(f"innovations must hold T={T} values, got {innovations.size}")
-    n = min(T, max(_WINDOW, len(spec.ar), len(spec.ma)))
     if n == T:  # one window: its own arrays, neither preallocated nor copied
         eps = make_innovations(spec.innovations, T) if innovations is None else innovations
         return SamplePath(values=path_of(T, 0, T)(eps), innovations=eps)
@@ -480,27 +478,29 @@ def simulate_seeds(spec: ProcessSpec, T: int, seeds):
 
 
 def defining_equation_residual(spec: ProcessSpec, path: SamplePath) -> float:
-    """Max over t of |sum_k b_k(t/T) core_{t XOR k} - sum_n a_n(t/T) eps_{t XOR n}|.
+    """Max over t of |sum_k b_k(t/T) core_{t XOR k} - sum_n a_n(t/T) eps_{t XOR n}|, in `simulate`'s windows.
 
-    ``core`` is the path with trend removed and amplitude divided out, so
-    a ValueError naming the first such u is raised where the amplitude is 0.
-    The path's values and innovations are finite series of one power-of-two
-    length, at least the coefficient block's.
+    ``core`` is the path with trend removed and amplitude divided out, so a ValueError naming the first
+    such u is raised where the amplitude is 0; as in `simulate`, a defect of the spec is reported from
+    the first window that holds one.  The path's values and innovations are finite series of one
+    power-of-two length, at least the coefficient block's.
     """
     values = as_finite_array(path.values, "path.values")
-    T = _check_horizon(values.size, max(len(spec.ar), len(spec.ma)), "path length")
+    T, n = _check_horizon(values.size, spec, "path length")
     eps = as_finite_array(path.innovations, "path.innovations")
     if eps.size != T:
         raise ValueError(f"path.innovations must hold as many values as path.values ({T}), got {eps.size}")
-    u = np.arange(T) / T
-    b_rows, a_rows, trend, amp = _rows(spec, u)
-    zeros = np.flatnonzero(amp == 0.0)
-    if zeros.size:
-        raise ValueError(f"amplitude vanishes at u={u[zeros[0]]}: the core process is undefined there")
-    core = np.divide(values - trend, amp, out=trend)  # in the trend's buffer, which is not read again
-    lhs = _dma_combine(b_rows, core)
-    rhs = _dma_combine(a_rows, eps)
-    return float(np.max(np.abs(lhs - rhs)))
+    worst = 0.0
+    for lo in range(0, T, n):
+        b_rows, a_rows, trend, amp = _rows(spec, np.arange(lo, lo + n) / T)
+        if not amp.all():
+            u = (lo + np.argmin(amp != 0.0)) / T
+            raise ValueError(f"amplitude vanishes at u={u}: the core process is undefined there")
+        core = np.divide(values[lo : lo + n] - trend, amp, out=trend)  # in the trend's buffer, which is not read again
+        defect = _dma_combine(b_rows, core) - _dma_combine(a_rows, eps[lo : lo + n])
+        worst = np.maximum(worst, np.max(np.abs(defect)))  # a NaN stays, as in one max over the path
+        del b_rows, a_rows, trend, amp, core, defect  # freed before the next window's rows are read
+    return float(worst)
 
 
 def dma_coefficient_rows(spec: ProcessSpec, u) -> np.ndarray:
@@ -576,9 +576,9 @@ def decay_experiment(
     side, which makes the error decay exactly at first order even where
     all curves happen to be flat at u0.
 
-    Only the L-aligned hull of each window is simulated (see `_paths`), and
-    a horizon's replicates are drawn and solved as one block of up to
-    `_REPLICATE_CHUNK` rows; each replicate's error equals its own path's bit for bit.
+    Only the L-aligned hull of each window is simulated (see `_paths`), and a horizon's
+    replicates are drawn and solved in blocks of one window's values (at least one
+    replicate); each replicate's error equals its own path's bit for bit.
     """
     if mode not in ("frozen", "conversion"):
         raise ValueError(f"mode must be 'frozen' or 'conversion', got {mode!r}")
@@ -586,17 +586,16 @@ def decay_experiment(
         raise ValueError("conversion mode needs an autoregressive-kind spec")
     radius, replicates = as_int(radius, "radius", 0), as_int(replicates, "replicates", 1)
     u0, slack = as_real(u0, "u0", 0, 1), as_real(slack, "slack")
-    needed = max(len(spec.ar), len(spec.ma))
     # every horizon and window is checked before anything is simulated
-    T_values = tuple(_check_horizon(T, needed, f"T_values[{i}]") for i, T in enumerate(T_values))
+    T_values = tuple(_check_horizon(T, spec, f"T_values[{i}]")[0] for i, T in enumerate(T_values))
     windows = [_window(round(u0 * T), radius, T) for T in T_values]
     if len(set(T_values)) < 2:
         raise ValueError(f"a decay slope needs at least two distinct horizons, got {list(T_values)}")
     seeds = np.fromiter((spawn_seed(spec.innovations.seed, rep) for rep in range(replicates)), np.uint64, replicates)
     frozen = _frozen(spec, u0) if mode == "frozen" else None
-    mean_errors = []
+    L, mean_errors = max(len(spec.ar), len(spec.ma)), []
     for T, window in zip(T_values, windows):
-        lo, hi = window.start // needed * needed, -(-window.stop // needed) * needed
+        lo, hi = window.start // L * L, -(-window.stop // L) * L
         x_tv = _paths(spec, T, lo, hi, slack)
         if frozen is not None:  # frozen rows do not depend on t: laid at 0, blocks are numbered as `simulate_frozen`'s
             x_cmp = _paths(frozen, T, 0, hi - lo)
@@ -605,10 +604,11 @@ def decay_experiment(
             x_cmp = lambda eps: trend + _dma_combine(k_rows, eps)
         read = slice(window.start - lo, window.stop - lo)
         errs = np.empty(replicates)  # the sup-error of each replicate
-        for first in range(0, replicates, _REPLICATE_CHUNK):
-            chunk = slice(first, first + _REPLICATE_CHUNK)
-            eps = _draw(spec.innovations, seeds[chunk].tolist(), hi - lo, lo)  # one row per replicate
-            errs[chunk] = np.max(np.abs(x_tv(eps)[:, read] - x_cmp(eps)[:, read]), axis=1)
+        per_block = max(1, _WINDOW // (hi - lo))  # a block holds one window's values
+        for first in range(0, replicates, per_block):
+            block = slice(first, first + per_block)
+            eps = _draw(spec.innovations, seeds[block].tolist(), hi - lo, lo)  # one row per replicate
+            errs[block] = np.max(np.abs(x_tv(eps)[:, read] - x_cmp(eps)[:, read]), axis=1)
         mean_errors.append(float(np.mean(errs)))
     read_curves = (*spec.ar, *(() if spec.kind == "modulated" else spec.ma), spec.trend, spec.amplitude)
     exact = not slack and all(map(is_constant, read_curves))  # from the spec: small errors are not exact

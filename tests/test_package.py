@@ -18,6 +18,7 @@ REMOVED = (
     "approx_error",
     "to_autoregressive",
     "curve_matrix",
+    "_REPLICATE_CHUNK",
 )
 SRC = Path(walsh_spectra.__file__).parent
 
@@ -153,6 +154,23 @@ def test_only_the_window_loop_calls_make_innovations():
         and "make_innovations" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
     }
     assert callers == {"_simulate"}
+
+
+def test_only_check_horizon_and_decay_experiment_read_the_window():
+    # every pass over a path runs in windows of max(_WINDOW, L) values, a rule processes._check_horizon alone
+    # states; decay_experiment reads the constant to fill a block of replicates with one window's values
+    def reads(node, owner):
+        """The innermost enclosing function of each read of `_WINDOW` under node, as a name or an attribute."""
+        for child in ast.iter_child_nodes(node):
+            name = getattr(child, "id", None) or getattr(child, "attr", None)
+            if name == "_WINDOW" and isinstance(child.ctx, ast.Load):
+                yield owner
+            yield from reads(child, child.name if isinstance(child, ast.FunctionDef) else owner)
+
+    owners = {
+        (path.name, owner) for path in sorted(SRC.glob("*.py")) for owner in reads(ast.parse(path.read_text()), None)
+    }
+    assert owners == {("processes.py", "_check_horizon"), ("processes.py", "decay_experiment")}
 
 
 def test_no_module_imports_another_modules_private_names():

@@ -160,6 +160,13 @@ def test_to_moving_average_examples():
     assert np.allclose(k.coefficients, [1 / 3, 1 / 3], atol=1e-12)
 
 
+def test_to_moving_average_overflow_is_caught_by_the_result_check():
+    # grid values of 2e308 overflow to inf; only WalshPolynomial's check of the computed coefficients raises
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        with pytest.raises(ValueError, match=r"^coefficients must hold only finite values, got inf at index 0$"):
+            to_moving_average(WalshPolynomial([1.0, 0.5]), WalshPolynomial([1e308, 1e308]))
+
+
 def test_to_moving_average_substitution_identity():
     # with K = conversion of (b, a), the series sum_j K_j eps_{t XOR j}
     # satisfies the recursion sum_k b_k X_{t XOR k} = sum_n a_n eps_{t XOR n}

@@ -381,10 +381,16 @@ def test_time_varying_darma_residual():
     assert defining_equation_residual(spec, path) < 1e-9
 
 
-def test_residual_refuses_zero_amplitude():
-    spec = make_process_spec("modulated", ma=["1", "0.5"], amplitude="u-0.5", seed=8)
-    path = simulate(spec, 64)
-    with pytest.raises(ValueError, match=r"amplitude vanishes at u=0\.5"):
+@pytest.mark.parametrize("spec, T, u", [
+    (make_process_spec("modulated", ma=["1", "0.5"], amplitude="u-0.5", seed=8), 64, r"0\.5"),
+    # in the fourth window of 2**15 values
+    (make_process_spec("tvDMA", ma=["1", "0.5"], amplitude="u-0.75", seed=8), 1 << 17, r"0\.75"),
+    # in the first window, before an autoregressive pole in the fourth: as in `simulate`, the first window's defect
+    (make_process_spec("tvDARMA", ar=["1", "0.1/(u-0.875)"], ma=["1", "0.5"], amplitude="u-0.125"), 1 << 17, r"0\.125"),
+])
+def test_residual_refuses_zero_amplitude(spec, T, u):
+    path = simulate(make_process_spec("tvDMA", ma=["1", "0.5"]), T)
+    with pytest.raises(ValueError, match=rf"^amplitude vanishes at u={u}: the core process is undefined there$"):
         defining_equation_residual(spec, path)
 
 
@@ -792,16 +798,24 @@ def test_decay_experiment_draws_only_the_aligned_windows(monkeypatch):
     ],
 )
 def test_decay_experiment_chunks_equal_the_full_path_errors(monkeypatch, case):
-    # 11 replicates in chunks of 4: two full chunks and a partial one
-    monkeypatch.setattr(processes, "_REPLICATE_CHUNK", 4)
+    # 11 replicates in blocks of one window of 64 values (a power of two, as `simulate`'s windows need): hulls of
+    # 12 or 16 values give blocks of 5 or 4 replicates, two full blocks and a partial one
+    monkeypatch.setattr(processes, "_WINDOW", 64)
+    blocks, draw = [], processes._draw
     args = dict(case, T_values=(64, 128, 256), radius=5, replicates=11)
-    assert decay_experiment(**args).errors == full_path_errors(**args)
+    with monkeypatch.context() as patch:
+        patch.setattr(processes, "_draw", lambda spec, seeds, count, start: (
+            blocks.append((count, len(seeds))) or draw(spec, seeds, count, start)))
+        errors = decay_experiment(**args).errors
+    rows = {12: (5, 5, 1), 16: (4, 4, 3)}  # replicates of each block of a horizon, by hull length
+    assert len(blocks) == 9 and all(n == rows[count][i % 3] for i, (count, n) in enumerate(blocks))
+    assert errors == full_path_errors(**args)
 
 
 def test_decay_experiment_memory_is_bounded_by_one_chunk():
     spec = make_process_spec("tvDARMA", ar=["1", "0.2*u", "0.1", "-0.1*u"], ma=["1", "0.1", "0.2*u", "0.1"], seed=5)
-    # u0 = 0.3, radius 16: both windows have an aligned hull of 36 values
-    hull_floats = processes._REPLICATE_CHUNK * 36
+    # u0 = 0.3, radius 16: both windows have an aligned hull of 36 values, so a block holds _WINDOW // 36 of them
+    hull_floats = processes._WINDOW // 36 * 36
 
     def peak(replicates):
         tracemalloc.start()
@@ -811,10 +825,32 @@ def test_decay_experiment_memory_is_bounded_by_one_chunk():
         finally:
             tracemalloc.stop()
 
-    one_chunk, many = peak(processes._REPLICATE_CHUNK), peak(5000)
-    # about 8 chunk x hull floats; past one chunk only the seeds and the errors grow, 16 bytes per replicate
+    one_chunk, many = peak(processes._WINDOW // 36), peak(5000)
+    # about 8 block x hull floats; past one block only the seeds and the errors grow, 16 bytes per replicate
     assert many <= 10 * 8 * hull_floats
     assert many <= 1.1 * one_chunk
+
+
+@pytest.mark.parametrize("mode", ["frozen", "conversion"])
+def test_decay_experiment_memory_is_one_window_at_a_large_radius(mode):
+    # radius 4096: a hull of 8196 values, so a block holds 3 replicates, not all 64
+    spec = make_process_spec("tvDARMA", ar=["1", "0.2*u", "0.1", "-0.1*u"], ma=["1", "0.1", "0.2*u", "0.1"], seed=5)
+    args = dict(spec=spec, mode=mode, T_values=(16384, 32768), u0=0.5, radius=4096, replicates=64, slack=0.0)
+
+    def peak(replicates):
+        tracemalloc.start()
+        try:
+            return decay_experiment(**dict(args, replicates=replicates)).errors, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    (errors, many), (_, one) = peak(64), peak(1)
+    assert errors == full_path_errors(**args)
+    # one replicate peaks at 8.5 windows of floats in frozen mode and 12.2 in conversion mode, where a hull's
+    # conversion rows set the peak; a block of one window's values adds about 1.5, one block of 64 hulls about 90
+    assert many - one <= 2 * 8 * processes._WINDOW
+    if mode == "frozen":
+        assert many <= 12 * 8 * processes._WINDOW
 
 
 @pytest.mark.parametrize("ma", [None, ["1", "0.1", "0.2", "0.3"]])
@@ -944,9 +980,12 @@ def test_simulate_frees_its_rows_before_trend_and_amplitude(name, small, large, 
     assert peak(large) - peak(small) <= floats_per_value * 8 * (large - small)
 
 
-def test_residual_reuses_the_trend_for_its_core():
-    # the tracemalloc peak grows by at most 11.5 floats per value from T = 2**16 to 2**17: the rows, trend and
-    # amplitude, u, the core and two combines.  A trend kept beside the core reads 12
+@pytest.mark.parametrize("small", [1 << 15, 1 << 16])
+def test_residual_memory_is_flat_past_one_window(small):
+    # the tracemalloc peak grows by at most 0.5 floats per value from T = small to 2**17: the residual runs window by
+    # window, so its rows, trend, amplitude, core and two combines are one window's.  A residual that reads the
+    # whole path's rows at once grows by 11 floats per value; one that keeps a window's arrays while it reads the
+    # next window's rows grows by 1.9 from one window (2**15)
     spec = make_process_spec("tvDARMA", ar=["1", "-0.2+0.5*u"], ma=["1", "0.25+0.3*u"], trend="u", amplitude="1+u")
 
     def peak(T):
@@ -958,7 +997,31 @@ def test_residual_reuses_the_trend_for_its_core():
         finally:
             tracemalloc.stop()
 
-    assert peak(1 << 17) - peak(1 << 16) <= 11.5 * 8 * (1 << 16)
+    assert peak(1 << 17) - peak(small) <= 0.5 * 8 * ((1 << 17) - small)
+
+
+_RESIDUAL_SPECS = {
+    "tvdarma": make_process_spec("tvDARMA", ar=["1", "-0.2+0.5*u"], ma=["1", "0.25+0.3*u"], seed=7),
+    "trend_amp": make_process_spec(
+        "tvDARMA", ar=["1", "0.4*cos(2*pi*u)"], ma=["1", "0.3+0.2*u", "0.1", "-0.2*u"], trend="1+0.5*u",
+        amplitude="1.5+0.5*sin(2*pi*u)", distribution="uniform", sigma=0.8, seed=4,
+    ),
+    "figure1": preset_spec("figure1"),
+    "ar4": make_process_spec("tvDAR", ar=["1", "0.3*u", "-0.2", "0.1*cos(2*pi*u)"], trend="-0.5*u", seed=2),
+    "modulated": make_process_spec(
+        "modulated", ma=["1", "0.5+0.25*u"], trend="u", amplitude="2+cos(2*pi*u)", distribution="rademacher", seed=6,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", _RESIDUAL_SPECS)
+def test_residual_in_small_windows_equals_one_window(monkeypatch, name):
+    spec = _RESIDUAL_SPECS[name]
+    path = simulate(spec, 1024)
+    whole = defining_equation_residual(spec, path)  # _WINDOW >= T: one window
+    monkeypatch.setattr(processes, "_WINDOW", 8)
+    assert defining_equation_residual(spec, path).hex() == whole.hex()
+    assert whole < 1e-9
 
 
 # ------------------------------------------------------- conversion row errors
