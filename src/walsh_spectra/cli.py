@@ -12,6 +12,7 @@ polynomial or block, 4 verification failure.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -42,7 +43,7 @@ EXIT_SINGULAR = 3
 EXIT_VERIFY = 4
 
 SLOPE_RANGE = (-1.4, -0.6)
-#: rows formatted and written per step; bounds the text held in memory
+#: rows (for a grid, cells) formatted and written per step; bounds the text held in memory
 CSV_CHUNK_ROWS = 1 << 12
 
 
@@ -70,8 +71,23 @@ def _write_csv(path: str, comment: str, header: list[str], columns) -> None:
 
 
 def _write_grid(path: str, comment: str, header: list[str], rows, cols, values: np.ndarray) -> None:
-    """Write a (len(rows), len(cols)) grid row-major as the CSV columns (row, col, value)."""
-    _write_csv(path, comment, header, [np.repeat(rows, len(cols)), np.tile(cols, len(rows)), values.reshape(-1)])
+    """Write a (len(rows), len(cols)) grid row-major as the CSV columns (row, col, value).
+
+    Each axis value is formatted once, as ``repr(v) + ","``; a cell's line is its row's and its column's text
+    followed by the ``repr`` of its value, `CSV_CHUNK_ROWS` cells at a time.  The bytes are those of `_write_csv`
+    on the expanded columns.
+    """
+    if values.shape != (len(rows), len(cols)):
+        raise ValueError(f"grid values have shape {values.shape}, axes give {(len(rows), len(cols))}")
+    row_text, col_text = ([repr(v) + "," for v in axis.tolist()] for axis in (rows, cols))
+    labels = map("".join, itertools.product(row_text, col_text))
+    with open(path, "w", newline="\n") as fh:
+        fh.write(comment + "\n")
+        fh.write(",".join(header) + "\n")
+        for lo in range(0, values.size, CSV_CHUNK_ROWS):
+            cells = map(repr, values.flat[lo : lo + CSV_CHUNK_ROWS].tolist())
+            fh.write("\n".join(map(str.__add__, itertools.islice(labels, CSV_CHUNK_ROWS), cells)))
+            fh.write("\n")
 
 
 def _write_json(path: str, spec: ProcessSpec, payload: dict) -> None:

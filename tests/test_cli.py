@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import walsh_spectra.processes as processes
-from walsh_spectra.cli import CSV_CHUNK_ROWS, _write_csv, build_parser, main
+from walsh_spectra.cli import CSV_CHUNK_ROWS, _write_csv, _write_grid, build_parser, main
 from walsh_spectra.processes import DISTRIBUTIONS, simulate, simulate_frozen, spawn_seed, spec_from_dict
 
 from oracles import oracle_window_sup_error
@@ -504,32 +504,42 @@ def test_periodogram_evaluates_the_curves_once_per_command(tmp_path, monkeypatch
     assert per_command[0] and per_command[0] == per_command[1]
 
 
-def periodogram_growth(tmp_path, replicates: int) -> float:
-    """Growth of figure1's `periodogram` tracemalloc peak from T = 2**13 to 2**14, in floats per added value."""
-    def peak(T):
-        args = ["periodogram", "--preset", "figure1", "--T", str(T), "--segments", "512"]
-        args += ["--replicates", str(replicates)]
-        tracemalloc.start()
-        try:
-            assert main(args + ["--out", str(tmp_path / "pgram.csv")]) == 0
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+PERIODOGRAM_T = 1 << 15
 
-    peak(1 << 13)
-    return (peak(1 << 14) - peak(1 << 13)) / (8 * (1 << 13))
+
+def run_periodogram(tmp_path, replicates: int) -> int:
+    """figure1's `periodogram` at T = PERIODOGRAM_T; returns its tracemalloc peak in bytes."""
+    args = ["periodogram", "--preset", "figure1", "--T", str(PERIODOGRAM_T), "--segments", "512"]
+    args += ["--replicates", str(replicates), "--out", str(tmp_path / "pgram.csv")]
+    tracemalloc.start()
+    try:
+        assert main(args) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def test_periodogram_frees_each_replicates_path(tmp_path):
-    # at most 7.  Holding the last replicate's path, its values and innovations, while the next one is drawn and
-    # the grid written reads about 8
-    assert periodogram_growth(tmp_path, 3) <= 7
+    # 3 replicates peak above 1 by at most 2 floats per value: the running sum of the grids (about 0.97) is all
+    # they add.  Keeping a replicate's path alive while the next one is drawn reads about 2.94
+    run_periodogram(tmp_path, 1)
+    extra = run_periodogram(tmp_path, 3) - run_periodogram(tmp_path, 1)
+    assert extra / (8 * PERIODOGRAM_T) <= 2
 
 
-def test_periodogram_writes_its_grid_without_the_last_replicates(tmp_path):
-    # at most 5: the CSV write sets this peak.  Keeping the last replicate's grid and a divided copy of the sum
-    # alive through it reads about 6.3
-    assert periodogram_growth(tmp_path, 1) <= 5
+def test_periodogram_writes_its_grid_without_the_last_replicates(tmp_path, monkeypatch):
+    # on entering the writer the command holds at most 1.75 floats per value: the mean grid and caches read about
+    # 1.25.  Keeping the last replicate's grid alive through the write reads about 2.25
+    held = []
+
+    def spy(*args):
+        held.append(tracemalloc.get_traced_memory()[0])
+        return _write_grid(*args)
+
+    run_periodogram(tmp_path, 1)
+    monkeypatch.setattr("walsh_spectra.cli._write_grid", spy)
+    run_periodogram(tmp_path, 1)
+    assert len(held) == 1 and held[0] / (8 * PERIODOGRAM_T) <= 1.75
 
 
 def test_periodogram_judges_singular_blocks_as_simulate_does(tmp_path):
@@ -759,11 +769,16 @@ def test_version_flag():
 # ----------------------------------------------------------------- CSV writer
 
 
+def _reference_cell(v) -> str:
+    """Plain decimal for an int, shortest round-trip repr for a float."""
+    return str(int(v)) if isinstance(v, np.integer) else repr(float(v))
+
+
 def _reference_csv(comment, header, columns):
-    """Row by row: plain decimal for ints, shortest round-trip repr for floats."""
+    """Row by row, each cell by `_reference_cell`."""
     lines = [comment, ",".join(header)]
     for row in zip(*columns):
-        lines.append(",".join(str(int(v)) if isinstance(v, np.integer) else repr(float(v)) for v in row))
+        lines.append(",".join(map(_reference_cell, row)))
     return "".join(line + "\n" for line in lines)
 
 
@@ -788,6 +803,67 @@ def test_write_csv_matches_row_reference(tmp_path, rows):
 def test_write_csv_rejects_ragged_columns(tmp_path):
     with pytest.raises(ValueError):
         _write_csv(str(tmp_path / "out.csv"), "#", ["a", "b"], [np.arange(3), np.arange(4.0)])
+
+
+def _reference_grid(comment, header, rows, cols, values):
+    """Row by row and column by column, each cell by `_reference_cell`."""
+    lines = [comment, ",".join(header)]
+    for i, r in enumerate(rows):
+        for j, c in enumerate(cols):
+            lines.append(",".join(map(_reference_cell, (r, c, values[i, j]))))
+    return "".join(line + "\n" for line in lines)
+
+
+@pytest.mark.parametrize("shape, chunk", [
+    ((1, 1), None), ((1, 11), None), ((11, 1), None), ((65, 65), None),
+    ((3, 5), 7), ((4, 7), 7),  # chunks of 7 cells end mid-row in a 3x5 grid and at a row's end in a 4x7 one
+])
+@pytest.mark.parametrize("int_cols", [False, True], ids=["float-cols", "int-cols"])
+def test_write_grid_matches_row_reference(tmp_path, monkeypatch, shape, chunk, int_cols):
+    if chunk is not None:
+        monkeypatch.setattr("walsh_spectra.cli.CSV_CHUNK_ROWS", chunk)
+    n_rows, n_cols = shape
+    rng = np.random.default_rng(n_rows * n_cols)
+    rows = np.arange(n_rows) / n_rows
+    rows[: len(SPECIAL_FLOATS)] = SPECIAL_FLOATS[:n_rows]
+    if int_cols:  # `convert`'s coefficient index j
+        cols = np.arange(n_cols, dtype=np.int64) - n_cols // 2
+    else:
+        cols = np.linspace(0.0, np.pi, n_cols)
+        cols[: len(SPECIAL_FLOATS)] = SPECIAL_FLOATS[-n_cols:]
+    flat = rng.standard_normal(n_rows * n_cols) * 10.0 ** rng.integers(-20, 20, n_rows * n_cols)
+    flat[: len(SPECIAL_FLOATS)] = SPECIAL_FLOATS[: flat.size]
+    values = np.asfortranarray(flat.reshape(shape))  # the column-major layout a batched FWHT returns
+    out = tmp_path / "out.csv"
+    _write_grid(str(out), "# comment", ["u", "x", "g"], rows, cols, values)
+    assert out.read_bytes() == _reference_grid("# comment", ["u", "x", "g"], rows, cols, values).encode()
+
+
+@pytest.mark.parametrize("shape", [(4, 3), (2, 6), (12,), (3, 4, 1)])
+def test_write_grid_rejects_values_of_another_shape(tmp_path, shape):
+    out = tmp_path / "out.csv"
+    with pytest.raises(ValueError, match=r"grid values have shape"):
+        _write_grid(str(out), "#", ["u", "x", "g"], np.arange(3.0), np.arange(4), np.zeros(shape))
+    assert not out.exists()
+
+
+def test_write_grid_memory_does_not_grow_with_the_grid(tmp_path):
+    # the writer's tracemalloc peak grows by at most 1.5 floats per cell from 2**14 to 2**15 cells: it holds one
+    # chunk of text and each axis's labels.  Expanding the axes to full columns (and copying a column-major grid to
+    # row-major order) reads about 3
+    cols = np.linspace(0.0, np.pi, 512)
+
+    def peak(n_rows):
+        values = np.asfortranarray(np.random.default_rng(n_rows).standard_normal((n_rows, cols.size)))
+        tracemalloc.start()
+        try:
+            _write_grid(str(tmp_path / "out.csv"), "#", ["u", "x", "I"], np.arange(n_rows) / n_rows, cols, values)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(32)
+    assert (peak(64) - peak(32)) / (8 * 32 * cols.size) <= 1.5
 
 
 @pytest.mark.parametrize("field, value, message", [

@@ -173,6 +173,22 @@ def test_only_check_horizon_and_decay_experiment_read_the_window():
     assert owners == {("processes.py", "_check_horizon"), ("processes.py", "decay_experiment")}
 
 
+def test_cli_formats_each_table_shape_one_way():
+    # a CSV cell's text comes from cli._write_csv (equal-length columns) or cli._write_grid (a grid, each axis
+    # value formatted once), and no grid axis is expanded to a full column
+    def uses(node, owner):
+        """(name, innermost enclosing function) of each name or attribute under node."""
+        for child in ast.iter_child_nodes(node):
+            name = getattr(child, "id", None) or getattr(child, "attr", None)
+            if name is not None:
+                yield name, owner
+            yield from uses(child, child.name if isinstance(child, ast.FunctionDef) else owner)
+
+    found = list(uses(ast.parse((SRC / "cli.py").read_text()), None))
+    assert {owner for name, owner in found if name == "repr"} == {"_write_csv", "_write_grid"}
+    assert [(name, owner) for name, owner in found if name in ("repeat", "tile")] == []
+
+
 def test_no_module_imports_another_modules_private_names():
     # a `_` name is private to its module; dunders such as __version__ are not
     offenders = [
