@@ -521,7 +521,7 @@ def run_periodogram(tmp_path, replicates: int) -> int:
 
 def test_periodogram_frees_each_replicates_path(tmp_path):
     # 3 replicates peak above 1 by at most 2 floats per value: the running sum of the grids (about 0.97) is all
-    # they add.  Keeping a replicate's path alive while the next one is drawn reads about 2.94
+    # they add.  Keeping a replicate's path alive while the next one is drawn reads about 3
     run_periodogram(tmp_path, 1)
     extra = run_periodogram(tmp_path, 3) - run_periodogram(tmp_path, 1)
     assert extra / (8 * PERIODOGRAM_T) <= 2
@@ -529,7 +529,7 @@ def test_periodogram_frees_each_replicates_path(tmp_path):
 
 def test_periodogram_writes_its_grid_without_the_last_replicates(tmp_path, monkeypatch):
     # on entering the writer the command holds at most 1.75 floats per value: the mean grid and caches read about
-    # 1.25.  Keeping the last replicate's grid alive through the write reads about 2.25
+    # 1.25.  Keeping the last replicate's grid alive through the write reads about 2.2
     held = []
 
     def spy(*args):
