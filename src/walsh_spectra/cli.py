@@ -55,18 +55,19 @@ def _provenance(spec: ProcessSpec | None, **extra) -> str:
     return "# " + " ".join(f"{k}={v}" for k, v in fields.items())
 
 
-def _write_csv(path: str, comment: str, header: list[str], columns) -> None:
-    """Write equal-length 1-D arrays as CSV columns, `CSV_CHUNK_ROWS` rows at a time.
+def _write_path(path: str, comment: str, values: np.ndarray) -> None:
+    """Write a sample path as the CSV columns (t, u, x_value), `CSV_CHUNK_ROWS` rows at a time.
 
-    ``tolist`` gives Python ints and floats, whose ``repr`` is the plain or
-    the shortest round-trip decimal, so the text reads back to the same number.
+    Each chunk's t and u = t / T are made from its row numbers.  ``tolist`` gives Python ints and floats, whose
+    ``repr`` is the plain or the shortest round-trip decimal, so the text reads back to the same number.
     """
+    T = values.size
     with open(path, "w", newline="\n") as fh:
-        fh.write(comment + "\n")
-        fh.write(",".join(header) + "\n")
-        for lo in range(0, len(columns[0]), CSV_CHUNK_ROWS):
-            cells = (map(repr, c[lo : lo + CSV_CHUNK_ROWS].tolist()) for c in columns)
-            fh.write("\n".join(map(",".join, zip(*cells, strict=True))))
+        fh.write(comment + "\nt,u,x_value\n")
+        for lo in range(0, T, CSV_CHUNK_ROWS):
+            t = np.arange(lo, min(lo + CSV_CHUNK_ROWS, T))
+            cells = (map(repr, c.tolist()) for c in (t, t / T, values[lo : lo + CSV_CHUNK_ROWS]))
+            fh.write("\n".join(map(",".join, zip(*cells))))
             fh.write("\n")
 
 
@@ -74,8 +75,7 @@ def _write_grid(path: str, comment: str, header: list[str], rows, cols, values: 
     """Write a (len(rows), len(cols)) grid row-major as the CSV columns (row, col, value).
 
     Each axis value is formatted once, as ``repr(v) + ","``; a cell's line is its row's and its column's text
-    followed by the ``repr`` of its value, `CSV_CHUNK_ROWS` cells at a time.  The bytes are those of `_write_csv`
-    on the expanded columns.
+    followed by the ``repr`` of its value, `CSV_CHUNK_ROWS` cells at a time.
     """
     if values.shape != (len(rows), len(cols)):
         raise ValueError(f"grid values have shape {values.shape}, axes give {(len(rows), len(cols))}")
@@ -154,11 +154,10 @@ def _parse_T_list(text: str) -> list[int]:
 
 def _cmd_simulate(args) -> int:
     spec = _load_spec(args)
-    path = simulate(spec, args.T)
-    u = np.arange(path.length) / path.length
-    comment = _provenance(spec, seed=spec.innovations.seed, T=path.length, command="simulate")
-    _write_csv(args.out, comment, ["t", "u", "x_value"], [np.arange(path.length), u, path.values])
-    sidecar = {"T": path.length, "command": "simulate", "seed": spec.innovations.seed, "spec": spec.to_dict()}
+    values = simulate(spec, args.T).values  # the innovations are freed before the write
+    comment = _provenance(spec, seed=spec.innovations.seed, T=values.size, command="simulate")
+    _write_path(args.out, comment, values)
+    sidecar = {"T": values.size, "command": "simulate", "seed": spec.innovations.seed, "spec": spec.to_dict()}
     _write_json(args.out + ".json", spec, sidecar)
     return EXIT_OK
 

@@ -39,7 +39,9 @@ KINDS = ("tvDMA", "tvDAR", "tvDARMA", "modulated")
 #: kinds with a unit autoregressive block: the core is a finite XOR-lag sum of innovations
 MA_KINDS = ("tvDMA", "modulated")
 DISTRIBUTIONS = ("gaussian", "rademacher", "uniform")
-_WINDOW = 1 << 15  #: values per window of every pass over a path, sized in `_check_horizon`: it holds one window's
+#: values per window of every pass over a path, sized in `_check_horizon`: a pass holds one window's coefficient
+#: rows, trend, amplitude and core at a time, so its working set does not grow with the path
+_WINDOW = 1 << 15
 
 _M64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -480,10 +482,10 @@ def simulate_seeds(spec: ProcessSpec, T: int, seeds):
 def defining_equation_residual(spec: ProcessSpec, path: SamplePath) -> float:
     """Max over t of |sum_k b_k(t/T) core_{t XOR k} - sum_n a_n(t/T) eps_{t XOR n}|, in `simulate`'s windows.
 
-    ``core`` is the path with trend removed and amplitude divided out, so a ValueError naming the first
-    such u is raised where the amplitude is 0; as in `simulate`, a defect of the spec is reported from
-    the first window that holds one.  The path's values and innovations are finite series of one
-    power-of-two length, at least the coefficient block's.
+    ``core`` is the path with trend removed and amplitude divided out.  A ValueError naming the first u is
+    raised where the amplitude is 0, the core overflows or a window's defect does, so the result is finite; as
+    in `simulate`, a defect of the spec is reported from the first window that holds one.  The path's values
+    and innovations are finite series of one power-of-two length, at least the coefficient block's.
     """
     values = as_finite_array(path.values, "path.values")
     T, n = _check_horizon(values.size, spec, "path length")
@@ -496,11 +498,21 @@ def defining_equation_residual(spec: ProcessSpec, path: SamplePath) -> float:
         if not amp.all():
             u = (lo + np.argmin(amp != 0.0)) / T
             raise ValueError(f"amplitude vanishes at u={u}: the core process is undefined there")
-        core = np.divide(values[lo : lo + n] - trend, amp, out=trend)  # in the trend's buffer, which is not read again
-        defect = _dma_combine(b_rows, core) - _dma_combine(a_rows, eps[lo : lo + n])
-        worst = np.maximum(worst, np.max(np.abs(defect)))  # a NaN stays, as in one max over the path
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is raised below, naming its first u
+            core = np.divide(values[lo : lo + n] - trend, amp, out=trend)  # in the trend's buffer, not read again
+            _check_finite(core, lo, T, "the core (path - trend) / amplitude")
+            defect = np.abs(_dma_combine(b_rows, core) - _dma_combine(a_rows, eps[lo : lo + n]))
+            _check_finite(defect, lo, T, "the defining equation's defect")
+        worst = max(worst, float(np.max(defect)))
         del b_rows, a_rows, trend, amp, core, defect  # freed before the next window's rows are read
-    return float(worst)
+    return worst
+
+
+def _check_finite(x: np.ndarray, lo: int, T: int, what: str) -> None:
+    """Raise a ValueError naming u = t / T at the first t where x, the window of t >= lo, is not finite."""
+    finite = np.isfinite(x)
+    if not finite.all():
+        raise ValueError(f"{what} overflows at u={(lo + np.argmin(finite)) / T}")
 
 
 def dma_coefficient_rows(spec: ProcessSpec, u) -> np.ndarray:

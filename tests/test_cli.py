@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import walsh_spectra.processes as processes
-from walsh_spectra.cli import CSV_CHUNK_ROWS, _write_csv, _write_grid, build_parser, main
+from walsh_spectra.cli import CSV_CHUNK_ROWS, _write_grid, _write_path, build_parser, main
 from walsh_spectra.processes import DISTRIBUTIONS, simulate, simulate_frozen, spawn_seed, spec_from_dict
 
 from oracles import oracle_window_sup_error
@@ -785,24 +785,65 @@ def _reference_csv(comment, header, columns):
 SPECIAL_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e22, 1e16, 0.1, -2.5e-300, 1.7976931348623157e308, math.nan, -math.inf]
 
 
-@pytest.mark.parametrize("rows", [
-    1, CSV_CHUNK_ROWS - 1, CSV_CHUNK_ROWS, CSV_CHUNK_ROWS + 1, 2 * CSV_CHUNK_ROWS + 3,
+@pytest.mark.parametrize("T, chunk", [
+    (1, None), (CSV_CHUNK_ROWS - 1, None), (CSV_CHUNK_ROWS, None), (CSV_CHUNK_ROWS + 1, None),
+    (2 * CSV_CHUNK_ROWS + 3, None),
+    (7, 7), (25, 7),  # chunks of 7 rows: one whole chunk, and three that end mid-path before a short fourth
 ])
-def test_write_csv_matches_row_reference(tmp_path, rows):
-    rng = np.random.default_rng(rows)
-    ints = np.arange(rows, dtype=np.int64) - rows // 2
-    floats = rng.standard_normal(rows) * 10.0 ** rng.integers(-20, 20, rows)
-    floats[: len(SPECIAL_FLOATS)] = SPECIAL_FLOATS[:rows]
-    grid = np.arange(rows) / rows
-    columns = [ints, floats, grid]
+def test_write_path_matches_row_reference(tmp_path, monkeypatch, T, chunk):
+    if chunk is not None:
+        monkeypatch.setattr("walsh_spectra.cli.CSV_CHUNK_ROWS", chunk)
+    rng = np.random.default_rng(T)
+    values = rng.standard_normal(T) * 10.0 ** rng.integers(-20, 20, T)
+    values[: len(SPECIAL_FLOATS)] = SPECIAL_FLOATS[:T]
     out = tmp_path / "out.csv"
-    _write_csv(str(out), "# comment", ["i", "x", "u"], columns)
-    assert out.read_bytes() == _reference_csv("# comment", ["i", "x", "u"], columns).encode()
+    _write_path(str(out), "# comment", values)
+    columns = [np.arange(T), np.arange(T) / T, values]
+    assert out.read_bytes() == _reference_csv("# comment", ["t", "u", "x_value"], columns).encode()
 
 
-def test_write_csv_rejects_ragged_columns(tmp_path):
-    with pytest.raises(ValueError):
-        _write_csv(str(tmp_path / "out.csv"), "#", ["a", "b"], [np.arange(3), np.arange(4.0)])
+SIMULATE_T = 1 << 15
+
+
+def test_simulate_writes_its_path_from_the_values_alone(tmp_path, monkeypatch):
+    # on entering the writer the command holds at most 1.5 floats per value: the path's values and caches read
+    # about 1.23.  Keeping the SamplePath (and so its innovations) alive through the write reads about 2.23, and
+    # building whole-path t and u columns for the writer about 3.23
+    held = []
+
+    def spy(*args):
+        held.append(tracemalloc.get_traced_memory()[0])
+        return _write_path(*args)
+
+    def run():
+        tracemalloc.start()
+        try:
+            assert main(["simulate", "--preset", "figure1", "--T", str(SIMULATE_T), "--out", str(out)]) == 0
+        finally:
+            tracemalloc.stop()
+
+    out = tmp_path / "path.csv"
+    run()
+    monkeypatch.setattr("walsh_spectra.cli._write_path", spy)
+    run()
+    assert len(held) == 1 and held[0] / (8 * SIMULATE_T) <= 1.5
+
+
+def test_write_path_memory_does_not_grow_with_the_path(tmp_path):
+    # the writer's tracemalloc peak grows by at most 1 float per value from 2**15 to 2**16 values: it holds one
+    # chunk of text and makes each chunk's t and u from its row numbers (about 0.03).  Building whole-path t and u
+    # in the writer reads about 2.03
+    def peak(T):
+        values = np.random.default_rng(T).standard_normal(T)
+        tracemalloc.start()
+        try:
+            _write_path(str(tmp_path / "out.csv"), "#", values)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(SIMULATE_T)
+    assert (peak(2 * SIMULATE_T) - peak(SIMULATE_T)) / (8 * SIMULATE_T) <= 1
 
 
 def _reference_grid(comment, header, rows, cols, values):

@@ -19,6 +19,8 @@ REMOVED = (
     "to_autoregressive",
     "curve_matrix",
     "_REPLICATE_CHUNK",
+    "_write_csv",
+    "ConfigError",
 )
 SRC = Path(walsh_spectra.__file__).parent
 
@@ -38,15 +40,12 @@ def test_exports_are_the_imported_public_names():
 
 
 def test_removed_aliases_are_gone():
-    from walsh_spectra import dyadic, poly, processes, spectra
+    from walsh_spectra import cli, dyadic, poly, processes, spectra
 
     for name in REMOVED:
         assert name not in walsh_spectra.__all__
-        for module in (walsh_spectra, dyadic, poly, processes, spectra):
+        for module in (walsh_spectra, cli, dyadic, poly, processes, spectra):
             assert not hasattr(module, name), (module.__name__, name)
-    from walsh_spectra import cli
-
-    assert not hasattr(cli, "ConfigError")
 
 
 def outside_dyadic(pattern: str) -> list[str]:
@@ -174,8 +173,9 @@ def test_only_check_horizon_and_decay_experiment_read_the_window():
 
 
 def test_cli_formats_each_table_shape_one_way():
-    # a CSV cell's text comes from cli._write_csv (equal-length columns) or cli._write_grid (a grid, each axis
-    # value formatted once), and no grid axis is expanded to a full column
+    # a CSV cell's text comes from cli._write_path (a sample path, whose t and u it makes per chunk) or
+    # cli._write_grid (a grid, each axis value formatted once); no grid axis is expanded to a full column, and
+    # simulate hands the writer the path's values alone
     def uses(node, owner):
         """(name, innermost enclosing function) of each name or attribute under node."""
         for child in ast.iter_child_nodes(node):
@@ -185,8 +185,9 @@ def test_cli_formats_each_table_shape_one_way():
             yield from uses(child, child.name if isinstance(child, ast.FunctionDef) else owner)
 
     found = list(uses(ast.parse((SRC / "cli.py").read_text()), None))
-    assert {owner for name, owner in found if name == "repr"} == {"_write_csv", "_write_grid"}
+    assert {owner for name, owner in found if name == "repr"} == {"_write_path", "_write_grid"}
     assert [(name, owner) for name, owner in found if name in ("repeat", "tile")] == []
+    assert ("arange", "_cmd_simulate") not in found
 
 
 def test_no_module_imports_another_modules_private_names():

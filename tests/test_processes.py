@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 from dataclasses import replace
 from unittest import mock
 
@@ -17,6 +18,7 @@ from walsh_spectra.processes import (
     KINDS,
     MA_KINDS,
     InnovationSpec,
+    SamplePath,
     SingularBlockError,
     _block_solve,
     _dma_combine,
@@ -392,6 +394,32 @@ def test_residual_refuses_zero_amplitude(spec, T, u):
     path = simulate(make_process_spec("tvDMA", ma=["1", "0.5"]), T)
     with pytest.raises(ValueError, match=rf"^amplitude vanishes at u={u}: the core process is undefined there$"):
         defining_equation_residual(spec, path)
+
+
+@pytest.mark.parametrize("window", [1 << 16, 8], ids=["one-window", "8-value-windows"])
+def test_residual_refuses_an_overflowing_core(monkeypatch, window):
+    # an amplitude of 1e-310 divides a finite path past the float range, so the core overflows from u = 0: the
+    # residual once returned NaN there after numpy's overflow and invalid-value warnings
+    coefficients = {"ar": ["1", "0.5"], "ma": ["1", "0.5"], "seed": 7}
+    path = simulate(make_process_spec("tvDARMA", **coefficients), 1 << 16)
+    monkeypatch.setattr(processes, "_WINDOW", window)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match=r"^the core \(path - trend\) / amplitude overflows at u=0\.0$"):
+            defining_equation_residual(make_process_spec("tvDARMA", amplitude="1e-310", **coefficients), path)
+
+
+@pytest.mark.parametrize("window", [64, 8], ids=["one-window", "8-value-windows"])
+def test_residual_refuses_an_overflowing_defect(monkeypatch, window):
+    # from u = 0.75 the core is 1.5e308, finite, but b_0 core_t + b_1 core_{t XOR 1} overflows: the defect is
+    # refused there rather than returned as inf
+    spec = make_process_spec("tvDARMA", ar=["1", "0.5"], ma=["1"])
+    values = np.where(np.arange(64) < 48, 0.0, 1.5e308)
+    monkeypatch.setattr(processes, "_WINDOW", window)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match=r"^the defining equation's defect overflows at u=0\.75$"):
+            defining_equation_residual(spec, SamplePath(values, np.zeros(64)))
 
 
 def block_condition(spec, T, block):
