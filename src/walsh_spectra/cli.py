@@ -21,7 +21,6 @@ import warnings
 import numpy as np
 
 from . import __version__
-from .curves import CurveDomainError
 from .dyadic import as_int, block_exponent
 from .poly import SingularPolynomialError, grid_ratio
 from .presets import preset_names, preset_spec
@@ -91,10 +90,11 @@ def _write_grid(path: str, comment: str, header: list[str], rows, cols, values: 
 
 
 def _write_json(path: str, spec: ProcessSpec, payload: dict) -> None:
-    """Write ``payload`` with the spec fingerprint and tool version as sorted, indented JSON."""
+    """Write ``payload`` with the spec fingerprint and tool version as sorted, indented JSON; NaN or inf raises."""
+    payload = {**payload, "fingerprint": spec.fingerprint(), "version": __version__}
+    text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)  # before the file is opened
     with open(path, "w", newline="\n") as fh:
-        json.dump({**payload, "fingerprint": spec.fingerprint(), "version": __version__}, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _load_spec(args) -> ProcessSpec:
@@ -363,7 +363,7 @@ def main(argv=None) -> int:
     except SingularBlockError as exc:
         _error("singular-block", str(exc))
         return EXIT_SINGULAR
-    except (ValueError, OSError, CurveDomainError) as exc:
+    except (ValueError, OSError, ArithmeticError) as exc:
         _error("config", str(exc))
         return EXIT_CONFIG
     except MemoryError as exc:

@@ -422,19 +422,20 @@ def _frozen(spec: ProcessSpec, u0: float) -> ProcessSpec:
     return replace(spec, ar=ar, ma=ma, trend=constant(trend[0]), amplitude=constant(amplitude[0]))
 
 
-def _paths(spec: ProcessSpec, T: int, lo: int, hi: int, slack: float = 0.0):
+def _paths(spec: ProcessSpec, T: int, lo: int, hi: int, slack: float = 0.0, read=_rows):
     """``path(eps)`` = trend + amplitude * core, the values on an aligned window lo <= t < hi.
 
-    `_rows` reads the spec at u = t/T once for every run.  XOR couples t only inside its aligned block, so the values
-    equal the whole path's; `_block_solve` numbers a singular block, the worst in the window, on the whole path.
+    ``read`` (`_rows`, or `_dma_rows` for the frozen moving-average form) reads the spec at u = t/T once for every
+    run.  XOR couples t only inside its aligned block, so the values equal the whole path's; `_block_solve` numbers
+    a singular block, the worst in the window, on the whole path.
     """
-    b_rows, a_rows, trend, amp = _rows(spec, np.arange(lo, hi) / T)
+    b_rows, a_rows, trend, amp = read(spec, np.arange(lo, hi) / T)
     if slack:  # +-slack/T on the rows: rescaled and actual coefficients then differ at order 1/T
         for rows in (b_rows, a_rows):
             rows += slack / T * (1.0 - 2.0 * ((np.arange(lo, hi)[:, None] + np.arange(rows.shape[1])) & 1))
     def path(eps: np.ndarray) -> np.ndarray:
         core = _dma_combine(a_rows, eps)
-        return trend + amp * (core if spec.kind in MA_KINDS else _block_solve(b_rows, core, lo // len(spec.ar)))
+        return trend + amp * (core if spec.kind in MA_KINDS else _block_solve(b_rows, core, lo // b_rows.shape[1]))
     return path
 
 
@@ -524,15 +525,15 @@ def dma_coefficient_rows(spec: ProcessSpec, u) -> np.ndarray:
     `SingularPolynomialError` naming the first offending u when the AR
     polynomial vanishes on the grid there.
     """
-    return _dma_rows(spec, as_finite_array(np.atleast_1d(u), "u"))[0]
+    return _dma_rows(spec, as_finite_array(np.atleast_1d(u), "u"))[1]
 
 
-def _dma_rows(spec: ProcessSpec, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`dma_coefficient_rows` at a checked one-dimensional float64 u, and the trend there."""
+def _dma_rows(spec: ProcessSpec, u: np.ndarray) -> tuple[np.ndarray, ...]:
+    """`_rows` of the frozen moving-average form: unit b rows, `dma_coefficient_rows` at u, trend, unit amplitude."""
     b_rows, a_rows, trend, amp = _rows(spec, u)
     if spec.kind not in MA_KINDS:
         a_rows = grid_ratio(a_rows, b_rows, where=u)
-    return a_rows * amp[:, None], trend
+    return np.ones((u.size, 1)), a_rows * amp[:, None], trend, np.ones(u.size)
 
 
 # --------------------------------------------------------------------------
@@ -609,11 +610,8 @@ def decay_experiment(
     for T, window in zip(T_values, windows):
         lo, hi = window.start // L * L, -(-window.stop // L) * L
         x_tv = _paths(spec, T, lo, hi, slack)
-        if frozen is not None:  # frozen rows do not depend on t: laid at 0, blocks are numbered as `simulate_frozen`'s
-            x_cmp = _paths(frozen, T, 0, hi - lo)
-        else:
-            k_rows, trend = _dma_rows(spec, np.arange(lo, hi) / T)  # amplitude folded into k_rows
-            x_cmp = lambda eps: trend + _dma_combine(k_rows, eps)
+        # frozen rows do not depend on t: laid at 0, blocks are numbered as `simulate_frozen`'s
+        x_cmp = _paths(frozen, T, 0, hi - lo) if frozen is not None else _paths(spec, T, lo, hi, read=_dma_rows)
         read = slice(window.start - lo, window.stop - lo)
         errs = np.empty(replicates)  # the sup-error of each replicate
         per_block = max(1, _WINDOW // (hi - lo))  # a block holds one window's values

@@ -982,6 +982,30 @@ def test_deeply_nested_spec_file_exits_with_a_config_error(tmp_path):
     assert err["message"].startswith("spec file is nested too deeply: ")
 
 
+def test_sigma_squared_overflow_exits_with_a_config_error(tmp_path):
+    # the density's sigma**2 overflows a Python float: an OverflowError exited 1 with a traceback
+    spec = write_spec(tmp_path, {"kind": "tvDMA", "ma": ["1"], "sigma": 1e300})
+    out = tmp_path / "grid.csv"
+    run = fresh_cli(["spectrum", "--spec", spec, "--out", str(out)])
+    assert run.returncode == 2
+    assert "Traceback" not in run.stderr
+    assert one_json_line(run.stderr) == {"error": "config", "message": "(34, 'Numerical result out of range')"}
+    assert not out.exists()
+
+
+def test_verify_report_that_is_not_finite_is_not_written(tmp_path):
+    # the errors overflow to inf - inf = nan: the report held NaN, which is not JSON, and exited 0
+    spec = write_spec(tmp_path, {"kind": "modulated", "ma": ["1"], "amplitude": "1e200", "sigma": 1e300})
+    out = tmp_path / "report.json"
+    run = fresh_cli(["verify", "--spec", spec, "--mode", "frozen", "--T", "64,128", "--out", str(out)])
+    assert run.returncode == 2
+    assert run.stdout == "" and "Traceback" not in run.stderr
+    assert one_json_line(run.stderr) == {
+        "error": "config", "message": "Out of range float values are not JSON compliant: nan"
+    }
+    assert not out.exists()
+
+
 def test_verify_frozen_errors_equal_the_mean_library_error(tmp_path):
     # the frozen trend u^3 is evaluated at the scalar u0, the time-varying one on an array
     u0, Ts, radius, reps = 0.38042426988653233, (128, 256, 512), 4, 3

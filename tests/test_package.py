@@ -126,9 +126,25 @@ def calls_outside(name: str, owner: str, skip: str | None = None) -> list[tuple[
 
 
 def test_only_paths_calls_block_solve():
-    # slack, the XOR core and solve, and trend + amplitude * core belong to processes._paths
+    # slack, the XOR core and solve, and trend + amplitude * core belong to processes._paths, whichever reader
+    # gives it the rows: `_rows`, or `_dma_rows` for the frozen moving-average form of verify's conversion side
     assert len(calls_outside("_block_solve", "_paths")) == 1
     assert not hasattr(walsh_spectra.processes, "_cores") and not hasattr(walsh_spectra.processes, "_core_values")
+
+
+def test_only_paths_builds_a_path_from_the_combine():
+    # every path is a processes._paths path; the block solve's residual and the defining equation's defect
+    # combine rows too, but build no path
+    callers = {
+        (path.name, func.name)
+        for path in sorted(SRC.glob("*.py"))
+        for func in ast.parse(path.read_text()).body
+        if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func)
+        if isinstance(node, ast.Call)
+        and "_dma_combine" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    }
+    assert callers == {("processes.py", name) for name in ("_paths", "_block_solve", "defining_equation_residual")}
 
 
 def test_only_block_solve_constructs_singular_block_error():

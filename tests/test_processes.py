@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import walsh_spectra.processes as processes
 from walsh_spectra.curves import CurveSyntaxError, UnknownIdentifierError, eval_curve, parse
 from walsh_spectra.dyadic import block_exponent
-from walsh_spectra.poly import SingularPolynomialError
+from walsh_spectra.poly import SingularPolynomialError, grid_ratio
 from walsh_spectra.presets import preset_spec
 from walsh_spectra.processes import (
     DISTRIBUTIONS,
@@ -22,6 +22,8 @@ from walsh_spectra.processes import (
     SingularBlockError,
     _block_solve,
     _dma_combine,
+    _dma_rows,
+    _draw,
     _frozen,
     _paths,
     _window,
@@ -949,6 +951,34 @@ def test_windowed_path_numbers_a_singular_block_like_simulate(ma, data):
     with pytest.raises(SingularBlockError) as in_window:
         path(make_innovations(spec.innovations, hi - lo, start=lo))
     assert in_window.value.block_index == on_path.value.block_index == 16
+
+
+_CONVERSION_SPECS = [
+    make_process_spec("tvDAR", ar=["1", "0.3*sin(2*pi*u)"], trend="2*u-1", amplitude="1+u*u", seed=4),
+    make_process_spec("tvDAR", ar=["1", "0.2*u", "-0.1", "0.1*cos(3*u)"], trend="sin(3*u)", amplitude="0.5+u", seed=5),
+    make_process_spec("tvDARMA", ar=["1", "0.2*u"], ma=["1", "0.4*cos(2*u)"], trend="u", amplitude="2-u", seed=6),
+    make_process_spec(
+        "tvDARMA", ar=["1", "0.1*u", "0.1", "-0.2*u"], ma=["1", "0.3", "u/5", "0.1"], trend="exp(u)", amplitude="1+u/3",
+        seed=7,
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "spec", _CONVERSION_SPECS, ids=[f"{s.kind}-L{max(len(s.ar), len(s.ma))}" for s in _CONVERSION_SPECS]
+)
+def test_conversion_comparator_is_the_frozen_moving_average_path(spec):
+    # verify's conversion side, a `_paths` path read by `_dma_rows`, keeps the bits of the hand-built
+    # trend + sum_k (K_k * amplitude)(t/T) eps_{t XOR k} on a hull that does not start at 0, one row per replicate
+    T, lo, hi = 64, 8, 40
+    u = np.arange(lo, hi) / T
+    b_rows, a_rows = coefficient_rows(spec, u)
+    k_rows = grid_ratio(a_rows, b_rows, where=u) * eval_curve(spec.amplitude, u)[:, None]
+    eps = _draw(spec.innovations, [1, 2, 3], hi - lo, lo)
+    want = eval_curve(spec.trend, u) + _dma_combine(k_rows, eps)
+    got = _paths(spec, T, lo, hi, read=_dma_rows)(eps)
+    assert got.shape == want.shape == (3, hi - lo)
+    assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
 
 
 _SMALL_WINDOW_SPECS = [
