@@ -5,13 +5,14 @@ preset, run deterministically from the seed, and write CSV (plus a JSON
 sidecar for simulations).  Outputs embed the tool version and the spec
 fingerprint, and reruns with identical inputs are byte-identical.
 
-Exit codes: 0 success, 2 configuration/parse error, 3 singular
-polynomial or block, 4 verification failure.
+Exit codes: 0 success, 2 configuration/parse error or a result that
+overflows float64, 3 singular polynomial or block, 4 verification failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import os
@@ -34,7 +35,7 @@ from .processes import (
     spawn_seed,
     spec_from_dict,
 )
-from .spectra import periodogram_grid, smooth_periodogram, tv_dyadic_density, tv_fourier_density
+from .spectra import SpectralGrid, periodogram_grid, smooth_periodogram, tv_dyadic_density, tv_fourier_density
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -236,6 +237,8 @@ def _cmd_periodogram(args) -> int:
         u_values, x_values = grid.u_values, grid.x_values
         del path, grid  # freed before the next replicate is drawn and before the write
     total /= reps
+    # each grid is finite, yet their sum can overflow (its RuntimeWarning is dropped: the command fails)
+    SpectralGrid(u_values, x_values, total).checked("the replicate mean periodogram I", u="segment u0")
     comment = _provenance(spec, command="periodogram", T=T, N=N, replicates=reps, smooth=args.smooth)
     _write_grid(args.out, comment, ["segment_u0", "x", "I"], u_values, x_values, total)
     return EXIT_OK
@@ -276,6 +279,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser of every command on each call, for a caller to use or change as its own."""
     parser = _Parser(
         prog="walsh-spectra",
         description="Simulation and Walsh-spectral analysis of dyadic time series",
@@ -339,14 +343,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser `main` uses, built once per process: parsing changes no parser, so every call can share it."""
+    return build_parser()
+
+
 def _error(category: str, message: str) -> None:
     print(json.dumps({"error": category, "message": message}), file=sys.stderr)
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on bad usage, matching the config-error code
         return int(exc.code or 0)

@@ -289,15 +289,25 @@ def coefficient_rows(spec: ProcessSpec, u) -> tuple[np.ndarray, np.ndarray]:
     return _rows(spec, as_finite_array(np.atleast_1d(u), "u"))[:2]
 
 
+def _read_curves(spec: ProcessSpec) -> tuple:
+    """(ar, ma, trend, amplitude): the curves a kind reads at u.
+
+    A modulated kind's core is a stationary moving average, read at u = 0, so each of its MA curves is given as the
+    constant curve of its value there.
+    """
+    ma = tuple(constant(eval_curve(c, 0.0)) for c in spec.ma) if spec.kind == "modulated" else spec.ma
+    return spec.ar, ma, spec.trend, spec.amplitude
+
+
 def _rows(spec: ProcessSpec, u: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(b_rows, a_rows, trend, amplitude), all the kind reads at a checked 1-D float64 u (modulated MA rows at 0)."""
-    def block(curves, at) -> np.ndarray:
+    """(b_rows, a_rows, trend, amplitude), the `_read_curves` of the kind at a checked 1-D float64 u."""
+    def block(curves) -> np.ndarray:
         out = np.empty((u.size, len(curves)))
         for k, c in enumerate(curves):
-            out[:, k] = eval_curve(c, at)
+            out[:, k] = eval_curve(c, u)
         return out
-    ma_at = 0.0 if spec.kind == "modulated" else u
-    return block(spec.ar, u), block(spec.ma, ma_at), eval_curve(spec.trend, u), eval_curve(spec.amplitude, u)
+    ar, ma, trend, amplitude = _read_curves(spec)
+    return block(ar), block(ma), eval_curve(trend, u), eval_curve(amplitude, u)
 
 
 # --------------------------------------------------------------------------
@@ -620,8 +630,8 @@ def decay_experiment(
             eps = _draw(spec.innovations, seeds[block].tolist(), hi - lo, lo)  # one row per replicate
             errs[block] = np.max(np.abs(x_tv(eps)[:, read] - x_cmp(eps)[:, read]), axis=1)
         mean_errors.append(float(np.mean(errs)))
-    read_curves = (*spec.ar, *(() if spec.kind == "modulated" else spec.ma), spec.trend, spec.amplitude)
-    exact = not slack and all(map(is_constant, read_curves))  # from the spec: small errors are not exact
+    ar, ma, trend, amplitude = _read_curves(spec)
+    exact = not slack and all(map(is_constant, (*ar, *ma, trend, amplitude)))  # from the spec, not the errors
     slope = None
     if not exact and all(e > 0 for e in mean_errors):
         slope = float(np.polyfit(np.log2(T_values), np.log2(mean_errors), 1)[0])

@@ -36,6 +36,15 @@ class SpectralGrid:
     x_values: np.ndarray  # dyadic grid points, or angular frequencies (Fourier density)
     values: np.ndarray  # shape (len(u_values), len(x_values))
 
+    def checked(self, what: str, u: str = "u", x: str = "x") -> SpectralGrid:
+        """The grid itself, once every value is finite; else a ValueError naming the first cell's ``u`` and ``x``."""
+        finite = np.isfinite(self.values)
+        if not finite.all():
+            i, j = np.unravel_index(np.argmin(finite), finite.shape)
+            at = f"{u}={self.u_values[i].item()!r}, {x}={self.x_values[j].item()!r}"
+            raise ValueError(f"{what} overflows float64 at {at}")
+        return self
+
 
 @dataclass(frozen=True)
 class Periodogram:
@@ -64,9 +73,10 @@ def tv_dyadic_density(spec: ProcessSpec, u_values, m: int) -> SpectralGrid:
     x = grid_values(m)  # checks that m is an integer in [0, GRID_EXPONENT_CAP] before the grid is allocated
     u = as_finite_array(np.atleast_1d(u_values), "u_values")
     rows = dma_coefficient_rows(spec, u)
-    amps = fwht(zero_pad(rows, max(1 << m, rows.shape[1])))
-    g = spec.innovations.sigma**2 * amps[:, :: amps.shape[1] >> m] ** 2
-    return SpectralGrid(u_values=u, x_values=x, values=g)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is raised below, naming its first cell
+        amps = fwht(zero_pad(rows, max(1 << m, rows.shape[1])))
+        g = np.float64(spec.innovations.sigma) ** 2 * amps[:, :: amps.shape[1] >> m] ** 2
+    return SpectralGrid(u_values=u, x_values=x, values=g).checked("the dyadic spectral density g")
 
 
 def tv_fourier_density(spec: ProcessSpec, u_values, lambda_values) -> SpectralGrid:
@@ -83,9 +93,10 @@ def tv_fourier_density(spec: ProcessSpec, u_values, lambda_values) -> SpectralGr
     rows = dma_coefficient_rows(spec, u)
     k = np.arange(rows.shape[1])
     phases = np.exp(-1j * lam[:, None] * k[None, :])  # (len(lam), L)
-    transfer = rows @ phases.T  # (len(u), len(lam)) complex
-    f = spec.innovations.sigma**2 / (2.0 * np.pi) * np.abs(transfer) ** 2
-    return SpectralGrid(u_values=u, x_values=lam, values=f)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is raised below, naming its first cell
+        transfer = rows @ phases.T  # (len(u), len(lam)) complex
+        f = np.float64(spec.innovations.sigma) ** 2 / (2.0 * np.pi) * np.abs(transfer) ** 2
+    return SpectralGrid(u_values=u, x_values=lam, values=f).checked("the Fourier spectral density f", x="lambda")
 
 
 def dma_covariance(coeffs, sigma: float, tau: int) -> float:
@@ -164,10 +175,15 @@ def _periodograms(values: np.ndarray, N: int, step: int | None) -> SpectralGrid:
         raise ValueError(f"segment length {N} exceeds the path length {T}")
     step = N if step is None else as_int(step, "step", 1)
     x = grid_values(m)  # built before the transform: allocated after it, it raised the peak memory
-    d = fwht(np.lib.stride_tricks.sliding_window_view(values, N)[::step])
-    d *= d
-    d /= N
-    return SpectralGrid(u_values=(np.arange(0, T - N + 1, step) + N / 2) / T, x_values=x, values=d)
+    # the series is finite, so only an overflow in these ufuncs makes d non-finite, and numpy's floating-point
+    # flags report it; scanning every d, one more pass over a path-sized grid, cost the lib-estimate benchmark 5%
+    overflowed = []
+    with np.errstate(over="call", invalid="call", call=lambda kind, flag: overflowed.append(kind)):
+        d = fwht(np.lib.stride_tricks.sliding_window_view(values, N)[::step])
+        d *= d
+        d /= N
+    grid = SpectralGrid(u_values=(np.arange(0, T - N + 1, step) + N / 2) / T, x_values=x, values=d)
+    return grid.checked("the periodogram I", u="segment u0") if overflowed else grid
 
 
 def walsh_periodogram(data) -> Periodogram:

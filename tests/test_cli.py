@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -7,14 +8,17 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import walsh_spectra.cli as cli
 import walsh_spectra.processes as processes
 from walsh_spectra.cli import CSV_CHUNK_ROWS, _write_grid, _write_path, build_parser, main
 from walsh_spectra.processes import DISTRIBUTIONS, simulate, simulate_frozen, spawn_seed, spec_from_dict
+from walsh_spectra.spectra import periodogram_grid
 
 from oracles import oracle_window_sup_error
 
@@ -113,6 +117,52 @@ def test_usage_error_exit_code(tmp_path, capsys, monkeypatch, argv, message):
     assert main(argv) == 2
     assert one_json_line(capsys.readouterr().err) == {"error": "config", "message": message}
     assert sorted(p.name for p in tmp_path.iterdir()) == ["list.json"]
+
+
+def test_main_builds_its_parser_once_per_process(tmp_path, capsys, monkeypatch):
+    builds = []
+
+    def counting():
+        builds.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    cli._parser.cache_clear()
+    spec = write_spec(tmp_path, WHITE_NOISE)
+    assert main(["simulate", "--spec", spec, "--T", "8", "--out", str(tmp_path / "x.csv")]) == 0
+    assert main(["nope"]) == 2
+    assert main(["convert", "--spec", spec, "--target", "dma", "--out", str(tmp_path / "K.csv")]) == 0
+    assert len(builds) == 1
+    assert build_parser() is not build_parser()  # a caller's own parser, to change as it likes
+
+
+def test_a_shared_parser_keeps_no_option_of_an_earlier_command(tmp_path, capsys):
+    # verify sets only the options given, so an option of one command must not reach the next
+    spec = write_spec(tmp_path, {"kind": "tvDMA", "ma": ["1", "0.5*u"], "seed": 2})
+    argv = ["verify", "--spec", spec, "--mode", "frozen", "--T", "64,128", "--replicates", "2", "--out"]
+    cli._parser.cache_clear()
+    alone = main([*argv, str(tmp_path / "alone.json")])  # the first command of a new parser
+    main([*argv, str(tmp_path / "slack.json"), "--slack", "0.5"])
+    assert main([*argv, str(tmp_path / "after.json")]) == alone
+    report = (tmp_path / "alone.json").read_bytes()
+    assert (tmp_path / "after.json").read_bytes() == report != (tmp_path / "slack.json").read_bytes()
+
+
+def test_a_usage_error_leaves_the_shared_parser_as_it_was(tmp_path, capsys):
+    # a command that fails to parse after reading --seed, then the golden simulate/figure1 case without it
+    golden = json.loads(Path(__file__).with_name("golden_cli.json").read_text())["simulate/figure1"]
+    assert main(["simulate", "--preset", "figure1", "--T", "256", "--seed", "5"]) == 2
+    capsys.readouterr()
+    out = tmp_path / "out"
+    out.mkdir()
+    code = main(["simulate", "--T", "256", "--out", str(out / "path.csv"), "--preset", "figure1"])
+    stdout, stderr = capsys.readouterr()
+    assert {
+        "exit": code,
+        "stdout": hashlib.sha256(stdout.encode()).hexdigest(),
+        "stderr": hashlib.sha256(stderr.encode()).hexdigest(),
+        "files": {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())},
+    } == golden
 
 
 def test_help_is_still_plain_text(capsys):
@@ -983,13 +1033,47 @@ def test_deeply_nested_spec_file_exits_with_a_config_error(tmp_path):
 
 
 def test_sigma_squared_overflow_exits_with_a_config_error(tmp_path):
-    # the density's sigma**2 overflows a Python float: an OverflowError exited 1 with a traceback
+    # the density's sigma**2 overflowed a Python float: an OverflowError exited 1 with a traceback; it is now a
+    # float64 that overflows to inf, and the density's check names the first cell
     spec = write_spec(tmp_path, {"kind": "tvDMA", "ma": ["1"], "sigma": 1e300})
     out = tmp_path / "grid.csv"
     run = fresh_cli(["spectrum", "--spec", spec, "--out", str(out)])
     assert run.returncode == 2
     assert "Traceback" not in run.stderr
-    assert one_json_line(run.stderr) == {"error": "config", "message": "(34, 'Numerical result out of range')"}
+    assert one_json_line(run.stderr) == {
+        "error": "config", "message": "the dyadic spectral density g overflows float64 at u=0.0, x=0.0"
+    }
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("payload, argv, message", [
+    ({"kind": "tvDMA", "ma": ["1e200"]}, ["spectrum", "--u-points", "2", "--m", "1"],
+     "the dyadic spectral density g overflows float64 at u=0.0, x=0.0"),
+    ({"kind": "tvDMA", "ma": ["1"], "amplitude": "1e200"}, ["periodogram", "--T", "8", "--segments", "8"],
+     "the periodogram I overflows float64 at segment u0=0.5, x=0.0"),
+], ids=["spectrum", "periodogram"])
+def test_result_that_overflows_exits_with_a_config_error(tmp_path, capsys, payload, argv, message):
+    # finite curves, but g = sigma^2 A^2 and I = d^2 / N overflow float64: both exited 0 and wrote inf
+    out = tmp_path / "grid.csv"
+    assert main([*argv, "--spec", write_spec(tmp_path, payload), "--out", str(out)]) == 2
+    assert one_json_line(capsys.readouterr().err) == {"error": "config", "message": message}
+    assert not out.exists()
+
+
+def test_periodogram_mean_that_overflows_exits_with_a_config_error(tmp_path, capsys, monkeypatch):
+    # each replicate's grid is finite, but the sum of two grids of 1e308 is not; its RuntimeWarning is not shown
+    def huge(values, N, step):
+        grid = periodogram_grid(values, N, step)
+        return replace(grid, values=np.full_like(grid.values, 1e308))
+
+    monkeypatch.setattr("walsh_spectra.cli.periodogram_grid", huge)
+    out = tmp_path / "pgram.csv"
+    argv = ["periodogram", "--preset", "figure1", "--T", "16", "--segments", "8", "--replicates", "2"]
+    assert main([*argv, "--out", str(out)]) == 2
+    assert one_json_line(capsys.readouterr().err) == {
+        "error": "config", "message": "the replicate mean periodogram I overflows float64 at segment u0=0.25, x=0.0"
+    }
     assert not out.exists()
 
 

@@ -84,22 +84,26 @@ def test_only_dyadic_decides_array_arguments():
     assert outside_dyadic(r"must be one-dimensional|must hold only finite values|\.ndim !=") == []
 
 
-def test_only_public_functions_call_as_finite_array():
-    # an argument is checked once, by the public function that receives it; a `_` function takes checked
-    # arrays.  Dunders such as a public class's __post_init__ are not private.
+def call_sites(name: str) -> list[tuple[str, int, str | None]]:
+    """(file, line, innermost enclosing function, None at module level) of each call of ``name`` in the package."""
     def calls(node, owner):
-        """(line, innermost enclosing function) of each `as_finite_array` call under node."""
         for child in ast.iter_child_nodes(node):
             func = getattr(child, "func", None)  # only an ast.Call has one
-            if "as_finite_array" in (getattr(func, "id", None), getattr(func, "attr", None)):
+            if name in (getattr(func, "id", None), getattr(func, "attr", None)):
                 yield child.lineno, owner
             yield from calls(child, child.name if isinstance(child, ast.FunctionDef) else owner)
 
-    found = [
+    return [
         (path.name, lineno, owner)
         for path in sorted(SRC.glob("*.py"))
         for lineno, owner in calls(ast.parse(path.read_text()), None)
     ]
+
+
+def test_only_public_functions_call_as_finite_array():
+    # an argument is checked once, by the public function that receives it; a `_` function takes checked
+    # arrays.  Dunders such as a public class's __post_init__ are not private.
+    found = call_sites("as_finite_array")
     offenders = [
         f"{name}:{lineno} {owner}"
         for name, lineno, owner in found
@@ -109,8 +113,8 @@ def test_only_public_functions_call_as_finite_array():
     assert {"coefficient_rows", "periodogram_grid", "__post_init__"} <= {owner for _, _, owner in found}
 
 
-def calls_outside(name: str, owner: str, skip: str | None = None) -> list[tuple[str, int]]:
-    """(file, line) of each call of ``name`` in the package, outside ``skip``, checked to lie in processes.``owner``."""
+def calls_outside(name: str, *owners: str, skip: str | None = None) -> list[tuple[str, int]]:
+    """(file, line) of each call of ``name`` outside ``skip``, checked to lie in the ``owners`` of processes.py."""
     def calls(tree):
         return [
             node.lineno
@@ -119,9 +123,10 @@ def calls_outside(name: str, owner: str, skip: str | None = None) -> list[tuple[
         ]
 
     trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py")) if path.name != skip}
-    everywhere = [(file, lineno) for file, tree in trees.items() for lineno in calls(tree)]
-    (func,) = [node for node in trees["processes.py"].body if isinstance(node, ast.FunctionDef) and node.name == owner]
-    assert everywhere and everywhere == [("processes.py", lineno) for lineno in calls(func)]
+    everywhere = sorted((file, lineno) for file, tree in trees.items() for lineno in calls(tree))
+    funcs = [node for node in trees["processes.py"].body if isinstance(node, ast.FunctionDef) and node.name in owners]
+    assert len(funcs) == len(owners)
+    assert everywhere and everywhere == sorted(("processes.py", lineno) for func in funcs for lineno in calls(func))
     return everywhere
 
 
@@ -153,8 +158,18 @@ def test_only_block_solve_constructs_singular_block_error():
 
 
 def test_only_rows_calls_eval_curve():
-    # reading a spec at u, and the rule that a modulated kind reads its MA curves at u = 0, belong to processes._rows
-    calls_outside("eval_curve", "_rows", skip="curves.py")
+    # reading a spec at u belongs to processes._rows.  The rule that a modulated kind reads its MA curves at u = 0
+    # belongs to processes._read_curves, which _rows reads and decay_experiment decides `exact` from
+    calls_outside("eval_curve", "_rows", "_read_curves", skip="curves.py")
+    kind_rules = {
+        (path.name, func.name)
+        for path in sorted(SRC.glob("*.py"))
+        for func in ast.parse(path.read_text()).body
+        if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func)
+        if isinstance(node, ast.Constant) and node.value == "modulated"
+    }
+    assert kind_rules == {("processes.py", "_read_curves")}
 
 
 def test_only_the_window_loop_calls_make_innovations():
@@ -204,6 +219,12 @@ def test_cli_formats_each_table_shape_one_way():
     assert {owner for name, owner in found if name == "repr"} == {"_write_path", "_write_grid"}
     assert [(name, owner) for name, owner in found if name in ("repeat", "tile")] == []
     assert ("arange", "_cmd_simulate") not in found
+
+
+def test_only_the_parser_accessor_calls_build_parser():
+    # cli.main parses with cli._parser, which builds the parser once per process; any other caller in the package
+    # would build argparse's parser again, as main did on every command
+    assert {(file, owner) for file, _, owner in call_sites("build_parser")} == {("cli.py", "_parser")}
 
 
 def test_no_module_imports_another_modules_private_names():

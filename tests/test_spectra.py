@@ -143,6 +143,33 @@ def test_fourier_density_requires_ma_kind():
         tv_fourier_density(spec, [0.0], [0.0])
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_densities_that_overflow_name_their_first_cell():
+    # finite curves whose density overflows float64: each grid held inf (g on "ma": ["1e200"], checked at the
+    # time), and sigma**2 of sigma = 1e300 raised a Python OverflowError
+    big = make_process_spec("tvDMA", ma=["1", "1e200*u"])  # A(u, x) = 1 +- 1e200*u
+    message = "the dyadic spectral density g overflows float64 at u=0.5, x=0.0"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        tv_dyadic_density(big, [0.0, 0.5], 1)
+    message = "the Fourier spectral density f overflows float64 at u=0.5, lambda=0.0"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        tv_fourier_density(big, [0.0, 0.5], [0.0, np.pi])
+    loud = make_process_spec("tvDMA", ma=["1"], sigma=1e300)
+    for density, at in ((tv_dyadic_density, 2), (tv_fourier_density, [0.0, np.pi])):
+        with pytest.raises(ValueError, match=re.escape("overflows float64 at u=0.0, ")):
+            density(loud, [0.0, 1.0], at)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_periodograms_that_overflow_name_their_first_segment():
+    # d*d overflows float64 on finite data: the grid held inf
+    values = np.concatenate([np.ones(8), np.full(8, 1e200)])
+    with pytest.raises(ValueError, match=re.escape("the periodogram I overflows float64 at segment u0=0.75, x=0.0")):
+        periodogram_grid(values, 8)
+    with pytest.raises(ValueError, match=re.escape("the periodogram I overflows float64 at segment u0=0.5, x=0.0")):
+        walsh_periodogram(values)
+
+
 # ---------------------------------------------------------------- covariances
 
 
