@@ -12,11 +12,13 @@ overflows float64, 3 singular polynomial or block, 4 verification failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import itertools
 import json
 import os
 import sys
+import tempfile
 import warnings
 
 import numpy as np
@@ -60,15 +62,48 @@ def _write_path(path: str, comment: str, values: np.ndarray) -> None:
 
     Each chunk's t and u = t / T are made from its row numbers.  ``tolist`` gives Python ints and floats, whose
     ``repr`` is the plain or the shortest round-trip decimal, so the text reads back to the same number.
+
+    ``repr`` holds the GIL, so the rows are split at chunk boundaries into one part per available CPU.  This
+    process writes part 0; each later part is formatted by a forked child into an anonymous temporary file, which
+    is then appended with ``os.sendfile``, so its text never passes through this process.  A path of one chunk,
+    one CPU or a platform without ``os.fork`` is written here alone.
     """
     T = values.size
-    with open(path, "w", newline="\n") as fh:
+    chunks = -(-T // CSV_CHUNK_ROWS)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    parts = max(1, min(cpus, chunks)) if hasattr(os, "fork") else 1
+    edges = [min(T, chunks * p // parts * CSV_CHUNK_ROWS) for p in range(parts + 1)]
+    with open(path, "w", newline="\n") as fh, contextlib.ExitStack() as files:
         fh.write(comment + "\nt,u,x_value\n")
-        for lo in range(0, T, CSV_CHUNK_ROWS):
-            t = np.arange(lo, min(lo + CSV_CHUNK_ROWS, T))
-            cells = (map(repr, c.tolist()) for c in (t, t / T, values[lo : lo + CSV_CHUNK_ROWS]))
-            fh.write("\n".join(map(",".join, zip(*cells))))
-            fh.write("\n")
+        part, out, done, children = 0, fh, False, []  # children: the (pid, file) of each later part
+        try:
+            for p in range(1, parts):
+                tmp = files.enter_context(tempfile.TemporaryFile("w", newline="\n"))
+                for buffered in (fh, sys.stdout, sys.stderr):  # a child inherits no unwritten text
+                    buffered.flush()
+                if (pid := os.fork()) == 0:
+                    part, out = p, tmp
+                    break
+                children.append((pid, tmp))
+            for lo in range(edges[part], edges[part + 1], CSV_CHUNK_ROWS):
+                t = np.arange(lo, min(lo + CSV_CHUNK_ROWS, T))
+                cells = (map(repr, c.tolist()) for c in (t, t / T, values[lo : lo + CSV_CHUNK_ROWS]))
+                out.write("\n".join(map(",".join, zip(*cells))))
+                out.write("\n")
+            out.flush()
+            done = True
+        finally:
+            if part:  # a child leaves only here, never through the caller's code; 0 says its part is whole
+                os._exit(0 if done else 1)
+            statuses = [os.waitpid(pid, 0)[1] for pid, _ in children]
+        for p, status in enumerate(statuses, 1):
+            if status:
+                code = os.waitstatus_to_exitcode(status)
+                raise OSError(f"the process writing rows {edges[p]} to {edges[p + 1] - 1} of {path} exited with {code}")
+        for _, tmp in children:
+            size, sent = os.fstat(tmp.fileno()).st_size, 0
+            while sent < size:
+                sent += os.sendfile(fh.fileno(), tmp.fileno(), sent, size - sent)
 
 
 def _write_grid(path: str, comment: str, header: list[str], rows, cols, values: np.ndarray) -> None:
@@ -191,9 +226,12 @@ def _cmd_convert(args) -> int:
     b_rows, a_rows = coefficient_rows(spec, u)
     # dma: K = A / B, the rows behind `spectrum` and `verify` before the amplitude is folded in; dar: the dual B / A
     num, den = (a_rows, b_rows) if args.target == "dma" else (b_rows, a_rows)
-    k_rows = grid_ratio(num, den, where=u)
+    with np.errstate(over="ignore", invalid="ignore"):  # finite rows can still give a ratio that overflows
+        k_rows = grid_ratio(num, den, where=u)
+    j = np.arange(k_rows.shape[1])
+    SpectralGrid(u, j, k_rows).checked("the converted coefficient grid K_j", x="j")
     comment = _provenance(spec, command="convert", target=args.target)
-    _write_grid(args.out, comment, ["u", "j", "K_j"], u, np.arange(k_rows.shape[1]), k_rows)
+    _write_grid(args.out, comment, ["u", "j", "K_j"], u, j, k_rows)
     return EXIT_OK
 
 

@@ -437,15 +437,27 @@ def _paths(spec: ProcessSpec, T: int, lo: int, hi: int, slack: float = 0.0, read
 
     ``read`` (`_rows`, or `_dma_rows` for the frozen moving-average form) reads the spec at u = t/T once for every
     run.  XOR couples t only inside its aligned block, so the values equal the whole path's; `_block_solve` numbers
-    a singular block, the worst in the window, on the whole path.
+    a singular block, the worst in the window, on the whole path.  A core or path that overflows float64 raises
+    a ValueError naming its first u, the core's before it reaches the solve.
     """
     b_rows, a_rows, trend, amp = read(spec, np.arange(lo, hi) / T)
     if slack:  # +-slack/T on the rows: rescaled and actual coefficients then differ at order 1/T
         for rows in (b_rows, a_rows):
             rows += slack / T * (1.0 - 2.0 * ((np.arange(lo, hi)[:, None] + np.arange(rows.shape[1])) & 1))
     def path(eps: np.ndarray) -> np.ndarray:
-        core = _dma_combine(a_rows, eps)
-        return trend + amp * (core if spec.kind in MA_KINDS else _block_solve(b_rows, core, lo // b_rows.shape[1]))
+        # finite rows and innovations give a non-finite value only through an overflow in these ufuncs, which
+        # numpy's floating-point flags report: a finite run scans nothing
+        overflowed = []
+        with np.errstate(over="call", invalid="call", call=lambda kind, flag: overflowed.append(kind)):
+            core = _dma_combine(a_rows, eps)
+            if overflowed:
+                _check_finite(core, lo, T, "the core")
+            if spec.kind not in MA_KINDS:
+                core = _block_solve(b_rows, core, lo // b_rows.shape[1])
+            values = trend + amp * core
+        if overflowed:
+            _check_finite(values, lo, T, "the path")
+        return values
     return path
 
 
@@ -520,8 +532,11 @@ def defining_equation_residual(spec: ProcessSpec, path: SamplePath) -> float:
 
 
 def _check_finite(x: np.ndarray, lo: int, T: int, what: str) -> None:
-    """Raise a ValueError naming u = t / T at the first t where x, the window of t >= lo, is not finite."""
-    finite = np.isfinite(x)
+    """Raise a ValueError naming u = t / T at the first t where x, the window of t >= lo, is not finite.
+
+    Leading axes of x are replicates: t is the first index at which any of them is not finite.
+    """
+    finite = np.isfinite(x).reshape(-1, x.shape[-1]).all(axis=0)
     if not finite.all():
         raise ValueError(f"{what} overflows at u={(lo + np.argmin(finite)) / T}")
 

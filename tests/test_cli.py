@@ -852,6 +852,75 @@ def test_write_path_matches_row_reference(tmp_path, monkeypatch, T, chunk):
     assert out.read_bytes() == _reference_csv("# comment", ["t", "u", "x_value"], columns).encode()
 
 
+def with_cpus(monkeypatch, cpus):
+    """Make `_write_path` see ``cpus`` available CPUs; return the list its ``os.fork`` calls append to."""
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    forks, fork = [], os.fork
+
+    def counted():
+        forks.append(1)  # in the parent's list: a child's append goes to its own copy
+        return fork()
+
+    monkeypatch.setattr(cli.os, "fork", counted)
+    return forks
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the rows are split between processes only where os.fork exists")
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+@pytest.mark.parametrize("T", [7, 8, 14, 15, 25])
+def test_write_path_split_between_processes_matches_row_reference(tmp_path, monkeypatch, T, cpus):
+    # chunks of 7 rows: one part per CPU, at most one per chunk, each part a run of whole chunks but the last
+    monkeypatch.setattr("walsh_spectra.cli.CSV_CHUNK_ROWS", 7)
+    forks = with_cpus(monkeypatch, cpus)
+    values = np.random.default_rng(T).standard_normal(T) * 10.0 ** (np.arange(T) - T // 2)
+    values[: len(SPECIAL_FLOATS)] = SPECIAL_FLOATS[:T]
+    out = tmp_path / "out.csv"
+    _write_path(str(out), "# comment", values)
+    columns = [np.arange(T), np.arange(T) / T, values]
+    assert out.read_bytes() == _reference_csv("# comment", ["t", "u", "x_value"], columns).encode()
+    assert len(forks) == min(cpus, -(-T // 7)) - 1
+    assert_no_child_left()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the rows are split between processes only where os.fork exists")
+def test_simulate_reaps_every_writer_process(tmp_path, monkeypatch, capsys):
+    # the golden simulate/figure1 case, its 256 rows written in three parts of 12, 12 and 13 chunks of 7
+    golden = json.loads(Path(__file__).with_name("golden_cli.json").read_text())["simulate/figure1"]
+    monkeypatch.setattr("walsh_spectra.cli.CSV_CHUNK_ROWS", 7)
+    forks = with_cpus(monkeypatch, 3)
+    code = main(["simulate", "--T", "256", "--out", str(tmp_path / "path.csv"), "--preset", "figure1"])
+    assert len(forks) == 2
+    assert_no_child_left()
+    stdout, stderr = capsys.readouterr()
+    assert {
+        "exit": code,
+        "stdout": hashlib.sha256(stdout.encode()).hexdigest(),
+        "stderr": hashlib.sha256(stderr.encode()).hexdigest(),
+        "files": {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(tmp_path.iterdir())},
+    } == golden
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the rows are split between processes only where os.fork exists")
+def test_a_failing_writer_process_exits_with_a_config_error(tmp_path, monkeypatch, capsys):
+    # the later part's file cannot be written, so its process exits 1 without a word, and the command fails
+    monkeypatch.setattr("walsh_spectra.cli.CSV_CHUNK_ROWS", 7)
+    forks = with_cpus(monkeypatch, 2)
+    monkeypatch.setattr(cli.tempfile, "TemporaryFile", lambda *args, **kwargs: open(os.devnull))
+    out = tmp_path / "path.csv"
+    assert main(["simulate", "--preset", "figure1", "--T", "16", "--out", str(out)]) == 2
+    assert len(forks) == 1
+    assert_no_child_left()
+    assert one_json_line(capsys.readouterr().err) == {
+        "error": "config", "message": f"the process writing rows 7 to 15 of {out} exited with 1",
+    }
+
+
 SIMULATE_T = 1 << 15
 
 
@@ -1052,13 +1121,27 @@ def test_sigma_squared_overflow_exits_with_a_config_error(tmp_path):
      "the dyadic spectral density g overflows float64 at u=0.0, x=0.0"),
     ({"kind": "tvDMA", "ma": ["1"], "amplitude": "1e200"}, ["periodogram", "--T", "8", "--segments", "8"],
      "the periodogram I overflows float64 at segment u0=0.5, x=0.0"),
-], ids=["spectrum", "periodogram"])
+    ({"kind": "tvDMA", "ma": ["1e200"], "amplitude": "1e200"}, ["simulate", "--T", "8"],
+     "the path overflows at u=0.0"),
+    pytest.param(
+        {"kind": "tvDARMA", "ar": ["1", "0.5*u"], "ma": ["1e308", "1e308*u"]},
+        ["verify", "--mode", "conversion", "--u0", "0.3", "--T", "64,128"], "the core overflows at u=0.03125",
+        # the converted side's rows are read first, and their grid_ratio overflow warns (no check reads them yet)
+        marks=pytest.mark.filterwarnings("ignore::RuntimeWarning"),
+    ),
+    ({"kind": "modulated", "ma": ["1"], "amplitude": "1e200", "sigma": 1e300},
+     ["verify", "--mode", "frozen", "--T", "64,128"], "the path overflows at u=0.25"),
+    ({"kind": "tvDARMA", "ar": ["1", "0.5"], "ma": ["1e308", "1e308"]}, ["convert", "--target", "dma", "--u-points", "3"],
+     "the converted coefficient grid K_j overflows float64 at u=0.0, j=0"),
+], ids=["spectrum", "periodogram", "simulate", "verify-conversion", "verify-frozen", "convert"])
 def test_result_that_overflows_exits_with_a_config_error(tmp_path, capsys, payload, argv, message):
-    # finite curves, but g = sigma^2 A^2 and I = d^2 / N overflow float64: both exited 0 and wrote inf
-    out = tmp_path / "grid.csv"
+    # finite curves, but g = sigma^2 A^2, I = d^2 / N, the path, the core before verify's solve and the ratio K
+    # overflow float64: each exited 0 and wrote inf, but verify, which called the core a singular block and
+    # exited 3, or refused the NaN errors of its report
+    out = tmp_path / "out.csv"
     assert main([*argv, "--spec", write_spec(tmp_path, payload), "--out", str(out)]) == 2
     assert one_json_line(capsys.readouterr().err) == {"error": "config", "message": message}
-    assert not out.exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["spec.json"]  # no output, no sidecar
 
 
 def test_periodogram_mean_that_overflows_exits_with_a_config_error(tmp_path, capsys, monkeypatch):
@@ -1078,14 +1161,15 @@ def test_periodogram_mean_that_overflows_exits_with_a_config_error(tmp_path, cap
 
 
 def test_verify_report_that_is_not_finite_is_not_written(tmp_path):
-    # the errors overflow to inf - inf = nan: the report held NaN, which is not JSON, and exited 0
-    spec = write_spec(tmp_path, {"kind": "modulated", "ma": ["1"], "amplitude": "1e200", "sigma": 1e300})
+    # each path is finite, but a trend that swings between about +-1.5e308 inside the window, against its frozen
+    # value, makes the error |x_tv - x_frozen| overflow to inf, which is not JSON
+    spec = write_spec(tmp_path, {"kind": "tvDMA", "ma": ["1"], "trend": "1.5e308*cos(1000*u)"})
     out = tmp_path / "report.json"
     run = fresh_cli(["verify", "--spec", spec, "--mode", "frozen", "--T", "64,128", "--out", str(out)])
     assert run.returncode == 2
     assert run.stdout == "" and "Traceback" not in run.stderr
     assert one_json_line(run.stderr) == {
-        "error": "config", "message": "Out of range float values are not JSON compliant: nan"
+        "error": "config", "message": "Out of range float values are not JSON compliant: inf"
     }
     assert not out.exists()
 

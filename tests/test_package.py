@@ -221,6 +221,27 @@ def test_cli_formats_each_table_shape_one_way():
     assert ("arange", "_cmd_simulate") not in found
 
 
+def test_only_the_path_writer_forks():
+    # repr holds the GIL, so a path's later rows are formatted by forked children of cli._write_path, which leave
+    # through os._exit and never return into the caller's code; the package starts no thread and no pool
+    assert {(file, owner) for file, _, owner in call_sites("fork")} == {("cli.py", "_write_path")}
+    assert ("cli.py", "_write_path") in {(file, owner) for file, _, owner in call_sites("_exit")}
+    def imports(tree):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                yield from (alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                yield node.module
+
+    offenders = [
+        f"{path.name}: {name}"
+        for path in sorted(SRC.glob("*.py"))
+        for name in imports(ast.parse(path.read_text()))
+        if name.split(".")[0] in ("multiprocessing", "concurrent", "threading")
+    ]
+    assert offenders == []
+
+
 def test_only_the_parser_accessor_calls_build_parser():
     # cli.main parses with cli._parser, which builds the parser once per process; any other caller in the package
     # would build argparse's parser again, as main did on every command

@@ -424,6 +424,40 @@ def test_residual_refuses_an_overflowing_defect(monkeypatch, window):
             defining_equation_residual(spec, SamplePath(values, np.zeros(64)))
 
 
+@pytest.mark.parametrize("window", [64, 8], ids=["one-window", "8-value-windows"])
+@pytest.mark.parametrize("spec, message", [
+    # 1.25e308 + 1e308 * u is finite up to u = 35/64 and overflows from 36/64: the path was written as inf
+    (make_process_spec("tvDMA", ma=["1e308*u"], trend="1.25e308"), r"^the path overflows at u=0\.5625$"),
+    # 1e308 * (1 + u) overflows from u = 52/64 before the solve, which called it a singular block
+    (make_process_spec("tvDARMA", ar=["1", "0.5"], ma=["1e308", "1e308*u"]), r"^the core overflows at u=0\.8125$"),
+], ids=["path", "core"])
+def test_paths_that_overflow_name_their_first_u(monkeypatch, window, spec, message):
+    monkeypatch.setattr(processes, "_WINDOW", window)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match=message):
+            simulate(spec, 64, innovations=np.ones(64))
+
+
+def test_paths_name_the_first_u_at_which_any_replicate_overflows():
+    spec = make_process_spec("tvDMA", ma=["1e308*u"], trend="1.25e308")
+    eps = np.zeros((2, 64))
+    eps[0, 60:], eps[1, 40:] = 1.0, 1.0  # the second replicate overflows first, from u = 40/64
+    with pytest.raises(ValueError, match=r"^the path overflows at u=0\.625$"):
+        _paths(spec, 64, 0, 64)(eps)
+
+
+def test_paths_scan_nothing_when_no_value_overflows(monkeypatch):
+    # the check reads numpy's floating-point flags, so a finite run pays no pass over its values
+    scans = []
+    monkeypatch.setattr(processes, "_check_finite", lambda *args: scans.append(args[-1]))
+    for spec in (preset_spec("figure1"), make_process_spec("tvDARMA", ar=["1", "0.5*u"], ma=["1", "0.5"])):
+        simulate(spec, 1 << 16)
+    assert scans == []
+    simulate(make_process_spec("tvDMA", ma=["1e308*u"], trend="1.25e308"), 64, innovations=np.ones(64))
+    assert scans == ["the path"]
+
+
 def block_condition(spec, T, block):
     """np.linalg.cond of one aligned 2 x 2 block matrix [[b0(t), b1(t)], [b1(t+1), b0(t+1)]] of the recursion."""
     b_rows, _ = coefficient_rows(spec, np.arange(2 * block, 2 * block + 2) / T)
