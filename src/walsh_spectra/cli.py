@@ -17,6 +17,7 @@ import functools
 import itertools
 import json
 import os
+import shutil
 import sys
 import tempfile
 import warnings
@@ -63,25 +64,30 @@ def _write_path(path: str, comment: str, values: np.ndarray) -> None:
     Each chunk's t and u = t / T are made from its row numbers.  ``tolist`` gives Python ints and floats, whose
     ``repr`` is the plain or the shortest round-trip decimal, so the text reads back to the same number.
 
-    ``repr`` holds the GIL, so the rows are split at chunk boundaries into one part per available CPU.  This
-    process writes part 0; each later part is formatted by a forked child into an anonymous temporary file, which
-    is then appended with ``os.sendfile``, so its text never passes through this process.  A path of one chunk,
-    one CPU or a platform without ``os.fork`` is written here alone.
+    ``repr`` holds the GIL, so on Linux the rows are split at chunk boundaries into one part per available CPU.
+    This process writes part 0; each later part is formatted by a forked child into an anonymous temporary file
+    beside the output, which is then appended 64 KiB at a time.  A path of one chunk, one available CPU or
+    another platform is written here alone.
     """
     T = values.size
     chunks = -(-T // CSV_CHUNK_ROWS)
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    parts = max(1, min(cpus, chunks)) if hasattr(os, "fork") else 1
+    parts = max(1, min(len(os.sched_getaffinity(0)), chunks)) if sys.platform == "linux" else 1
     edges = [min(T, chunks * p // parts * CSV_CHUNK_ROWS) for p in range(parts + 1)]
+    staged = os.path.dirname(os.path.abspath(path))  # later parts wait on the output's file system, not in TMPDIR
     with open(path, "w", newline="\n") as fh, contextlib.ExitStack() as files:
         fh.write(comment + "\nt,u,x_value\n")
         part, out, done, children = 0, fh, False, []  # children: the (pid, file) of each later part
         try:
             for p in range(1, parts):
-                tmp = files.enter_context(tempfile.TemporaryFile("w", newline="\n"))
+                tmp = files.enter_context(tempfile.TemporaryFile("w+", newline="\n", dir=staged))
                 for buffered in (fh, sys.stdout, sys.stderr):  # a child inherits no unwritten text
                     buffered.flush()
-                if (pid := os.fork()) == 0:
+                # Python >= 3.12 warns on a fork in a process with threads (OpenBLAS starts some): the child
+                # calls no BLAS, takes no lock another thread may hold and leaves only through os._exit
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", DeprecationWarning)
+                    pid = os.fork()
+                if pid == 0:
                     part, out = p, tmp
                     break
                 children.append((pid, tmp))
@@ -100,10 +106,10 @@ def _write_path(path: str, comment: str, values: np.ndarray) -> None:
             if status:
                 code = os.waitstatus_to_exitcode(status)
                 raise OSError(f"the process writing rows {edges[p]} to {edges[p + 1] - 1} of {path} exited with {code}")
-        for _, tmp in children:
-            size, sent = os.fstat(tmp.fileno()).st_size, 0
-            while sent < size:
-                sent += os.sendfile(fh.fileno(), tmp.fileno(), sent, size - sent)
+        fh.flush()
+        for _, tmp in children:  # bytes, a buffer at a time: no part's text is decoded or held whole here
+            tmp.buffer.seek(0)
+            shutil.copyfileobj(tmp.buffer, fh.buffer)
 
 
 def _write_grid(path: str, comment: str, header: list[str], rows, cols, values: np.ndarray) -> None:

@@ -854,8 +854,7 @@ def test_write_path_matches_row_reference(tmp_path, monkeypatch, T, chunk):
 
 def with_cpus(monkeypatch, cpus):
     """Make `_write_path` see ``cpus`` available CPUs; return the list its ``os.fork`` calls append to."""
-    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(cpus)))
     forks, fork = [], os.fork
 
     def counted():
@@ -871,12 +870,14 @@ def assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="the rows are split between processes only where os.fork exists")
+@pytest.mark.skipif(sys.platform != "linux", reason="the rows are split between processes only on Linux")
 @pytest.mark.parametrize("cpus", [1, 2, 3])
 @pytest.mark.parametrize("T", [7, 8, 14, 15, 25])
 def test_write_path_split_between_processes_matches_row_reference(tmp_path, monkeypatch, T, cpus):
-    # chunks of 7 rows: one part per CPU, at most one per chunk, each part a run of whole chunks but the last
+    # chunks of 7 rows: one part per CPU, at most one per chunk, each part a run of whole chunks but the last.
+    # The later parts wait beside the output, so a missing TMPDIR does not fail the write
     monkeypatch.setattr("walsh_spectra.cli.CSV_CHUNK_ROWS", 7)
+    monkeypatch.setattr(cli.tempfile, "tempdir", str(tmp_path / "missing"))
     forks = with_cpus(monkeypatch, cpus)
     values = np.random.default_rng(T).standard_normal(T) * 10.0 ** (np.arange(T) - T // 2)
     values[: len(SPECIAL_FLOATS)] = SPECIAL_FLOATS[:T]
@@ -886,16 +887,14 @@ def test_write_path_split_between_processes_matches_row_reference(tmp_path, monk
     assert out.read_bytes() == _reference_csv("# comment", ["t", "u", "x_value"], columns).encode()
     assert len(forks) == min(cpus, -(-T // 7)) - 1
     assert_no_child_left()
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
 
 
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="the rows are split between processes only where os.fork exists")
-def test_simulate_reaps_every_writer_process(tmp_path, monkeypatch, capsys):
-    # the golden simulate/figure1 case, its 256 rows written in three parts of 12, 12 and 13 chunks of 7
+def golden_simulate(tmp_path, capsys, forks: list, children: int) -> None:
+    """Run the golden simulate/figure1 case; assert it forked ``children`` times, reaped them and matched."""
     golden = json.loads(Path(__file__).with_name("golden_cli.json").read_text())["simulate/figure1"]
-    monkeypatch.setattr("walsh_spectra.cli.CSV_CHUNK_ROWS", 7)
-    forks = with_cpus(monkeypatch, 3)
     code = main(["simulate", "--T", "256", "--out", str(tmp_path / "path.csv"), "--preset", "figure1"])
-    assert len(forks) == 2
+    assert len(forks) == children
     assert_no_child_left()
     stdout, stderr = capsys.readouterr()
     assert {
@@ -906,7 +905,33 @@ def test_simulate_reaps_every_writer_process(tmp_path, monkeypatch, capsys):
     } == golden
 
 
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="the rows are split between processes only where os.fork exists")
+@pytest.mark.skipif(sys.platform != "linux", reason="the rows are split between processes only on Linux")
+def test_simulate_reaps_every_writer_process(tmp_path, monkeypatch, capsys):
+    # the golden simulate/figure1 case, its 256 rows written in three parts of 12, 12 and 13 chunks of 7
+    monkeypatch.setattr("walsh_spectra.cli.CSV_CHUNK_ROWS", 7)
+    golden_simulate(tmp_path, capsys, with_cpus(monkeypatch, 3), 2)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="the rows are split between processes only on Linux")
+def test_a_fork_that_warns_leaves_stderr_golden(tmp_path, monkeypatch, capsys):
+    # Python >= 3.12 warns on os.fork in a process with threads; main would print that warning, whose pid
+    # differs on every run, after a successful simulate
+    monkeypatch.setattr("walsh_spectra.cli.CSV_CHUNK_ROWS", 7)
+    forks = with_cpus(monkeypatch, 2)
+    counted = cli.os.fork
+
+    def warning_fork():
+        warnings.warn(f"This process (pid={os.getpid()}) is multi-threaded, use of fork() may lead to deadlocks "
+                      "in the child.", DeprecationWarning, stacklevel=2)
+        return counted()
+
+    monkeypatch.setattr(cli.os, "fork", warning_fork)
+    with warnings.catch_warnings():
+        warnings.simplefilter("default")  # shown, as under pytest or python -X dev
+        golden_simulate(tmp_path, capsys, forks, 1)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="the rows are split between processes only on Linux")
 def test_a_failing_writer_process_exits_with_a_config_error(tmp_path, monkeypatch, capsys):
     # the later part's file cannot be written, so its process exits 1 without a word, and the command fails
     monkeypatch.setattr("walsh_spectra.cli.CSV_CHUNK_ROWS", 7)
