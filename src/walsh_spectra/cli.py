@@ -25,7 +25,7 @@ import warnings
 import numpy as np
 
 from . import __version__
-from .dyadic import as_int, block_exponent
+from .dyadic import as_int, block_exponent, check_finite
 from .poly import SingularPolynomialError, grid_ratio
 from .presets import preset_names, preset_spec
 from .processes import (
@@ -38,7 +38,7 @@ from .processes import (
     spawn_seed,
     spec_from_dict,
 )
-from .spectra import SpectralGrid, periodogram_grid, smooth_periodogram, tv_dyadic_density, tv_fourier_density
+from .spectra import periodogram_grid, smooth_periodogram, tv_dyadic_density, tv_fourier_density
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -235,7 +235,7 @@ def _cmd_convert(args) -> int:
     with np.errstate(over="ignore", invalid="ignore"):  # finite rows can still give a ratio that overflows
         k_rows = grid_ratio(num, den, where=u)
     j = np.arange(k_rows.shape[1])
-    SpectralGrid(u, j, k_rows).checked("the converted coefficient grid K_j", x="j")
+    check_finite(k_rows, "the converted coefficient grid K_j", ("u", u), ("j", j))
     comment = _provenance(spec, command="convert", target=args.target)
     _write_grid(args.out, comment, ["u", "j", "K_j"], u, j, k_rows)
     return EXIT_OK
@@ -277,12 +277,12 @@ def _cmd_periodogram(args) -> int:
     total = 0.0
     for path in simulate_seeds(spec, T, seeds):
         grid = smooth_periodogram(periodogram_grid(path.values, N, step), args.smooth)
-        total += grid.values
+        with np.errstate(over="ignore"):  # each grid is finite, yet their sum can overflow: checked below
+            total += grid.values
         u_values, x_values = grid.u_values, grid.x_values
         del path, grid  # freed before the next replicate is drawn and before the write
     total /= reps
-    # each grid is finite, yet their sum can overflow (its RuntimeWarning is dropped: the command fails)
-    SpectralGrid(u_values, x_values, total).checked("the replicate mean periodogram I", u="segment u0")
+    check_finite(total, "the replicate mean periodogram I", ("segment u0", u_values), ("x", x_values))
     comment = _provenance(spec, command="periodogram", T=T, N=N, replicates=reps, smooth=args.smooth)
     _write_grid(args.out, comment, ["segment_u0", "x", "I"], u_values, x_values, total)
     return EXIT_OK

@@ -80,6 +80,21 @@ def as_finite_array(values, what: str) -> np.ndarray:
     return a
 
 
+def check_finite(values: np.ndarray, what: str, *axes: tuple[str, np.ndarray]) -> np.ndarray:
+    """``values``, a result the package computed, once it is finite; else a ValueError naming ``what`` and a cell.
+
+    Each axis is a (name, coordinates) pair for one trailing axis of ``values``; leading axes are replicates, so
+    the cell named is the first at which any replicate is not finite.
+    """
+    finite = np.isfinite(values)
+    if not finite.all():
+        finite = finite.reshape((-1,) + values.shape[values.ndim - len(axes) :]).all(axis=0)
+        cell = np.unravel_index(np.argmin(finite), finite.shape)
+        at = ", ".join(f"{name}={coords[i].item()!r}" for (name, coords), i in zip(axes, cell))
+        raise ValueError(f"{what} overflows float64 at {at}")
+    return values
+
+
 def dyadic_add(a: int, b: int) -> int:
     """Dyadic sum of two non-negative integers: bitwise exclusive-or.
 

@@ -119,9 +119,9 @@ def sigma_determinant(poly: WalshPolynomial) -> float:
 def grid_ratio(num, den, where=None) -> np.ndarray:
     """Coefficients of the ratio num / den of Walsh polynomials, row by row.
 
-    Both operands hold coefficient vectors along their last axis (any
+    Both operands hold finite coefficient vectors along their last axis (any
     leading axes are rows) and are zero-padded to the longer block, whose
-    length must be a power of two (the error names ``num`` or ``den``).
+    length must be a power of two (each error names ``num`` or ``den``).
     Each row is divided on the dyadic grid: transform, divide, transform back.
 
     Raises `SingularPolynomialError` when some grid value of a ``den``
@@ -130,6 +130,8 @@ def grid_ratio(num, den, where=None) -> np.ndarray:
     """
     if 0 in (np.ndim(num), np.ndim(den)):  # fwht's rule, checked here so the error names the operand
         raise ValueError(f"{'num' if np.ndim(num) == 0 else 'den'} must be at least one-dimensional, got shape ()")
+    for name, operand in (("num", num), ("den", den)):
+        as_finite_array(np.ravel(operand), name)
     num_size, den_size = np.shape(num)[-1], np.shape(den)[-1]
     size = max(num_size, den_size)  # the longer operand sets the block both are padded to
     block_exponent(size, "den length" if den_size > num_size else "num length")

@@ -30,7 +30,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .curves import CurveExpr, CurveSyntaxError, constant, eval_curve, is_constant, is_constant_zero, parse, serialize
-from .dyadic import INDEX_CAP, as_finite_array, as_int, as_real, block_exponent, block_size, is_real
+from .dyadic import INDEX_CAP, as_finite_array, as_int, as_real, block_exponent, block_size, check_finite, is_real
 # unused here, but kept bound: benchmark/smoke_check.py asserts processes.fwht is dyadic.fwht
 from .dyadic import fwht  # noqa: F401
 from .poly import SINGULARITY_RTOL, grid_ratio
@@ -451,12 +451,12 @@ def _paths(spec: ProcessSpec, T: int, lo: int, hi: int, slack: float = 0.0, read
         with np.errstate(over="call", invalid="call", call=lambda kind, flag: overflowed.append(kind)):
             core = _dma_combine(a_rows, eps)
             if overflowed:
-                _check_finite(core, lo, T, "the core")
+                check_finite(core, "the core", ("u", np.arange(lo, hi) / T))
             if spec.kind not in MA_KINDS:
                 core = _block_solve(b_rows, core, lo // b_rows.shape[1])
             values = trend + amp * core
         if overflowed:
-            _check_finite(values, lo, T, "the path")
+            check_finite(values, "the path", ("u", np.arange(lo, hi) / T))
         return values
     return path
 
@@ -517,28 +517,18 @@ def defining_equation_residual(spec: ProcessSpec, path: SamplePath) -> float:
         raise ValueError(f"path.innovations must hold as many values as path.values ({T}), got {eps.size}")
     worst = 0.0
     for lo in range(0, T, n):
-        b_rows, a_rows, trend, amp = _rows(spec, np.arange(lo, lo + n) / T)
+        u = np.arange(lo, lo + n) / T
+        b_rows, a_rows, trend, amp = _rows(spec, u)
         if not amp.all():
-            u = (lo + np.argmin(amp != 0.0)) / T
-            raise ValueError(f"amplitude vanishes at u={u}: the core process is undefined there")
+            raise ValueError(f"amplitude vanishes at u={u[np.argmin(amp != 0.0)]}: the core process is undefined there")
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow is raised below, naming its first u
             core = np.divide(values[lo : lo + n] - trend, amp, out=trend)  # in the trend's buffer, not read again
-            _check_finite(core, lo, T, "the core (path - trend) / amplitude")
+            check_finite(core, "the core (path - trend) / amplitude", ("u", u))
             defect = np.abs(_dma_combine(b_rows, core) - _dma_combine(a_rows, eps[lo : lo + n]))
-            _check_finite(defect, lo, T, "the defining equation's defect")
+            check_finite(defect, "the defining equation's defect", ("u", u))
         worst = max(worst, float(np.max(defect)))
-        del b_rows, a_rows, trend, amp, core, defect  # freed before the next window's rows are read
+        del u, b_rows, a_rows, trend, amp, core, defect  # freed before the next window's rows are read
     return worst
-
-
-def _check_finite(x: np.ndarray, lo: int, T: int, what: str) -> None:
-    """Raise a ValueError naming u = t / T at the first t where x, the window of t >= lo, is not finite.
-
-    Leading axes of x are replicates: t is the first index at which any of them is not finite.
-    """
-    finite = np.isfinite(x).reshape(-1, x.shape[-1]).all(axis=0)
-    if not finite.all():
-        raise ValueError(f"{what} overflows at u={(lo + np.argmin(finite)) / T}")
 
 
 def dma_coefficient_rows(spec: ProcessSpec, u) -> np.ndarray:
@@ -548,7 +538,8 @@ def dma_coefficient_rows(spec: ProcessSpec, u) -> np.ndarray:
     `grid_ratio` to all rows at once.  The amplitude curve is folded in,
     and the trend is read too: either raises where not finite.  Raises
     `SingularPolynomialError` naming the first offending u when the AR
-    polynomial vanishes on the grid there.
+    polynomial vanishes on the grid there, and a ValueError naming the first
+    (u, j) at which K overflows float64.
     """
     return _dma_rows(spec, as_finite_array(np.atleast_1d(u), "u"))[1]
 
@@ -556,9 +547,10 @@ def dma_coefficient_rows(spec: ProcessSpec, u) -> np.ndarray:
 def _dma_rows(spec: ProcessSpec, u: np.ndarray) -> tuple[np.ndarray, ...]:
     """`_rows` of the frozen moving-average form: unit b rows, `dma_coefficient_rows` at u, trend, unit amplitude."""
     b_rows, a_rows, trend, amp = _rows(spec, u)
-    if spec.kind not in MA_KINDS:
-        a_rows = grid_ratio(a_rows, b_rows, where=u)
-    return np.ones((u.size, 1)), a_rows * amp[:, None], trend, np.ones(u.size)
+    with np.errstate(over="ignore", invalid="ignore"):  # finite rows can still give a K that overflows
+        k_rows = (grid_ratio(a_rows, b_rows, where=u) if spec.kind not in MA_KINDS else a_rows) * amp[:, None]
+    check_finite(k_rows, "the moving-average coefficients K", ("u", u), ("j", np.arange(k_rows.shape[1])))
+    return np.ones((u.size, 1)), k_rows, trend, np.ones(u.size)
 
 
 # --------------------------------------------------------------------------
@@ -616,7 +608,8 @@ def decay_experiment(
 
     Only the L-aligned hull of each window is simulated (see `_paths`), and a horizon's
     replicates are drawn and solved in blocks of one window's values (at least one
-    replicate); each replicate's error equals its own path's bit for bit.
+    replicate); each replicate's error equals its own path's bit for bit.  A mean
+    error that overflows float64 raises a ValueError naming its first horizon T.
     """
     if mode not in ("frozen", "conversion"):
         raise ValueError(f"mode must be 'frozen' or 'conversion', got {mode!r}")
@@ -640,11 +633,13 @@ def decay_experiment(
         read = slice(window.start - lo, window.stop - lo)
         errs = np.empty(replicates)  # the sup-error of each replicate
         per_block = max(1, _WINDOW // (hi - lo))  # a block holds one window's values
-        for first in range(0, replicates, per_block):
-            block = slice(first, first + per_block)
-            eps = _draw(spec.innovations, seeds[block].tolist(), hi - lo, lo)  # one row per replicate
-            errs[block] = np.max(np.abs(x_tv(eps)[:, read] - x_cmp(eps)[:, read]), axis=1)
-        mean_errors.append(float(np.mean(errs)))
+        with np.errstate(over="ignore", invalid="ignore"):  # finite paths can still differ by more than float64 holds
+            for first in range(0, replicates, per_block):
+                block = slice(first, first + per_block)
+                eps = _draw(spec.innovations, seeds[block].tolist(), hi - lo, lo)  # one row per replicate
+                errs[block] = np.max(np.abs(x_tv(eps)[:, read] - x_cmp(eps)[:, read]), axis=1)
+            mean_errors.append(float(np.mean(errs)))
+    check_finite(np.array(mean_errors), "the mean error", ("T", np.array(T_values)))
     ar, ma, trend, amplitude = _read_curves(spec)
     exact = not slack and all(map(is_constant, (*ar, *ma, trend, amplitude)))  # from the spec, not the errors
     slope = None

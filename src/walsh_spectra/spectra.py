@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dyadic import as_finite_array, as_int, block_exponent, fwht, grid_values, zero_pad
+from .dyadic import as_finite_array, as_int, block_exponent, check_finite, fwht, grid_values, zero_pad
 from .poly import WalshPolynomial
 from .processes import MA_KINDS, InnovationSpec, ProcessSpec, SamplePath, dma_coefficient_rows
 
@@ -35,15 +35,6 @@ class SpectralGrid:
     u_values: np.ndarray
     x_values: np.ndarray  # dyadic grid points, or angular frequencies (Fourier density)
     values: np.ndarray  # shape (len(u_values), len(x_values))
-
-    def checked(self, what: str, u: str = "u", x: str = "x") -> SpectralGrid:
-        """The grid itself, once every value is finite; else a ValueError naming the first cell's ``u`` and ``x``."""
-        finite = np.isfinite(self.values)
-        if not finite.all():
-            i, j = np.unravel_index(np.argmin(finite), finite.shape)
-            at = f"{u}={self.u_values[i].item()!r}, {x}={self.x_values[j].item()!r}"
-            raise ValueError(f"{what} overflows float64 at {at}")
-        return self
 
 
 @dataclass(frozen=True)
@@ -76,7 +67,7 @@ def tv_dyadic_density(spec: ProcessSpec, u_values, m: int) -> SpectralGrid:
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is raised below, naming its first cell
         amps = fwht(zero_pad(rows, max(1 << m, rows.shape[1])))
         g = np.float64(spec.innovations.sigma) ** 2 * amps[:, :: amps.shape[1] >> m] ** 2
-    return SpectralGrid(u_values=u, x_values=x, values=g).checked("the dyadic spectral density g")
+    return SpectralGrid(u, x, check_finite(g, "the dyadic spectral density g", ("u", u), ("x", x)))
 
 
 def tv_fourier_density(spec: ProcessSpec, u_values, lambda_values) -> SpectralGrid:
@@ -96,7 +87,7 @@ def tv_fourier_density(spec: ProcessSpec, u_values, lambda_values) -> SpectralGr
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is raised below, naming its first cell
         transfer = rows @ phases.T  # (len(u), len(lam)) complex
         f = np.float64(spec.innovations.sigma) ** 2 / (2.0 * np.pi) * np.abs(transfer) ** 2
-    return SpectralGrid(u_values=u, x_values=lam, values=f).checked("the Fourier spectral density f", x="lambda")
+    return SpectralGrid(u, lam, check_finite(f, "the Fourier spectral density f", ("u", u), ("lambda", lam)))
 
 
 def dma_covariance(coeffs, sigma: float, tau: int) -> float:
@@ -182,8 +173,8 @@ def _periodograms(values: np.ndarray, N: int, step: int | None) -> SpectralGrid:
         d = fwht(np.lib.stride_tricks.sliding_window_view(values, N)[::step])
         d *= d
         d /= N
-    grid = SpectralGrid(u_values=(np.arange(0, T - N + 1, step) + N / 2) / T, x_values=x, values=d)
-    return grid.checked("the periodogram I", u="segment u0") if overflowed else grid
+    u = (np.arange(0, T - N + 1, step) + N / 2) / T
+    return SpectralGrid(u, x, check_finite(d, "the periodogram I", ("segment u0", u), ("x", x)) if overflowed else d)
 
 
 def walsh_periodogram(data) -> Periodogram:

@@ -9,7 +9,7 @@ Every array argument goes through `dyadic.as_finite_array`: a value that is
 not one-dimensional, or holds a NaN or an infinity, raises ValueError naming
 the parameter and the shape, or the value and its index.  Each is checked
 once, by the public function that receives it; a grid the package builds is
-not checked at all.
+not checked, but for the operands it hands to the public `grid_ratio`.
 """
 
 import json
@@ -284,11 +284,11 @@ AR_SPEC = make_process_spec("tvDARMA", ar=["1", "0.3*u"], ma=["1", "0.5"], seed=
 # each row: id, one call of a public function, and the name of each check it makes, in order
 CHECKS = [
     ("coefficient_rows", lambda: coefficient_rows(SPEC, [0.25, 0.5]), ["u"]),
-    ("dma_coefficient_rows", lambda: dma_coefficient_rows(AR_SPEC, [0.25, 0.5]), ["u"]),
+    ("dma_coefficient_rows", lambda: dma_coefficient_rows(AR_SPEC, [0.25, 0.5]), ["u", "num", "den"]),
     ("periodogram_grid", lambda: periodogram_grid(PATH.values, 8), ["values"]),
     ("walsh_periodogram", lambda: walsh_periodogram(PATH.values), ["data"]),
     ("segmented_local_spectrum", lambda: segmented_local_spectrum(PATH, 8), ["values"]),
-    ("tv_dyadic_density", lambda: tv_dyadic_density(AR_SPEC, [0.25, 0.5], 2), ["u_values", "u"]),
+    ("tv_dyadic_density", lambda: tv_dyadic_density(AR_SPEC, [0.25, 0.5], 2), ["u_values", "u", "num", "den"]),
     ("tv_fourier_density", lambda: tv_fourier_density(SPEC, [0.25, 0.5], [0.0, 1.0]),
      ["u_values", "lambda_values", "u"]),
     ("simulate", lambda: simulate(AR_SPEC, 32), []),
@@ -298,13 +298,13 @@ CHECKS = [
     ("simulate_seeds", lambda: list(simulate_seeds(AR_SPEC, 32, [1, 2])), []),
     ("decay_experiment frozen", decay, []),
     ("decay_experiment conversion",
-     lambda: decay_experiment(AR_SPEC, "conversion", T_values=(8, 16), radius=1, replicates=2), []),
+     lambda: decay_experiment(AR_SPEC, "conversion", T_values=(8, 16), radius=1, replicates=2), ["num", "den"] * 2),
     ("defining_equation_residual", lambda: defining_equation_residual(SPEC, PATH), ["path.values", "path.innovations"]),
     ("empirical_dyadic_covariance", lambda: empirical_dyadic_covariance(PATH, 1, (8, 8)), ["path"]),
     ("covariance_from_density", lambda: covariance_from_density([1.0, 2.0], 1), ["density_row"]),
     ("dma_covariance", lambda: dma_covariance([1.0, 0.5], 1.0, 1), ["coefficients"]),
     ("WalshPolynomial", lambda: WalshPolynomial([1.0, 0.5]), ["coefficients"]),
-    ("grid_ratio", lambda: grid_ratio([[1.0, 0.5]], [[1.0, 0.25]]), []),
+    ("grid_ratio", lambda: grid_ratio([[1.0, 0.5]], [[1.0, 0.25]]), ["num", "den"]),
 ]
 
 

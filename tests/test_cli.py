@@ -1147,21 +1147,18 @@ def test_sigma_squared_overflow_exits_with_a_config_error(tmp_path):
     ({"kind": "tvDMA", "ma": ["1"], "amplitude": "1e200"}, ["periodogram", "--T", "8", "--segments", "8"],
      "the periodogram I overflows float64 at segment u0=0.5, x=0.0"),
     ({"kind": "tvDMA", "ma": ["1e200"], "amplitude": "1e200"}, ["simulate", "--T", "8"],
-     "the path overflows at u=0.0"),
-    pytest.param(
-        {"kind": "tvDARMA", "ar": ["1", "0.5*u"], "ma": ["1e308", "1e308*u"]},
-        ["verify", "--mode", "conversion", "--u0", "0.3", "--T", "64,128"], "the core overflows at u=0.03125",
-        # the converted side's rows are read first, and their grid_ratio overflow warns (no check reads them yet)
-        marks=pytest.mark.filterwarnings("ignore::RuntimeWarning"),
-    ),
+     "the path overflows float64 at u=0.0"),
+    ({"kind": "tvDARMA", "ar": ["1", "0.5*u"], "ma": ["1e308", "1e308*u"]},
+     ["verify", "--mode", "conversion", "--u0", "0.3", "--T", "64,128"],
+     "the moving-average coefficients K overflows float64 at u=0.03125, j=0"),
     ({"kind": "modulated", "ma": ["1"], "amplitude": "1e200", "sigma": 1e300},
-     ["verify", "--mode", "frozen", "--T", "64,128"], "the path overflows at u=0.25"),
+     ["verify", "--mode", "frozen", "--T", "64,128"], "the path overflows float64 at u=0.25"),
     ({"kind": "tvDARMA", "ar": ["1", "0.5"], "ma": ["1e308", "1e308"]}, ["convert", "--target", "dma", "--u-points", "3"],
      "the converted coefficient grid K_j overflows float64 at u=0.0, j=0"),
 ], ids=["spectrum", "periodogram", "simulate", "verify-conversion", "verify-frozen", "convert"])
 def test_result_that_overflows_exits_with_a_config_error(tmp_path, capsys, payload, argv, message):
-    # finite curves, but g = sigma^2 A^2, I = d^2 / N, the path, the core before verify's solve and the ratio K
-    # overflow float64: each exited 0 and wrote inf, but verify, which called the core a singular block and
+    # finite curves, but g = sigma^2 A^2, I = d^2 / N, the path, verify's moving-average rows K and convert's ratio
+    # K overflow float64: each exited 0 and wrote inf, but verify, which called the core a singular block and
     # exited 3, or refused the NaN errors of its report
     out = tmp_path / "out.csv"
     assert main([*argv, "--spec", write_spec(tmp_path, payload), "--out", str(out)]) == 2
@@ -1169,8 +1166,10 @@ def test_result_that_overflows_exits_with_a_config_error(tmp_path, capsys, paylo
     assert sorted(p.name for p in tmp_path.iterdir()) == ["spec.json"]  # no output, no sidecar
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_periodogram_mean_that_overflows_exits_with_a_config_error(tmp_path, capsys, monkeypatch):
-    # each replicate's grid is finite, but the sum of two grids of 1e308 is not; its RuntimeWarning is not shown
+    # each replicate's grid is finite, but the sum of two grids of 1e308 is not; it overflows under np.errstate, so
+    # no RuntimeWarning is raised (under this filter one ended the command in a traceback)
     def huge(values, N, step):
         grid = periodogram_grid(values, N, step)
         return replace(grid, values=np.full_like(grid.values, 1e308))
@@ -1187,14 +1186,14 @@ def test_periodogram_mean_that_overflows_exits_with_a_config_error(tmp_path, cap
 
 def test_verify_report_that_is_not_finite_is_not_written(tmp_path):
     # each path is finite, but a trend that swings between about +-1.5e308 inside the window, against its frozen
-    # value, makes the error |x_tv - x_frozen| overflow to inf, which is not JSON
+    # value, makes the error |x_tv - x_frozen| overflow to inf, which is not JSON: the mean error names its horizon
     spec = write_spec(tmp_path, {"kind": "tvDMA", "ma": ["1"], "trend": "1.5e308*cos(1000*u)"})
     out = tmp_path / "report.json"
     run = fresh_cli(["verify", "--spec", spec, "--mode", "frozen", "--T", "64,128", "--out", str(out)])
     assert run.returncode == 2
     assert run.stdout == "" and "Traceback" not in run.stderr
     assert one_json_line(run.stderr) == {
-        "error": "config", "message": "Out of range float values are not JSON compliant: inf"
+        "error": "config", "message": "the mean error overflows float64 at T=64"
     }
     assert not out.exists()
 

@@ -6,6 +6,7 @@ import pytest
 from walsh_spectra.dyadic import (
     DyadicPoint,
     bit_reversal_permutation,
+    check_finite,
     dyadic_add,
     dyadic_add_points,
     fwht,
@@ -236,3 +237,19 @@ def test_bit_reversal_permutation():
     # built once per m and shared, so no caller may write into it
     assert bit_reversal_permutation(6) is perm
     assert not perm.flags.writeable
+
+
+def test_check_finite_returns_a_finite_result_itself():
+    values = np.ones((2, 3))
+    assert check_finite(values, "the grid", ("u", np.array([0.0, 0.5])), ("x", np.arange(3))) is values
+
+
+def test_check_finite_names_the_first_cell_on_any_replicate():
+    values = np.zeros((2, 3, 4))  # 2 replicates of a (u, x) grid
+    values[0, 2, 0], values[1, 1, 3], values[1, 2, 1] = np.inf, np.nan, -np.inf
+    u, x = np.array([0.0, 0.25, 0.5]), np.arange(4) / 4
+    with pytest.raises(ValueError, match=r"^the grid overflows float64 at u=0\.25, x=0\.75$"):
+        check_finite(values, "the grid", ("u", u), ("x", x))
+    # one named axis: the first u at which any replicate is not finite, here with integer coordinates
+    with pytest.raises(ValueError, match=r"^the path overflows float64 at T=8$"):
+        check_finite(values[:, :, 3], "the path", ("T", np.array([4, 8, 16])))

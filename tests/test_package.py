@@ -21,6 +21,7 @@ REMOVED = (
     "_REPLICATE_CHUNK",
     "_write_csv",
     "ConfigError",
+    "_check_finite",
 )
 SRC = Path(walsh_spectra.__file__).parent
 
@@ -82,6 +83,13 @@ def test_only_dyadic_words_range_rules():
 def test_only_dyadic_decides_array_arguments():
     # "one-dimensional" and "finite values" belong to dyadic.as_finite_array
     assert outside_dyadic(r"must be one-dimensional|must hold only finite values|\.ndim !=") == []
+
+
+def test_only_dyadic_words_result_overflows():
+    # "<what> overflows float64 at <axis>=<coordinate>, ..." belongs to dyadic.check_finite, which every path, grid
+    # and mean error the package computes goes through
+    assert outside_dyadic(r"overflows (float64 )?at") == []
+    assert not hasattr(walsh_spectra.SpectralGrid, "checked")
 
 
 def call_sites(name: str) -> list[tuple[str, int, str | None]]:

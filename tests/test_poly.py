@@ -244,6 +244,17 @@ def test_mixed_length_operands_are_padded():
     assert np.allclose(k.coefficients, expect.coefficients, atol=1e-12)
 
 
+@pytest.mark.parametrize("num, den, message", [
+    ([1.0, np.nan], [1.0, 0.5], "num must hold only finite values, got nan at index 1"),
+    ([1.0, 0.5], [[1.0, 0.5], [-np.inf, 0.25]], "den must hold only finite values, got -inf at index 2"),
+], ids=["nan-num", "inf-den"])
+def test_grid_ratio_refuses_an_operand_that_is_not_finite(num, den, message):
+    # a NaN numerator gave [nan nan] silently, and an infinite denominator was called singular
+    with pytest.raises(ValueError) as excinfo:
+        grid_ratio(num, den)
+    assert str(excinfo.value) == message
+
+
 def test_grid_ratio_rows_match_single_conversions():
     # stacked rows of different block lengths convert exactly as one row at a time
     rng = np.random.default_rng(22)

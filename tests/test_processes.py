@@ -407,7 +407,7 @@ def test_residual_refuses_an_overflowing_core(monkeypatch, window):
     monkeypatch.setattr(processes, "_WINDOW", window)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        with pytest.raises(ValueError, match=r"^the core \(path - trend\) / amplitude overflows at u=0\.0$"):
+        with pytest.raises(ValueError, match=r"^the core \(path - trend\) / amplitude overflows float64 at u=0\.0$"):
             defining_equation_residual(make_process_spec("tvDARMA", amplitude="1e-310", **coefficients), path)
 
 
@@ -420,16 +420,17 @@ def test_residual_refuses_an_overflowing_defect(monkeypatch, window):
     monkeypatch.setattr(processes, "_WINDOW", window)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        with pytest.raises(ValueError, match=r"^the defining equation's defect overflows at u=0\.75$"):
+        with pytest.raises(ValueError, match=r"^the defining equation's defect overflows float64 at u=0\.75$"):
             defining_equation_residual(spec, SamplePath(values, np.zeros(64)))
 
 
 @pytest.mark.parametrize("window", [64, 8], ids=["one-window", "8-value-windows"])
 @pytest.mark.parametrize("spec, message", [
     # 1.25e308 + 1e308 * u is finite up to u = 35/64 and overflows from 36/64: the path was written as inf
-    (make_process_spec("tvDMA", ma=["1e308*u"], trend="1.25e308"), r"^the path overflows at u=0\.5625$"),
+    (make_process_spec("tvDMA", ma=["1e308*u"], trend="1.25e308"), r"^the path overflows float64 at u=0\.5625$"),
     # 1e308 * (1 + u) overflows from u = 52/64 before the solve, which called it a singular block
-    (make_process_spec("tvDARMA", ar=["1", "0.5"], ma=["1e308", "1e308*u"]), r"^the core overflows at u=0\.8125$"),
+    (make_process_spec("tvDARMA", ar=["1", "0.5"], ma=["1e308", "1e308*u"]),
+     r"^the core overflows float64 at u=0\.8125$"),
 ], ids=["path", "core"])
 def test_paths_that_overflow_name_their_first_u(monkeypatch, window, spec, message):
     monkeypatch.setattr(processes, "_WINDOW", window)
@@ -443,14 +444,14 @@ def test_paths_name_the_first_u_at_which_any_replicate_overflows():
     spec = make_process_spec("tvDMA", ma=["1e308*u"], trend="1.25e308")
     eps = np.zeros((2, 64))
     eps[0, 60:], eps[1, 40:] = 1.0, 1.0  # the second replicate overflows first, from u = 40/64
-    with pytest.raises(ValueError, match=r"^the path overflows at u=0\.625$"):
+    with pytest.raises(ValueError, match=r"^the path overflows float64 at u=0\.625$"):
         _paths(spec, 64, 0, 64)(eps)
 
 
 def test_paths_scan_nothing_when_no_value_overflows(monkeypatch):
     # the check reads numpy's floating-point flags, so a finite run pays no pass over its values
     scans = []
-    monkeypatch.setattr(processes, "_check_finite", lambda *args: scans.append(args[-1]))
+    monkeypatch.setattr(processes, "check_finite", lambda values, what, *axes: scans.append(what))
     for spec in (preset_spec("figure1"), make_process_spec("tvDARMA", ar=["1", "0.5*u"], ma=["1", "0.5"])):
         simulate(spec, 1 << 16)
     assert scans == []
@@ -928,6 +929,26 @@ def test_decay_experiment_numbers_singular_blocks_on_the_whole_path(mode, ma):
     with pytest.raises(SingularBlockError) as in_window:
         decay_experiment(spec, mode, T_values=(64, 128), u0=0.5, radius=2)
     assert in_window.value.block_index == on_path.value.block_index == 16
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_decay_experiment_names_the_first_horizon_whose_mean_error_overflows():
+    # each path is finite, but a trend that swings between about +-1.5e308 against its frozen value makes the
+    # error overflow: the report held inf, and numpy warned
+    spec = make_process_spec("tvDMA", ma=["1"], trend="1.5e308*cos(1000*u)")
+    with pytest.raises(ValueError, match=r"^the mean error overflows float64 at T=64$"):
+        decay_experiment(spec, "frozen", T_values=(64, 128), u0=0.3)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_moving_average_rows_that_overflow_name_their_first_cell():
+    # finite rows whose frozen conversion K = A / B overflows float64: grid_ratio's transform warned, and the rows
+    # held inf (verify's conversion side read them before any check)
+    spec = make_process_spec("tvDARMA", ar=["1", "0.5*u"], ma=["1e308", "1e308*u"])
+    with pytest.raises(ValueError, match=r"^the moving-average coefficients K overflows float64 at u=0\.25, j=0$"):
+        dma_coefficient_rows(spec, [0.25, 0.5])
+    with pytest.raises(ValueError, match=r"^the moving-average coefficients K overflows float64 at u=0\.03125, j=0$"):
+        decay_experiment(spec, "conversion", T_values=(64, 128), u0=0.3)
 
 
 def test_decay_experiment_frozen_singular_block_matches_simulate_frozen():

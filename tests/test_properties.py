@@ -1,7 +1,7 @@
 """Property tests: laws that hold for every input, not just the worked examples.
 
 Examples are small and drawn single-threaded with a fixed budget, so the
-file adds about five seconds to the suite.
+file adds about seven seconds to the suite.
 """
 
 import contextlib
@@ -39,6 +39,7 @@ from walsh_spectra.dyadic import INDEX_CAP, block_exponent, block_size, fwht, ze
 from walsh_spectra.poly import grid_ratio
 from walsh_spectra.processes import (
     DISTRIBUTIONS,
+    KINDS,
     InnovationSpec,
     SingularBlockError,
     _block_solve,
@@ -544,3 +545,89 @@ def test_cli_ends_every_argument_vector_in_an_exit_code(argv):
         lines = err.splitlines()
         assert len(lines) == 1 and err.endswith("\n"), err
         assert set(json.loads(lines[0])) == {"error", "message"}
+
+
+# ------------------------------------------------------------------ CLI results
+
+# literals from 1e-310 to 1e308, so a spec of finite curves can overflow the path, grid or error computed from it
+result_literals = st.one_of(
+    st.sampled_from(["1e-310", "0.5", "1", "2", "1e154", "1e200", "1e308"]), st.floats(1e-310, 1e308).map(repr)
+)
+result_curves = st.recursive(
+    st.one_of(result_literals, st.just("u"), result_literals.map(lambda a: f"{a}*u")),
+    lambda inner: st.one_of(
+        st.tuples(inner, st.sampled_from("+-*/"), inner).map(lambda p: f"({p[0]}){p[1]}({p[2]})"),
+        st.tuples(st.sampled_from(("-", "cos", "sin", "exp", "abs")), inner).map(lambda p: f"{p[0]}({p[1]})"),
+    ),
+    max_leaves=3,
+)
+result_blocks = st.lists(result_curves, min_size=1, max_size=4)
+result_specs = st.fixed_dictionaries({
+    "kind": st.sampled_from(KINDS),
+    # a leading 1 keeps some autoregressive blocks regular, so a run gets past the solve to its results
+    "ar": st.tuples(st.one_of(st.just("1"), result_curves), st.lists(result_curves, max_size=3)).map(
+        lambda p: [p[0], *p[1]]
+    ),
+    "ma": result_blocks,
+    "trend": result_curves,
+    "amplitude": result_curves,
+    "distribution": st.sampled_from(DISTRIBUTIONS),
+    "sigma": st.sampled_from([1e-300, 2.0, 1e300]),
+    "seed": st.integers(0, 2**64 - 1),
+})
+# one run of each result command at T <= 1024; "{out}" is the output file in the example's temp directory
+RESULT_RUNS = [
+    ["simulate", "--T", "8"],
+    ["simulate", "--T", "1024"],
+    ["spectrum", "--u-points", "3", "--m", "2"],
+    ["spectrum", "--u-points", "2", "--m", "3", "--fourier-out", "{out}.fourier"],
+    ["convert", "--target", "dma", "--u-points", "3"],
+    ["convert", "--target", "dar", "--u-points", "3"],
+    ["verify", "--mode", "frozen", "--T", "64,128", "--replicates", "2", "--radius", "4", "--u0", "0.3"],
+    ["verify", "--mode", "conversion", "--T", "64,128", "--replicates", "2", "--radius", "4", "--u0", "0.3"],
+    ["periodogram", "--T", "64", "--segments", "16"],
+    ["periodogram", "--T", "256", "--segments", "8", "--smooth", "1", "--replicates", "2"],
+]
+
+
+def finite_numbers(path: Path) -> bool:
+    """Every number in a JSON output, or in the rows of a CSV output below its comment and header, is finite."""
+    text = path.read_text()
+    if path.suffix == ".json":
+        def numbers(value):
+            if isinstance(value, dict):
+                value = list(value.values())
+            if isinstance(value, list):
+                return all(numbers(v) for v in value)
+            return not isinstance(value, float) or math.isfinite(value)
+
+        return numbers(json.loads(text, parse_constant=lambda name: math.nan))
+    rows = [line for line in text.splitlines() if not line.startswith("#")][1:]
+    return all(math.isfinite(float(cell)) for row in rows for cell in row.split(","))
+
+
+def result_example(run: list[str], kind: str, ar: list[str], ma: list[str], trend: str):
+    """An `example` of the property: ``run`` on a spec of the given curves, unit amplitude and standard noise."""
+    spec = {"kind": kind, "ar": ar, "ma": ma, "trend": trend, "amplitude": "1", "distribution": "gaussian"}
+    return example({**spec, "sigma": 2.0, "seed": 0}, run)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(result_specs, st.sampled_from(RESULT_RUNS))
+# finite rows whose frozen conversion K overflows, and finite paths whose error against the frozen path overflows
+@result_example(RESULT_RUNS[7], "tvDARMA", ["1", "0.5*u"], ["1e308", "1e308*u"], "0")
+@result_example(RESULT_RUNS[6], "tvDMA", ["1"], ["1"], "1.5e308*cos(1000*(u-0.3))")
+def test_cli_results_are_finite_or_a_typed_error(payload, run):
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        spec, out = Path(tmp, "spec.json"), Path(tmp, "out.json" if run[0] == "verify" else "out.csv")
+        spec.write_text(json.dumps(payload))
+        code = main([*(a.replace("{out}", str(out)) for a in run), "--spec", str(spec), "--out", str(out)])
+        outputs = {p.name: finite_numbers(p) for p in Path(tmp).iterdir() if p != spec}
+    assert code in (0, 2, 3, 4)
+    if code in (2, 3):
+        lines = stderr.getvalue().splitlines()
+        assert len(lines) == 1 and set(json.loads(lines[0])) == {"error", "message"}, lines
+    if code == 0:
+        assert outputs and all(outputs.values()), outputs
