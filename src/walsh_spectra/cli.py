@@ -58,56 +58,72 @@ def _provenance(spec: ProcessSpec | None, **extra) -> str:
     return "# " + " ".join(f"{k}={v}" for k, v in fields.items())
 
 
+class _Forks(contextlib.AbstractContextManager):
+    """Children for the later parts of ``units`` units of work, one part per available CPU on Linux (at most ``units``)
+    and one elsewhere.  In the ``with`` block `child` forks the next part's child and returns True there, with ``part``
+    its number; the child runs the rest of the block with warnings as errors, as no user would see them, and leaves at
+    its end only through os._exit: 0, or 1 if it raised.  Leaving the block here reaps every child into ``statuses``.
+    """
+
+    def __init__(self, units: int):
+        self.parts = max(1, min(len(os.sched_getaffinity(0)), units)) if sys.platform == "linux" else 1
+        self.part, self.pids = 0, []
+
+    def child(self, *buffered) -> bool:
+        for fh in (*buffered, sys.stdout, sys.stderr):  # a child inherits no unwritten text
+            fh.flush()
+        # Python >= 3.12 warns on a fork in a process with threads: OpenBLAS's, which it stops at a fork
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+        if pid:
+            self.pids.append(pid)
+        else:
+            self.part = len(self.pids) + 1
+            warnings.simplefilter("error")
+        return not pid
+
+    def __exit__(self, failed, *_):
+        if self.part:
+            os._exit(1 if failed else 0)
+        self.statuses = [os.waitpid(pid, 0)[1] for pid in self.pids]
+
+
 def _write_path(path: str, comment: str, values: np.ndarray) -> None:
     """Write a sample path as the CSV columns (t, u, x_value), `CSV_CHUNK_ROWS` rows at a time.
 
     Each chunk's t and u = t / T are made from its row numbers.  ``tolist`` gives Python ints and floats, whose
     ``repr`` is the plain or the shortest round-trip decimal, so the text reads back to the same number.
 
-    ``repr`` holds the GIL, so on Linux the rows are split at chunk boundaries into one part per available CPU.
-    This process writes part 0; each later part is formatted by a forked child into an anonymous temporary file
-    beside the output, which is then appended 64 KiB at a time.  A path of one chunk, one available CPU or
-    another platform is written here alone.
+    ``repr`` holds the GIL, so the rows are split at chunk boundaries into the parts of `_Forks`.  This process
+    writes part 0; each later part is formatted by its child into an anonymous temporary file beside the output,
+    which is then appended 64 KiB at a time.
     """
     T = values.size
     chunks = -(-T // CSV_CHUNK_ROWS)
-    parts = max(1, min(len(os.sched_getaffinity(0)), chunks)) if sys.platform == "linux" else 1
-    edges = [min(T, chunks * p // parts * CSV_CHUNK_ROWS) for p in range(parts + 1)]
     staged = os.path.dirname(os.path.abspath(path))  # later parts wait on the output's file system, not in TMPDIR
     with open(path, "w", newline="\n") as fh, contextlib.ExitStack() as files:
         fh.write(comment + "\nt,u,x_value\n")
-        part, out, done, children = 0, fh, False, []  # children: the (pid, file) of each later part
-        try:
-            for p in range(1, parts):
-                tmp = files.enter_context(tempfile.TemporaryFile("w+", newline="\n", dir=staged))
-                for buffered in (fh, sys.stdout, sys.stderr):  # a child inherits no unwritten text
-                    buffered.flush()
-                # Python >= 3.12 warns on a fork in a process with threads (OpenBLAS starts some): the child
-                # calls no BLAS, takes no lock another thread may hold and leaves only through os._exit
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", DeprecationWarning)
-                    pid = os.fork()
-                if pid == 0:
-                    part, out = p, tmp
+        with _Forks(chunks) as forks:
+            edges = [min(T, chunks * p // forks.parts * CSV_CHUNK_ROWS) for p in range(forks.parts + 1)]
+            out, tmps = fh, []
+            for p in range(1, forks.parts):
+                tmps.append(files.enter_context(tempfile.TemporaryFile("w+", newline="\n", dir=staged)))
+                if forks.child(fh):
+                    out = tmps[-1]
                     break
-                children.append((pid, tmp))
-            for lo in range(edges[part], edges[part + 1], CSV_CHUNK_ROWS):
+            for lo in range(edges[forks.part], edges[forks.part + 1], CSV_CHUNK_ROWS):
                 t = np.arange(lo, min(lo + CSV_CHUNK_ROWS, T))
                 cells = (map(repr, c.tolist()) for c in (t, t / T, values[lo : lo + CSV_CHUNK_ROWS]))
                 out.write("\n".join(map(",".join, zip(*cells))))
                 out.write("\n")
             out.flush()
-            done = True
-        finally:
-            if part:  # a child leaves only here, never through the caller's code; 0 says its part is whole
-                os._exit(0 if done else 1)
-            statuses = [os.waitpid(pid, 0)[1] for pid, _ in children]
-        for p, status in enumerate(statuses, 1):
+        for p, status in enumerate(forks.statuses, 1):
             if status:
                 code = os.waitstatus_to_exitcode(status)
                 raise OSError(f"the process writing rows {edges[p]} to {edges[p + 1] - 1} of {path} exited with {code}")
         fh.flush()
-        for _, tmp in children:  # bytes, a buffer at a time: no part's text is decoded or held whole here
+        for tmp in tmps:  # bytes, a buffer at a time: no part's text is decoded or held whole here
             tmp.buffer.seek(0)
             shutil.copyfileobj(tmp.buffer, fh.buffer)
 
@@ -273,14 +289,38 @@ def _cmd_periodogram(args) -> int:
         as_int(step, "--step", 1)
     as_int(args.smooth, "--smooth", 0)
     reps = as_int(args.replicates, "--replicates", 1)
-    seeds = [spec.innovations.seed] if reps == 1 else (spawn_seed(spec.innovations.seed, r) for r in range(reps))
-    total = 0.0
-    for path in simulate_seeds(spec, T, seeds):
-        grid = smooth_periodogram(periodogram_grid(path.values, N, step), args.smooth)
-        with np.errstate(over="ignore"):  # each grid is finite, yet their sum can overflow: checked below
-            total += grid.values
-        u_values, x_values = grid.u_values, grid.x_values
-        del path, grid  # freed before the next replicate is drawn and before the write
+    seeds = [spec.innovations.seed] if reps == 1 else [spawn_seed(spec.innovations.seed, r) for r in range(reps)]
+    # part p computes the replicates r = p (mod parts), a child sending each grid through its pipe, and all are added
+    # here in order.  After a short read (a failed child) the rest of its part, and so every error, is computed here
+    def grids(part_seeds):  # a map holds no path between grids, as a suspended generator would
+        paths = simulate_seeds(spec, T, part_seeds)
+        return map(lambda path: smooth_periodogram(periodogram_grid(path.values, N, step), args.smooth), paths)
+
+    with _Forks(reps) as forks, contextlib.ExitStack() as pipes:
+        readers, queue, total = [None], [], 0.0
+        for p in range(1, forks.parts):
+            read_end, write_end = os.pipe()
+            readers.append(pipes.enter_context(open(read_end, "rb")))
+            with open(write_end, "wb") as out:
+                if forks.child():
+                    pipes.close()  # so once this process closes a read end, a child blocked on it sees EPIPE
+                    out.writelines(grid.values.tobytes() for grid in grids(seeds[p :: forks.parts]))
+                    return EXIT_OK  # through os._exit at the block's end
+        mine = grids(iter(queue.pop, None))  # one simulate_seeds draws every replicate computed here, as queued
+        for r in range(reps):
+            p = r % forks.parts
+            data = readers[p].read(total.nbytes) if p else b""  # r > 0 when p > 0, so total is a grid
+            if p and len(data) == total.nbytes:
+                values = np.frombuffer(data).reshape(total.shape)
+            else:
+                queue.append(seeds[r])
+                grid = next(mine)
+                values, u_values, x_values = grid.values, grid.u_values, grid.x_values
+                del grid
+            with np.errstate(over="ignore"):  # each grid is finite, yet their sum can overflow: checked below
+                total += values
+            del data, values  # freed before the next replicate is drawn and before the write
+        del mine
     total /= reps
     check_finite(total, "the replicate mean periodogram I", ("segment u0", u_values), ("x", x_values))
     comment = _provenance(spec, command="periodogram", T=T, N=N, replicates=reps, smooth=args.smooth)

@@ -150,13 +150,18 @@ def _draw(spec: InnovationSpec, seeds, count: int, start: int) -> np.ndarray:
         z *= -2.0
         np.sqrt(z, out=z)
         z *= np.cos(np.multiply(u[1], 2.0 * np.pi, out=u[1]), out=u[1])
-        z *= spec.sigma
-        return z
-    w = _words(seeds, start, start + count)
-    if spec.distribution == "rademacher":
-        return spec.sigma * (1.0 - 2.0 * (w >> np.uint64(63)).astype(np.float64))
-    u = (w >> np.uint64(11)).astype(np.float64) * 2.0**-53
-    return spec.sigma * np.sqrt(3.0) * (2.0 * u - 1.0)
+    else:
+        w = _words(seeds, start, start + count)
+        if spec.distribution == "rademacher":
+            z = 1.0 - 2.0 * (w >> np.uint64(63)).astype(np.float64)
+        else:
+            z = 2.0 * ((w >> np.uint64(11)).astype(np.float64) * 2.0**-53) - 1.0
+    overflowed = []  # numpy's flags report a sigma that overflows the draws: a finite draw scans nothing
+    with np.errstate(over="call", invalid="call", call=lambda kind, flag: overflowed.append(kind)):
+        z *= spec.sigma * (np.sqrt(3.0) if spec.distribution == "uniform" else 1.0)
+    if overflowed:
+        check_finite(z, "the innovations", ("t", np.arange(start, start + count)))
+    return z
 
 
 # --------------------------------------------------------------------------

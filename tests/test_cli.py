@@ -1,11 +1,14 @@
+import contextlib
 import hashlib
 import json
 import math
 import os
 import platform
 import re
+import signal
 import subprocess
 import sys
+import time
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -853,13 +856,15 @@ def test_write_path_matches_row_reference(tmp_path, monkeypatch, T, chunk):
 
 
 def with_cpus(monkeypatch, cpus):
-    """Make `_write_path` see ``cpus`` available CPUs; return the list its ``os.fork`` calls append to."""
+    """Make `cli._Forks` see ``cpus`` available CPUs; return the list of the pids its ``os.fork`` calls give."""
     monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(cpus)))
     forks, fork = [], os.fork
 
     def counted():
-        forks.append(1)  # in the parent's list: a child's append goes to its own copy
-        return fork()
+        pid = fork()
+        if pid:  # in the parent's list only
+            forks.append(pid)
+        return pid
 
     monkeypatch.setattr(cli.os, "fork", counted)
     return forks
@@ -944,6 +949,109 @@ def test_a_failing_writer_process_exits_with_a_config_error(tmp_path, monkeypatc
     assert one_json_line(capsys.readouterr().err) == {
         "error": "config", "message": f"the process writing rows 7 to 15 of {out} exited with 1",
     }
+
+
+PERIODOGRAM_ARGS = ["periodogram", "--preset", "figure1", "--T", "512", "--segments", "64", "--smooth", "1"]
+
+
+def run_command(argv, capsys, out):
+    """(exit code, stdout, stderr, the output's bytes or None) of one in-process run of ``argv`` + ``--out out``."""
+    code = main([*argv, "--out", str(out)])
+    stdout, stderr = capsys.readouterr()
+    return code, stdout, stderr, out.read_bytes() if out.exists() else None
+
+
+def raise_in_a_child(calls: int, child: bool) -> None:
+    if child and calls > 1:
+        raise MemoryError("a fault in the child")
+
+
+def warn_in_a_child(calls: int, child: bool) -> None:
+    if child and calls > 1:
+        warnings.warn("a fault in the child", RuntimeWarning)
+
+
+def warn_everywhere(calls: int, child: bool) -> None:
+    warnings.warn(f"smoothing {calls}", RuntimeWarning)  # in the serial run, one line per replicate
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="the replicates are split between processes only on Linux")
+@pytest.mark.parametrize("fault", [raise_in_a_child, warn_in_a_child, warn_everywhere])
+def test_a_failing_replicate_process_leaves_the_serial_output(tmp_path, monkeypatch, capsys, fault):
+    # 6 replicates in 3 parts.  A child that raises or warns (a warning is an error there) ends, and this process
+    # computes that replicate and the rest of its part: with a fault from a child's second grid on, replicates 1
+    # and 2 are read from the pipes and 4 and 5 computed here.  A warning on every grid ends each child on its
+    # first, so every replicate, and each of its warnings, comes from here in order
+    argv = [*PERIODOGRAM_ARGS, "--replicates", "6"]
+    parent, smooth, calls = os.getpid(), cli.smooth_periodogram, []
+
+    def faulty(grid, width):
+        calls.append(1)  # in this process's own list: each child counts its own calls
+        fault(len(calls), os.getpid() != parent)
+        return smooth(grid, width)
+
+    monkeypatch.setattr(cli, "smooth_periodogram", faulty)
+    with_cpus(monkeypatch, 1)
+    serial = run_command(argv, capsys, tmp_path / "serial.csv")
+    calls.clear()
+    forks = with_cpus(monkeypatch, 3)
+    assert run_command(argv, capsys, tmp_path / "split.csv") == serial
+    assert serial[0] == 0 and len(forks) == 2
+    assert_no_child_left()
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="the replicates are split between processes only on Linux")
+def test_a_replicate_that_fails_everywhere_gives_the_serial_error(tmp_path, monkeypatch, capsys):
+    spec = write_spec(tmp_path, {"kind": "tvDMA", "ma": ["1"], "sigma": 1.5e308})
+    argv = ["periodogram", "--spec", spec, "--T", "64", "--segments", "16", "--replicates", "3"]
+    with_cpus(monkeypatch, 1)
+    serial = run_command(argv, capsys, tmp_path / "serial.csv")
+    forks = with_cpus(monkeypatch, 3)
+    assert run_command(argv, capsys, tmp_path / "split.csv") == serial
+    assert serial[:2] == (2, "") and serial[3] is None and len(forks) == 2
+    assert one_json_line(serial[2]) == {"error": "config", "message": "the innovations overflows float64 at t=5"}
+    assert_no_child_left()
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="the replicates are split between processes only on Linux")
+def test_a_failure_here_ends_a_child_blocked_on_a_full_pipe(tmp_path, monkeypatch, capsys):
+    # a grid of 2**16 values (512 KiB) fills the pipe: the child sends replicate 1, which is read here, then blocks
+    # sending 3 while this process fails on 2.  Closing the read end must end the child, or the reaping would hang
+    parent, smooth, calls = os.getpid(), cli.smooth_periodogram, []
+
+    def failing(grid, width):
+        calls.append(1)
+        if os.getpid() == parent and len(calls) == 2:
+            time.sleep(0.5)  # long enough for the child to fill its pipe
+            raise MemoryError("a fault in the parent")
+        return smooth(grid, width)
+
+    def expire(signum, frame):
+        raise TimeoutError("the command did not return")
+
+    monkeypatch.setattr(cli, "smooth_periodogram", failing)
+    forks = with_cpus(monkeypatch, 2)
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)  # a fork's child inherits no alarm
+    try:
+        argv = ["periodogram", "--preset", "figure1", "--T", "65536", "--segments", "512", "--replicates", "4"]
+        code, _, stderr, output = run_command(argv, capsys, tmp_path / "pgram.csv")
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+        running = []
+        for pid in forks:  # a child left running would outlive the test, holding its output open
+            with contextlib.suppress(ChildProcessError):  # raised for a child already reaped
+                if os.waitpid(pid, os.WNOHANG) == (0, 0):
+                    running.append(pid)
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
+    assert running == []
+    assert (code, output, len(forks)) == (2, None, 1)
+    assert one_json_line(stderr) == {
+        "error": "config", "message": "not enough memory for this input: a fault in the parent"
+    }
+    assert_no_child_left()
 
 
 SIMULATE_T = 1 << 15
@@ -1182,6 +1290,28 @@ def test_periodogram_mean_that_overflows_exits_with_a_config_error(tmp_path, cap
         "error": "config", "message": "the replicate mean periodogram I overflows float64 at segment u0=0.25, x=0.0"
     }
     assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("distribution, argv, t", [
+    ("gaussian", ["simulate", "--T", "8"], 4),
+    ("gaussian", ["periodogram", "--T", "64", "--segments", "16", "--replicates", "3"], 5),
+    ("gaussian", ["verify", "--mode", "frozen", "--T", "64,128"], 16),
+    ("uniform", ["simulate", "--T", "8"], 0),
+    ("uniform", ["periodogram", "--T", "64", "--segments", "16", "--replicates", "3"], 0),
+    ("uniform", ["verify", "--mode", "frozen", "--T", "64,128"], 16),
+])
+def test_innovations_that_overflow_exit_with_a_config_error(tmp_path, capsys, distribution, argv, t):
+    # sigma times a draw of magnitude above 1.2 (gaussian), or sigma * sqrt(3) (uniform), overflows: the command
+    # exited 0 with -inf rows, or failed on a later result without naming the innovations.  A rademacher draw is
+    # +-sigma, which is finite for every valid sigma (test_processes.py)
+    payload = {"kind": "tvDMA", "ma": ["1"], "sigma": 1.5e308, "distribution": distribution}
+    out = tmp_path / "out.csv"
+    assert main([*argv, "--spec", write_spec(tmp_path, payload), "--out", str(out)]) == 2
+    assert one_json_line(capsys.readouterr().err) == {
+        "error": "config", "message": f"the innovations overflows float64 at t={t}"
+    }
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["spec.json"]
 
 
 def test_verify_report_that_is_not_finite_is_not_written(tmp_path):

@@ -44,6 +44,7 @@ from walsh_spectra.presets import preset_spec
 from walsh_spectra.processes import coefficient_rows, dma_coefficient_rows, spec_from_dict
 
 from oracles import lapack_block_solve
+from test_cli import assert_no_child_left, with_cpus
 
 GOLDEN = Path(__file__).with_name("golden_cli.json")
 
@@ -247,6 +248,19 @@ def test_cli_output_matches_golden(case_id, tmp_path, monkeypatch):
     if case_id in MOVED_CASES:
         check_near_lapack_route(case_id, tmp_path / "route", monkeypatch)
     assert run_case(case_id, tmp_path / "golden") == _golden()[case_id]
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="the replicates are split between processes only on Linux")
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+@pytest.mark.parametrize("case_id", [c for c in GOLDEN_CASES if c.startswith("periodogram")])
+def test_periodogram_split_between_processes_matches_golden(case_id, cpus, tmp_path, monkeypatch):
+    # one part per CPU, at most one per replicate; the record holds every file left in the output directory
+    forks = with_cpus(monkeypatch, cpus)
+    assert run_case(case_id, tmp_path) == _golden()[case_id]
+    argv = CASES[case_id][1]
+    replicates = int(argv[argv.index("--replicates") + 1]) if "--replicates" in argv else 1
+    assert len(forks) == min(cpus, replicates) - 1
+    assert_no_child_left()
 
 
 @pytest.mark.parametrize("case_id", LAPACK_CASES)

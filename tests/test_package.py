@@ -229,11 +229,15 @@ def test_cli_formats_each_table_shape_one_way():
     assert ("arange", "_cmd_simulate") not in found
 
 
-def test_only_the_path_writer_forks():
-    # repr holds the GIL, so a path's later rows are formatted by forked children of cli._write_path, which leave
-    # through os._exit and never return into the caller's code; the package starts no thread and no pool
-    assert {(file, owner) for file, _, owner in call_sites("fork")} == {("cli.py", "_write_path")}
-    assert ("cli.py", "_write_path") in {(file, owner) for file, _, owner in call_sites("_exit")}
+def test_only_the_fork_helper_forks():
+    # repr and small numpy calls hold the GIL, so a path's later rows and periodogram replicates are computed by
+    # children that cli._Forks forks, flushes for, reaps and lets leave only through os._exit, never into the
+    # caller's code; the package starts no thread and no pool
+    tree = ast.parse((SRC / "cli.py").read_text())
+    helper = next(node for node in tree.body if getattr(node, "name", "") == "_Forks")
+    for name in ("fork", "_exit"):
+        sites = call_sites(name)
+        assert sites and all(file == "cli.py" and helper.lineno <= line <= helper.end_lineno for file, line, _ in sites)
     def imports(tree):
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):

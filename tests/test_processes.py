@@ -145,6 +145,19 @@ def test_innovation_moments(distribution):
     assert abs(np.var(vals) - sigma**2) < 0.03 * sigma**2
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_innovations_that_overflow_name_their_first_index():
+    # sigma times a gaussian draw above about 1.2 in magnitude, or times sqrt(3) for every uniform draw, overflows
+    # float64; a rademacher draw is +-sigma, finite for every valid sigma.  Rows of replicates name the first t at
+    # which any of them overflows
+    huge = 1.5e308
+    assert np.array_equal(np.abs(make_innovations(InnovationSpec("rademacher", huge), 8)), np.full(8, huge))
+    cases = (("uniform", 0, 2), ("gaussian", 0, 4), ("gaussian", [6], 6), ("gaussian", [6, 5], 2))
+    for distribution, seeds, t in cases:
+        with pytest.raises(ValueError, match=f"^the innovations overflows float64 at t={t}$"):
+            _draw(InnovationSpec(distribution, huge), seeds, 8, 2)
+
+
 def test_innovation_spec_validation():
     with pytest.raises(ValueError):
         InnovationSpec("poisson", 1.0, 0)
