@@ -951,9 +951,6 @@ def test_a_failing_writer_process_exits_with_a_config_error(tmp_path, monkeypatc
     }
 
 
-PERIODOGRAM_ARGS = ["periodogram", "--preset", "figure1", "--T", "512", "--segments", "64", "--smooth", "1"]
-
-
 def run_command(argv, capsys, out):
     """(exit code, stdout, stderr, the output's bytes or None) of one in-process run of ``argv`` + ``--out out``."""
     code = main([*argv, "--out", str(out)])
@@ -982,7 +979,7 @@ def test_a_failing_replicate_process_leaves_the_serial_output(tmp_path, monkeypa
     # computes that replicate and the rest of its part: with a fault from a child's second grid on, replicates 1
     # and 2 are read from the pipes and 4 and 5 computed here.  A warning on every grid ends each child on its
     # first, so every replicate, and each of its warnings, comes from here in order
-    argv = [*PERIODOGRAM_ARGS, "--replicates", "6"]
+    argv = ["periodogram", "--preset", "figure1", "--T", "512", "--segments", "64", "--replicates", "6"]
     parent, smooth, calls = os.getpid(), cli.smooth_periodogram, []
 
     def faulty(grid, width):
